@@ -18,6 +18,7 @@ by randomized grid specs and is echoed for reproducibility.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime
 import json
@@ -41,27 +42,42 @@ from .model import (InnerFunction, clark_kernel, clark_kernel_diag,
 from .space import (DbSpace, kernel, mean_type, membership, nabla,
                     phase_derivative)
 
-_COMPLEX_RE = re.compile(
-    r"^\s*(?P<re>[+-]?\d*\.?\d+(?:[eE][+-]?\d+)?)?"
-    r"(?P<im>[+-](?:\d*\.?\d+(?:[eE][+-]?\d+)?)?)?[ij]?\s*$")
+
+@contextlib.contextmanager
+def _decoding(what: str):
+    """Input that fails to decode is malformed configuration, not a
+    computation error."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"malformed {what}: {exc!r}") from exc
+
+
+def _num(cfg: dict, key: str, default=None, kind=float):
+    """A numeric config entry, or ``default`` when it is absent."""
+    if cfg.get(key) is None:
+        return default
+    with _decoding(repr(key)):
+        return kind(cfg[key])
 
 
 def parse_complex(text: str) -> complex:
     """Accept '1.5', '2i', '0+1i', '-3.2-4e-1j'."""
     t = str(text).strip().replace(" ", "")
-    if t.endswith(("i", "j")):
-        body = t[:-1]
-        m = re.match(r"^(?P<re>[+-]?\d*\.?\d+(?:[eE][+-]?\d+)?)"
-                     r"(?P<im>[+-](?:\d*\.?\d+(?:[eE][+-]?\d+)?)?)$", body)
-        if m:
-            imtxt = m.group("im")
-            if imtxt in ("+", "-"):
-                imtxt += "1"
-            return complex(float(m.group("re")), float(imtxt))
-        if body in ("", "+", "-"):
-            body += "1"
-        return complex(0.0, float(body))
-    return complex(float(t), 0.0)
+    with _decoding(f"complex number {text!r}"):
+        if t.endswith(("i", "j")):
+            body = t[:-1]
+            m = re.match(r"^(?P<re>[+-]?\d*\.?\d+(?:[eE][+-]?\d+)?)"
+                         r"(?P<im>[+-](?:\d*\.?\d+(?:[eE][+-]?\d+)?)?)$", body)
+            if m:
+                imtxt = m.group("im")
+                if imtxt in ("+", "-"):
+                    imtxt += "1"
+                return complex(float(m.group("re")), float(imtxt))
+            if body in ("", "+", "-"):
+                body += "1"
+            return complex(0.0, float(body))
+        return complex(float(t), 0.0)
 
 
 def _load_json_arg(text: str) -> dict:
@@ -138,47 +154,51 @@ def _expr(cfg, key):
 def _space(cfg, key="space") -> DbSpace:
     if key not in cfg:
         raise ConfigError(f"missing required input {key!r}")
-    spec = cfg[key]
-    if isinstance(spec, str):
-        spec = _load_json_arg(spec)
-    if isinstance(spec, dict) and "spaces" in spec:
-        # whole example-instance documents are accepted: take the main space
-        spaces = spec["spaces"]
-        spec = spaces.get("H") or next(iter(spaces.values()))
-    return DbSpace.from_json(spec)
+    with _decoding(f"space {key!r}"):
+        spec = cfg[key]
+        if isinstance(spec, str):
+            spec = _load_json_arg(spec)
+        if isinstance(spec, dict) and "spaces" in spec:
+            # whole example-instance documents are accepted: take the main space
+            spaces = spec["spaces"]
+            spec = spaces.get("H") or next(iter(spaces.values()))
+        return DbSpace.from_json(spec)
 
 
 def _domain(cfg, key="domain") -> SampledDomain:
     if key not in cfg:
         raise ConfigError(f"missing required input {key!r}")
-    spec = cfg[key]
-    if isinstance(spec, str):
-        spec = _load_json_arg(spec)
-    return SampledDomain.from_json(spec)
+    with _decoding(f"domain {key!r}"):
+        spec = cfg[key]
+        if isinstance(spec, str):
+            spec = _load_json_arg(spec)
+        return SampledDomain.from_json(spec)
 
 
 def _inner(cfg, key="theta") -> InnerFunction:
     if key not in cfg:
         raise ConfigError(f"missing required input {key!r}")
-    spec = cfg[key]
-    if isinstance(spec, str):
-        spec = _load_json_arg(spec)
-    return InnerFunction.from_spec(spec)
+    with _decoding(f"inner function {key!r}"):
+        spec = cfg[key]
+        if isinstance(spec, str):
+            spec = _load_json_arg(spec)
+        return InnerFunction.from_spec(spec)
 
 
 def _majorant(cfg, domain: SampledDomain) -> Majorant:
-    spec = cfg.get("majorant")
-    if isinstance(spec, str):
-        spec = _load_json_arg(spec)
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ConfigError("majorant spec must be an object with a 'type'")
-    zd = tuple((float(x), int(k)) for x, k in spec.get("zero-divisor", []))
-    if spec["type"] == "nabla":
-        return nabla_majorant(DbSpace.from_json(spec["space"]), domain)
-    if spec["type"] == "mS":
-        return mS_majorant(expr_from_json(spec["S"]), domain, zd)
-    if spec["type"] == "expr":
-        return expr_majorant(expr_from_json(spec["f"]), domain, zd)
+    with _decoding("majorant"):
+        spec = cfg.get("majorant")
+        if isinstance(spec, str):
+            spec = _load_json_arg(spec)
+        if not isinstance(spec, dict) or "type" not in spec:
+            raise ConfigError("majorant spec must be an object with a 'type'")
+        zd = tuple((float(x), int(k)) for x, k in spec.get("zero-divisor", []))
+        if spec["type"] == "nabla":
+            return nabla_majorant(DbSpace.from_json(spec["space"]), domain)
+        if spec["type"] == "mS":
+            return mS_majorant(expr_from_json(spec["S"]), domain, zd)
+        if spec["type"] == "expr":
+            return expr_majorant(expr_from_json(spec["f"]), domain, zd)
     raise ConfigError(f"unknown majorant type {spec['type']!r}")
 
 
@@ -186,13 +206,14 @@ def _grid(cfg, key, default=None) -> np.ndarray:
     spec = cfg.get(key, default)
     if spec is None:
         raise ConfigError(f"missing required grid {key!r}")
-    if isinstance(spec, str):
-        parts = spec.split(":")
-        if len(parts) == 3:
-            start, stop, step = (float(p) for p in parts)
-            return np.arange(start, stop + 0.5 * step, step)
-        spec = json.loads(spec)
-    return np.asarray(spec, dtype=float)
+    with _decoding(f"grid {key!r}"):
+        if isinstance(spec, str):
+            parts = spec.split(":")
+            if len(parts) == 3:
+                start, stop, step = (float(p) for p in parts)
+                return np.arange(start, stop + 0.5 * step, step)
+            spec = json.loads(spec)
+        return np.asarray(spec, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +224,9 @@ def _cmd_eval(args):
     cfg = _merged(args, ["f", "z", "order"])
     f = _expr(cfg, "f")
     z = parse_complex(cfg.get("z", "0"))
-    if cfg.get("order"):
-        r = derivative(f, z, int(cfg["order"]))
+    order = _num(cfg, "order", 0, int)
+    if order:
+        r = derivative(f, z, order)
     else:
         r = evaluate(f, z)
     _emit("eval", cfg, {"value": r.value, "abs-error": r.abs_error})
@@ -227,19 +249,19 @@ def _cmd_phase(args):
     cfg = _merged(args, ["space", "t", "route"])
     sp = _space(cfg)
     route = cfg.get("route", "kernel")
-    _emit("phase", cfg, {"value": phase_derivative(sp, float(cfg.get("t", 0.0)), route),
+    _emit("phase", cfg, {"value": phase_derivative(sp, _num(cfg, "t", 0.0), route),
                          "route": route})
 
 
 def _cmd_meantype(args):
     cfg = _merged(args, ["f", "theta", "rmin", "rmax", "rcount"])
     f = _expr(cfg, "f")
-    theta = float(cfg.get("theta", math.pi / 2))
+    theta = _num(cfg, "theta", math.pi / 2)
     radii = None
     if any(k in cfg for k in ("rmin", "rmax", "rcount")):
         r0, r1, n = DEFAULTS["meantype_radii"]
-        radii = np.geomspace(float(cfg.get("rmin", r0)), float(cfg.get("rmax", r1)),
-                             int(cfg.get("rcount", n)))
+        radii = np.geomspace(_num(cfg, "rmin", r0), _num(cfg, "rmax", r1),
+                             _num(cfg, "rcount", n, int))
     est = mean_type(f, theta, radii)
     _emit("meantype", cfg, {"value": est.value, "residual": est.residual,
                             "radii": [float(est.radii[0]), float(est.radii[-1]),
@@ -279,7 +301,7 @@ def _cmd_admissible(args):
 def _cmd_herglotz(args):
     cfg = _merged(args, ["q", "delta"])
     q = _expr(cfg, "q")
-    data = herglotz_extract(q, delta=cfg.get("delta"))
+    data = herglotz_extract(q, delta=_num(cfg, "delta"))
     rows = zip(data.density_grid.tolist(), data.density.tolist())
     _emit("herglotz", cfg, data.to_json(), rows, args.out, ("t", "density"))
 
@@ -287,7 +309,7 @@ def _cmd_herglotz(args):
 def _cmd_weaktype(args):
     cfg = _merged(args, ["q", "y0", "a-grid", "measure"])
     q = _expr(cfg, "q")
-    rep = weak_type_test(q, float(cfg.get("y0", 1.0)),
+    rep = weak_type_test(q, _num(cfg, "y0", 1.0),
                          _grid(cfg, "a-grid", "0.1:2.0:0.1"),
                          cfg.get("measure", "lebesgue"))
     _emit("weaktype", cfg, rep.to_json(), rep.csv_rows(), args.out,
@@ -307,7 +329,7 @@ def _cmd_a60scan(args):
     cfg = _merged(args, ["theta", "y0", "c", "r-grid", "f"])
     th = _inner(cfg)
     f = _expr(cfg, "f") if cfg.get("f") else None
-    rep = theorem_a60_scan(th, float(cfg.get("y0", 1.0)), float(cfg.get("c", 1.0)),
+    rep = theorem_a60_scan(th, _num(cfg, "y0", 1.0), _num(cfg, "c", 1.0),
                            _grid(cfg, "r-grid", "[4,8,16,32,64,128]"), f)
     _emit("a60scan", cfg, rep.to_json(), rep.csv_rows(), args.out,
           ("r", "measure", "ratio", "residual_max"))
@@ -325,12 +347,8 @@ def _cmd_example(args):
     if ex_id == "list":
         _emit("example", cfg, {"available": sorted(ex.EXAMPLE_BUILDERS)})
         return
-    params = {}
-    for key in ("a", "alpha", "y0"):
-        if cfg.get(key) is not None:
-            params[key] = float(cfg[key])
-    if cfg.get("n") is not None:
-        params["n"] = int(cfg["n"])
+    params = {key: _num(cfg, key, kind=int if key == "n" else float)
+              for key in ("a", "alpha", "y0", "n") if cfg.get(key) is not None}
     inst = ex.build_example(ex_id, **params)
     doc = inst.to_json()
     if args.out:
@@ -419,13 +437,16 @@ def main(argv=None) -> int:
         args.fn(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ConfigError, json.JSONDecodeError, FileNotFoundError,
-            ValueError, KeyError) as exc:
+    except (ConfigError, json.JSONDecodeError, OSError) as exc:
         sys.stdout.write(json.dumps(
             {"error": {"kind": "config-error", "detail": str(exc)}}) + "\n")
         return 2
     except DblabError as exc:
         sys.stdout.write(json.dumps({"error": exc.payload()}) + "\n")
+        return 1
+    except Exception as exc:    # a fault of the program: still one JSON object, exit 1
+        sys.stdout.write(json.dumps(
+            {"error": {"kind": "internal-error", "detail": f"{type(exc).__name__}: {exc}"}}) + "\n")
         return 1
     return 0
 

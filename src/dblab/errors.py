@@ -89,6 +89,12 @@ class EnvelopeNotDecaying(DblabError):
     kind = "envelope-not-decaying"
 
 
+class Overflow(DblabError):
+    """A value or its error estimate is not finite in double precision."""
+
+    kind = "overflow"
+
+
 class UnknownInstance(DblabError):
     """Theorem verification asked for an example configuration that is not shipped."""
 

@@ -9,7 +9,10 @@ an absolute-error estimate (truncation + bounded roundoff) alongside the
 value.
 
 Expressions are immutable after construction and evaluation is pure, so
-values are safe to share across threads.
+values are safe to share across threads.  Canonical products and
+partial-fraction series are summed shell by shell through power moments
+(see ``_Shells``); the moment tables a sequence builds at its first
+evaluation are caches, and no value depends on whether they were built.
 
 The ``#``-conjugate ``F#(z) = conj(F(conj z))`` is implemented
 structurally: every node knows its own conjugate, so double conjugation
@@ -24,19 +27,28 @@ explicit lists or as named generator specs resolved through
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
 from .defaults import DEFAULTS
-from .errors import ConfigError, PoleHit, RadiusTooLarge, TruncationBudgetExceeded
+from .errors import (ConfigError, Overflow, PoleHit, RadiusTooLarge,
+                     TruncationBudgetExceeded)
 
 EPS = float(np.finfo(float).eps)
+_LOG_EPS = math.log(EPS)
 
-# product/series chunks sized so a temporary (points x terms) block stays small
-_BLOCK = 2 ** 21
+# sequence terms per block when building moments or summing terms directly,
+# the largest (points x terms) temporary of a direct sum, and the points
+# evaluated together against every shell
+_CHUNK = 2 ** 16
+_BLOCK = 2 ** 18
+_POINTS = 2 ** 13
+# the highest expansion order: a shell is expanded only at ratios <= 1/2
+_MAX_ORDER = math.ceil(_LOG_EPS / math.log(0.5))
 
 
 def _c2pair(c: complex) -> list:
@@ -47,21 +59,24 @@ def _c2pair(c: complex) -> list:
 def _pair2c(p) -> complex:
     if isinstance(p, (int, float)):
         return complex(p)
-    if not (isinstance(p, (list, tuple)) and len(p) == 2):
-        raise ConfigError(f"expected [re, im] pair, got {p!r}")
+    if not (isinstance(p, (list, tuple)) and len(p) == 2
+            and all(isinstance(x, (int, float)) for x in p)):
+        raise ConfigError(f"expected a number or an [re, im] pair, got {p!r}")
     return complex(float(p[0]), float(p[1]))
 
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Value plus a nonnegative absolute-error estimate."""
+    """Value plus a nonnegative absolute-error estimate; both finite."""
 
     value: complex
     abs_error: float
 
     def __post_init__(self):
-        if not (self.abs_error >= 0.0 and math.isfinite(self.abs_error)):
-            raise ValueError(f"abs_error must be finite and >= 0, got {self.abs_error}")
+        if not (self.abs_error >= 0.0 and math.isfinite(self.abs_error)
+                and cmath.isfinite(self.value)):
+            raise Overflow(f"value {self.value} with abs_error {self.abs_error} "
+                           "is not finite in double precision")
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +119,10 @@ class ZeroSequence:
         return ZeroSequence(self.label + "#", np.conj(self.zeros), self.genus,
                             self.tail_log_bound, inv, spec)
 
+    def shells(self) -> "_Shells":
+        """Modulus shells of the zeros, built at the first evaluation."""
+        return _cached_shells(self, self.zeros)
+
     def genus0_partial_sums(self, n_checks: int = 6) -> np.ndarray:
         """Partial sums of 1/|z_n| at geometric prefixes (monotone, for the
         genus-0 convergence check)."""
@@ -140,38 +159,334 @@ class PoleSequence:
     def __len__(self) -> int:
         return int(self.poles.size)
 
+    def shells(self) -> "_Shells":
+        """Modulus shells of the poles, built at the first evaluation."""
+        return _cached_shells(self, self.poles, self.weights)
+
 
 # named generator registries; examples.py registers its builders on import
 SEQUENCE_BUILDERS: dict = {}
 POLE_SEQUENCE_BUILDERS: dict = {}
 
 
+def _spec_kind(spec, what: str) -> str:
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{what} spec must be an object, got {spec!r}")
+    return spec.get("kind")
+
+
+def _from_builder(registry: dict, spec: dict, what: str):
+    name, params = spec.get("name"), spec.get("params", {})
+    if name not in registry:
+        raise ConfigError(f"unknown {what} generator {name!r}")
+    if not isinstance(params, dict):
+        raise ConfigError(f"{what} generator parameters must be an object, got {params!r}")
+    try:
+        return registry[name](**params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad parameters for the {what} generator {name!r}: {exc}") from exc
+
+
 def zero_sequence_from_spec(spec: dict) -> ZeroSequence:
-    kind = spec.get("kind")
+    kind = _spec_kind(spec, "zero-sequence")
     if kind == "list":
-        zs = np.array([_pair2c(p) for p in spec["zeros"]], dtype=complex)
-        return ZeroSequence("list", zs, int(spec.get("genus", 0)), None, None, spec)
+        zeros = spec.get("zeros")
+        genus = spec.get("genus", 0)
+        if not isinstance(zeros, list) or not isinstance(genus, int):
+            raise ConfigError(f"a zero list needs a list of zeros and an integer genus: {spec!r}")
+        zs = np.array([_pair2c(p) for p in zeros], dtype=complex)
+        return ZeroSequence("list", zs, genus, None, None, spec)
     if kind == "conjugate":
-        return zero_sequence_from_spec(spec["base"]).conjugated()
+        return zero_sequence_from_spec(spec.get("base")).conjugated()
     if kind == "named":
-        name = spec.get("name")
-        if name not in SEQUENCE_BUILDERS:
-            raise ConfigError(f"unknown zero-sequence generator {name!r}")
-        return SEQUENCE_BUILDERS[name](**spec.get("params", {}))
+        return _from_builder(SEQUENCE_BUILDERS, spec, "zero-sequence")
     raise ConfigError(f"bad zero-sequence spec: {spec!r}")
 
 
 def pole_sequence_from_spec(spec: dict) -> PoleSequence:
-    kind = spec.get("kind")
+    kind = _spec_kind(spec, "pole-sequence")
     if kind == "list":
-        return PoleSequence("list", np.asarray(spec["poles"], dtype=float),
-                            np.asarray(spec["weights"], dtype=float), None, spec)
+        try:
+            poles = np.asarray(spec["poles"], dtype=float)
+            weights = np.asarray(spec["weights"], dtype=float)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"a pole list needs numeric poles and weights: {exc}") from exc
+        return PoleSequence("list", poles, weights, None, spec)
     if kind == "named":
-        name = spec.get("name")
-        if name not in POLE_SEQUENCE_BUILDERS:
-            raise ConfigError(f"unknown pole-sequence generator {name!r}")
-        return POLE_SEQUENCE_BUILDERS[name](**spec.get("params", {}))
+        return _from_builder(POLE_SEQUENCE_BUILDERS, spec, "pole-sequence")
     raise ConfigError(f"bad pole-sequence spec: {spec!r}")
+
+
+# ---------------------------------------------------------------------------
+# shell-moment evaluation of long products and series
+# ---------------------------------------------------------------------------
+
+def _cached_shells(seq, nodes, weights=None) -> "_Shells":
+    """The shells of a frozen sequence, kept on it once built."""
+    sh = seq.__dict__.get("_shells")
+    if sh is None:
+        sh = _Shells(nodes, weights)
+        object.__setattr__(seq, "_shells", sh)
+    return sh
+
+
+def _order(rho: np.ndarray) -> np.ndarray:
+    """Per-pair expansion order J with rho**J <= EPS (0 at rho = 0)."""
+    return np.ceil(_LOG_EPS / np.log(rho)).astype(int)
+
+
+def _horner(table: np.ndarray, s: np.ndarray, w: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """``sum_{j=1..order_k} table[s_k, j-1] w_k**j`` for every pair ``k``.
+
+    Pairs are ranked by decreasing order, so the step for power ``j``
+    touches only the leading pairs that need it; a pair's value does not
+    depend on the other pairs.
+    """
+    rank = np.argsort(-order, kind="stable")
+    s, w, neg = s[rank], w[rank], -order[rank]
+    acc = np.zeros(w.shape, dtype=complex)
+    for j in range(-int(neg.min(initial=0)), 0, -1):
+        m = np.searchsorted(neg, -j, side="right")
+        acc[:m] = (acc[:m] + table[s[:m], j - 1]) * w[:m]
+    out = np.empty_like(acc)
+    out[rank] = acc
+    return out
+
+
+def _by_point(p: np.ndarray, x: np.ndarray, size: int) -> np.ndarray:
+    """Sum pair values point by point, in pair order."""
+    if np.iscomplexobj(x):
+        return np.bincount(p, x.real, size) + 1j * np.bincount(p, x.imag, size)
+    return np.bincount(p, x, size)
+
+
+def _accumulate(acc, err, p, val, e):
+    """Add pair values and their error bounds into the per-point sums,
+    charging each addition its rounding."""
+    n = acc.size
+    acc += _by_point(p, val, n)
+    err += _by_point(p, e, n) + EPS * np.bincount(p, minlength=n) * (
+        _by_point(p, np.abs(val), n) + np.abs(acc))
+
+
+def _blockwise(fn, *arrays):
+    """``fn`` over aligned blocks of at most ``_POINTS`` points, outputs concatenated."""
+    n = arrays[0].size
+    parts = [fn(*(a[i:i + _POINTS] for a in arrays)) for i in range(0, max(n, 1), _POINTS)]
+    return tuple(np.concatenate(out) for out in zip(*parts))
+
+
+class _Shells:
+    """A zero or pole sequence split into modulus shells ``[2^s, 2^(s+1))``.
+
+    Seen from a point ``z``, a shell with ``2|z| <= lo`` is far and is
+    summed through power moments about its smallest modulus ``lo``; a
+    shell with ``2 hi <= |z|`` is inner and is summed through multipole
+    moments about its largest modulus ``hi``; the two or three shells
+    around ``|z|`` are summed term by term.  ``moments(s, side, order)``
+    is ``sum_k c_k x_k**j`` for ``j = 0..order`` with ``|x_k| <= 1``:
+    ``x = lo/t_k`` and ``c = 1`` (``mu/t`` for a series) on the far side,
+    ``x = t_k/hi`` and ``c = 1`` (``mu``) on the inner side.  A table is
+    built when first needed and rebuilt from scratch for a higher order,
+    so a point's value never depends on what else was evaluated, and two
+    threads that build the same table at once store equal tables.
+    """
+
+    def __init__(self, nodes: np.ndarray, weights: Optional[np.ndarray] = None):
+        mod = np.abs(nodes)
+        if np.any(mod[1:] < mod[:-1]):
+            order = np.argsort(mod, kind="stable")
+            nodes, mod = nodes[order], mod[order]
+            weights = None if weights is None else weights[order]
+        self.nodes, self.weights = nodes, weights
+        edges = np.zeros(1, dtype=int)
+        if mod.size:
+            exps = np.arange(math.frexp(mod[0])[1], math.frexp(mod[-1])[1])
+            edges = np.unique(np.r_[0, np.searchsorted(mod, np.ldexp(1.0, exps)), mod.size])
+        self.start, self.stop = edges[:-1], edges[1:]
+        self.lo, self.hi = mod[self.start], mod[self.stop - 1]
+        self.count = self.stop - self.start
+        # roundoff of a sum over one shell: pairwise within a block, sequential across blocks
+        self.gamma = EPS * (np.log2(np.maximum(self.count, 1)) + 8.0
+                            + np.ceil(self.count / _CHUNK))
+        self._tables: dict = {}
+
+    def _blocks(self, s: int):
+        for a in range(self.start[s], self.stop[s], _CHUNK):
+            yield a, min(a + _CHUNK, self.stop[s])
+
+    def moments(self, s: int, side: str, order: int):
+        """Moment table of shell ``s`` (at least ``order + 1`` entries) and ``sum |c_k|``."""
+        tab = self._tables.get((s, side))
+        if tab is None or tab[0].size <= order:
+            mom = np.zeros(order + 1, dtype=self.nodes.dtype)
+            absw = 0.0
+            far = side == "far"
+            for a, b in self._blocks(s):
+                t = self.nodes[a:b]
+                x = self.lo[s] / t if far else t / self.hi[s]
+                if self.weights is None:
+                    p = np.ones(b - a, dtype=t.dtype)
+                else:
+                    p = self.weights[a:b] / t if far else self.weights[a:b].copy()
+                absw += float(np.sum(np.abs(p)))
+                for j in range(order + 1):
+                    mom[j] += np.sum(p)
+                    p *= x
+            tab = self._tables[(s, side)] = (mom, absw)
+        return tab
+
+    def log_sum(self, s: int):
+        """``sum log t_k`` over shell ``s`` and the sum of the moduli of its terms."""
+        tab = self._tables.get((s, "log"))
+        if tab is None:
+            acc, mag = 0j, 0.0
+            for a, b in self._blocks(s):
+                lt = np.log(self.nodes[a:b])
+                acc += complex(np.sum(lt))
+                mag += float(np.sum(np.abs(lt)))
+            tab = self._tables[(s, "log")] = (acc, mag)
+        return tab
+
+    def _per_shell(self, s: np.ndarray, fn) -> list:
+        """The tuple ``fn(k)`` of each shell ``k`` in ``s``, spread over the pairs."""
+        shells, index = np.unique(s, return_inverse=True)
+        return [np.asarray(col)[index] for col in zip(*(fn(k) for k in shells))]
+
+    def _expansion(self, z, az, mask, side, scale):
+        """The pairs (point ``p``, shell ``s``) of ``mask`` on one side, their
+        ratio ``rho``, order ``J`` and ``sum_{j=1..J} scale_j m_j w**j`` over
+        the shell's moments ``m``, with each shell's ``m_0`` and ``sum |c|``."""
+        p, s = np.nonzero(mask)
+        far = side == "far"
+        rho = az[p] / self.lo[s] if far else self.hi[s] / az[p]
+        order = _order(rho)
+        top = np.zeros(self.lo.size, dtype=int)
+        np.maximum.at(top, s, order)
+        table = np.zeros((self.lo.size, top.max(initial=0)), dtype=complex)
+        first, absw = np.zeros(self.lo.size, dtype=complex), np.zeros(self.lo.size)
+        for k in np.unique(s):
+            mom, absw[k] = self.moments(k, side, top[k])
+            first[k] = mom[0]
+            table[k, :top[k]] = scale[:top[k]] * mom[1:top[k] + 1]
+        w = z[p] / self.lo[s] if far else self.hi[s] / z[p]
+        return p, s, rho, order, _horner(table, s, w, order), first[s], absw[s]
+
+    def _direct(self, s: int, z: np.ndarray, aux: np.ndarray, term):
+        """Term-by-term sum over shell ``s``.  ``term(zb, auxb, a, b)`` gets
+        a column of points (and of ``aux``) and the block ``a:b`` of the
+        shell; it returns the terms, extra per-term error bounds and a
+        per-point flag."""
+        val = np.zeros(z.shape, dtype=complex)
+        err = np.zeros(z.shape)
+        flag = np.zeros(z.shape, dtype=bool)
+        for a, b in self._blocks(s):
+            step = max(1, _BLOCK // (b - a))
+            for i in range(0, z.size, step):
+                sl = slice(i, i + step)
+                t, e, f = term(z[sl, None], aux[sl, None], a, b)
+                val[sl] += np.sum(t, axis=1)
+                err[sl] += np.sum(e + self.gamma[s] * np.abs(t), axis=1)
+                flag[sl] |= f
+        return val, err, flag
+
+    def log_product(self, z: np.ndarray, genus: int):
+        """``sum log(1 - z/t_k)`` (plus ``z/t_k`` at genus 1) modulo 2 pi i,
+        a bound on its error, and the points where a factor cancelled exactly."""
+        return _blockwise(lambda zb: self._log_product(zb, genus), z)
+
+    def _log_product(self, z, genus):
+        az = np.abs(z)
+        far = 2.0 * az[:, None] <= self.lo
+        inner = 2.0 * self.hi <= az[:, None]
+        logv = np.zeros(z.shape, dtype=complex)
+        err = np.zeros(z.shape)
+        for side, mask in (("far", far), ("inner", inner)):
+            if not mask.any():
+                continue
+            scale = -1.0 / np.arange(1, _MAX_ORDER + 1)
+            if genus == 1 and side == "far":
+                scale[0] = 0.0
+            p, s, rho, jj, val, _, _ = self._expansion(z, az, mask, side, scale)
+            n, gam = self.count[s], self.gamma[s]
+            # sum_k sum_j |x_k w|^j / j bounds every term of the expansion
+            mag = -n * np.log1p(-rho)
+            e = n * rho ** (jj + 1) / ((jj + 1) * (1.0 - rho)) + (gam + 2 * jj * EPS) * mag
+            if side == "inner":
+                lsum, lmag = self._per_shell(s, self.log_sum)
+                lz = np.log(-z[p])
+                val = val + n * lz - lsum
+                e = e + gam * (n * np.abs(lz) + lmag)
+                if genus == 1:
+                    inv, = self._per_shell(s, lambda k: (self.moments(k, "far", 1)[0][1] / self.lo[k],))
+                    val = val + z[p] * inv
+                    e = e + gam * az[p] * n / self.lo[s]
+            _accumulate(logv, err, p, val, e)
+
+        def near_term(zb, _, a, b):
+            q = zb / self.nodes[None, a:b]
+            d = 1.0 - q
+            cancelled = d == 0
+            # an exactly cancelled factor is replaced by its modulus bound
+            d[cancelled] = 4.0 * EPS * np.abs(q[cancelled])
+            lt = np.log(d)
+            if genus == 1:
+                lt += q
+            return lt, 4.0 * EPS * np.abs(q) / np.abs(d), cancelled.any(axis=1)
+
+        hit = np.zeros(z.shape, dtype=bool)
+        near = ~(far | inner)
+        for k in np.nonzero(near.any(axis=0))[0]:
+            pts = np.nonzero(near[:, k])[0]
+            val, e, cancelled = self._direct(k, z[pts], az[pts], near_term)
+            _accumulate(logv, err, pts, val, e)
+            hit[pts] |= cancelled
+        return logv, err, hit
+
+    def series(self, z: np.ndarray, excl: np.ndarray):
+        """``sum mu_k z / (t_k (t_k - z))`` and a bound on its error.
+
+        Far and inner shells keep a margin of ``excl`` from every point, so
+        only the near shells can hold a pole inside the exclusion radius.
+        """
+        return _blockwise(self._series, z, excl)
+
+    def _series(self, z, excl):
+        az = np.abs(z)
+        far = 2.0 * az[:, None] + excl[:, None] <= self.lo
+        inner = 2.0 * (self.hi + excl[:, None]) <= az[:, None]
+        v = np.zeros(z.shape, dtype=complex)
+        err = np.zeros(z.shape)
+        ones = np.ones(_MAX_ORDER)
+        if far.any():
+            p, s, rho, jj, val, _, absw = self._expansion(z, az, far, "far", ones)
+            e = absw * (rho ** (jj + 1) + (self.gamma[s] + 2 * jj * EPS) * rho) / (1.0 - rho)
+            _accumulate(v, err, p, val, e)
+        if inner.any():
+            p, s, rho, jj, val, first, absw = self._expansion(z, az, inner, "inner", ones)
+            gam, r = self.gamma[s], az[p]
+            # sum mu/t over the shell, the far-side moment of order 0
+            inv, invabs = self._per_shell(s, lambda k: (self.moments(k, "far", 0)[0][0],
+                                                        self.moments(k, "far", 0)[1]))
+            val = -inv - (first + val) / z[p]
+            e = absw * (rho ** (jj + 1) + gam + 2 * jj * EPS) / (r * (1.0 - rho)) + gam * invabs
+            _accumulate(v, err, p, val, e)
+
+        def near_term(zb, exb, a, b):
+            t = self.nodes[None, a:b]
+            d = t - zb
+            close = np.abs(d) < exb
+            if np.any(close):
+                zbad = np.broadcast_to(zb, close.shape)[close][0]
+                raise PoleHit(f"z={zbad} within exclusion radius of a series pole")
+            return self.weights[None, a:b] * zb / (t * d), 0.0, False
+
+        near = ~(far | inner)
+        for k in np.nonzero(near.any(axis=0))[0]:
+            pts = np.nonzero(near[:, k])[0]
+            val, e, _ = self._direct(k, z[pts], excl[pts], near_term)
+            _accumulate(v, err, pts, val, e)
+        return v, err
 
 
 # ---------------------------------------------------------------------------
@@ -519,36 +834,34 @@ class CanonicalProduct(FunctionExpr):
 
     Genus 0: ``prod (1 - z/z_n)``, times the first-order tail correction
     ``exp(-z * tail_inv_sum)`` when the sequence supplies the omitted
-    inverse sum.  Genus 1: ``prod (1 - z/z_n) exp(z/z_n)``.
+    inverse sum.  Genus 1: ``prod (1 - z/z_n) exp(z/z_n)``.  The product
+    is summed in log space by the sequence's shell-moment evaluator.
     """
 
     kind = "canonical-product"
 
     def __init__(self, seq: ZeroSequence):
         self.seq = seq
-        self._genus1_inv_sum = None
 
     def _eval(self, z, ctx):
-        n = len(self.seq)
+        seq = self.seq
+        n = len(seq)
         if n > ctx["max_terms"]:
             raise TruncationBudgetExceeded(
                 f"{n} product terms exceed the budget of {ctx['max_terms']}")
         flat = z.ravel()
-        v = np.ones(flat.shape, dtype=complex)
-        zs = self.seq.zeros
-        step = max(1, _BLOCK // max(1, flat.size))
-        for i in range(0, n, step):
-            block = 1.0 - flat[:, None] / zs[None, i:i + step]
-            v *= np.prod(block, axis=1)
-        if self.seq.genus == 1:
-            if self._genus1_inv_sum is None:
-                self._genus1_inv_sum = complex(np.sum(1.0 / zs)) if n else 0.0
-            v *= np.exp(flat * self._genus1_inv_sum)
-        elif self.seq.tail_inv_sum is not None:
-            v *= np.exp(-flat * self.seq.tail_inv_sum)
-        tail = self.seq.tail_bound_at(np.abs(flat))
-        # expm1 keeps the estimate faithful when the tail bound is not small
-        e = np.abs(v) * (np.abs(np.expm1(tail)) + 32.0 * EPS + math.sqrt(max(n, 1)) * EPS)
+        logv, err, hit = seq.shells().log_product(flat, seq.genus)
+        if seq.genus == 0 and seq.tail_inv_sum is not None:
+            corr = flat * seq.tail_inv_sum
+            logv = logv - corr
+            err = err + EPS * (np.abs(corr) + np.abs(logv))
+        v = np.exp(logv)
+        tail = seq.tail_bound_at(np.abs(flat))
+        # expm1 keeps the estimate faithful when the bounds are not small
+        e = np.abs(v) * (np.expm1(err + tail) + 4.0 * EPS)
+        # an exactly cancelled factor: the value is 0, its modulus bound is |v|
+        e[hit] += np.abs(v[hit])
+        v[hit] = 0.0
         return v.reshape(z.shape), e.reshape(z.shape)
 
     def sharp(self):
@@ -579,25 +892,9 @@ class PartialFractions(FunctionExpr):
                 f"{n} series terms exceed the budget of {ctx['max_terms']}")
         flat = z.ravel()
         excl = ctx["pole_exclusion_scale"] * (1.0 + np.abs(flat))
-        v = np.zeros(flat.shape, dtype=complex)
-        absacc = np.zeros(flat.shape)
-        t, mu = self.seq.poles, self.seq.weights
-        step = max(1, _BLOCK // max(1, flat.size))
-        mindist = np.full(flat.shape, np.inf)
-        for i in range(0, n, step):
-            tb, mb = t[None, i:i + step], mu[None, i:i + step]
-            diff = tb - flat[:, None]
-            mindist = np.minimum(mindist, np.min(np.abs(diff), axis=1))
-            term = mb * flat[:, None] / (tb * diff)
-            v += np.sum(term, axis=1)
-            absacc += np.sum(np.abs(term), axis=1)
-        if np.any(mindist < excl):
-            zbad = flat[mindist < excl][0]
-            raise PoleHit(f"z={zbad} within exclusion radius of a series pole")
-        tail = np.zeros(flat.shape)
+        v, e = self.seq.shells().series(flat, excl)
         if self.seq.tail_abs_bound is not None:
-            tail = np.asarray(self.seq.tail_abs_bound(np.abs(flat)), dtype=float)
-        e = tail + 32.0 * EPS * absacc
+            e = e + np.asarray(self.seq.tail_abs_bound(np.abs(flat)), dtype=float)
         return v.reshape(z.shape), e.reshape(z.shape)
 
     def sharp(self):
@@ -656,15 +953,6 @@ def derivative(f: FunctionExpr, z, order: int = 1, *, radius: float | None = Non
     return EvalResult(complex(d_full), float(err))
 
 
-def derivative_values(f: FunctionExpr, zs: np.ndarray, order: int = 1, **kw) -> np.ndarray:
-    """Vectorized derivative values over an array of points."""
-    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    out = np.empty(zs.shape, dtype=complex)
-    for i, zi in enumerate(zs.ravel()):
-        out.ravel()[i] = derivative(f, zi, order, **kw).value
-    return out
-
-
 # ---------------------------------------------------------------------------
 # JSON codec
 # ---------------------------------------------------------------------------
@@ -673,42 +961,50 @@ def expr_to_json(f: FunctionExpr) -> dict:
     return f.to_json()
 
 
+def _field(d: dict, key: str, types: tuple = ()):
+    """``d[key]``; a missing or mistyped field is a ConfigError."""
+    if key not in d:
+        raise ConfigError(f"expression spec {d['kind']!r} missing field {key!r}")
+    v = d[key]
+    if types and not isinstance(v, types):
+        raise ConfigError(f"field {key!r} of a {d['kind']!r} spec must be "
+                          f"{' or '.join(t.__name__ for t in types)}, got {v!r}")
+    return v
+
+
+def _child(d: dict, key: str = "child") -> FunctionExpr:
+    return expr_from_json(_field(d, key))
+
+
+def _children(d: dict) -> list:
+    return [expr_from_json(c) for c in _field(d, "children", (list,))]
+
+
+_DECODERS: Dict[str, Callable[[dict], FunctionExpr]] = {
+    "const": lambda d: Const(_pair2c(_field(d, "value"))),
+    "z": lambda d: Z(),
+    "exp": lambda d: ExpCZ(_pair2c(_field(d, "coeff"))),
+    "sin": lambda d: Sin(),
+    "cos": lambda d: Cos(),
+    "sinc": lambda d: Sinc(),
+    "poly": lambda d: Poly([_pair2c(c) for c in _field(d, "coeffs", (list,))]),
+    "affine": lambda d: Affine(_child(d), _pair2c(_field(d, "scale")),
+                               _pair2c(d.get("shift", 0.0))),
+    "sum": lambda d: Sum(_children(d)),
+    "product": lambda d: Product(_children(d)),
+    "quotient": lambda d: Quotient(_child(d, "num"), _child(d, "den")),
+    "power": lambda d: Power(_child(d), _field(d, "exponent", (int, float))),
+    "sharp": lambda d: _child(d).sharp(),
+    "sharp-conjugate": lambda d: _child(d).sharp(),
+    "canonical-product": lambda d: CanonicalProduct(zero_sequence_from_spec(_field(d, "zeros"))),
+    "partial-fractions": lambda d: PartialFractions(pole_sequence_from_spec(_field(d, "poles"))),
+}
+
+
 def expr_from_json(d: dict) -> FunctionExpr:
     if not isinstance(d, dict) or "kind" not in d:
         raise ConfigError(f"expression spec must be an object with a 'kind': {d!r}")
-    k = d["kind"]
-    try:
-        if k == "const":
-            return Const(_pair2c(d["value"]))
-        if k == "z":
-            return Z()
-        if k == "exp":
-            return ExpCZ(_pair2c(d["coeff"]))
-        if k == "sin":
-            return Sin()
-        if k == "cos":
-            return Cos()
-        if k == "sinc":
-            return Sinc()
-        if k == "poly":
-            return Poly([_pair2c(c) for c in d["coeffs"]])
-        if k == "affine":
-            return Affine(expr_from_json(d["child"]), _pair2c(d["scale"]),
-                          _pair2c(d.get("shift", [0.0, 0.0])))
-        if k == "sum":
-            return Sum([expr_from_json(c) for c in d["children"]])
-        if k == "product":
-            return Product([expr_from_json(c) for c in d["children"]])
-        if k == "quotient":
-            return Quotient(expr_from_json(d["num"]), expr_from_json(d["den"]))
-        if k == "power":
-            return Power(expr_from_json(d["child"]), int(d["exponent"]))
-        if k in ("sharp", "sharp-conjugate"):
-            return expr_from_json(d["child"]).sharp()
-        if k == "canonical-product":
-            return CanonicalProduct(zero_sequence_from_spec(d["zeros"]))
-        if k == "partial-fractions":
-            return PartialFractions(pole_sequence_from_spec(d["poles"]))
-    except KeyError as exc:
-        raise ConfigError(f"expression spec {k!r} missing field {exc}") from exc
-    raise ConfigError(f"unknown expression kind {k!r}")
+    decode = _DECODERS.get(d["kind"]) if isinstance(d["kind"], str) else None
+    if decode is None:
+        raise ConfigError(f"unknown expression kind {d['kind']!r}")
+    return decode(d)

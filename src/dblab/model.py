@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from ._parallel import ordered_chunk_map
 from .defaults import DEFAULTS
@@ -229,6 +228,7 @@ def herglotz_extract(q: FunctionExpr, density_grid: np.ndarray | None = None,
     cand = d_scan * np.abs(q.values(grid + 1j * d_scan))
     for i in range(1, grid.size - 1):
         if cand[i] > mass_floor and cand[i] >= cand[i - 1] and cand[i] >= cand[i + 1]:
+            from scipy.optimize import minimize_scalar   # deferred: slow to import
             lo, hi = grid[i - 1], grid[i + 1]
             res = minimize_scalar(lambda x: -abs(q.at(x + 1j * dlt)),
                                   bounds=(lo, hi), method="bounded",

@@ -29,7 +29,7 @@ import numpy as np
 
 from .defaults import DEFAULTS
 from .errors import (AllPointsDiscarded, ConfigError, MissingZeroData,
-                     NegativeRadicand, NonConvergentTail, ZeroOnAxis)
+                     NegativeRadicand, NonConvergentTail, Overflow, ZeroOnAxis)
 from .expressions import (Const, EvalResult, FunctionExpr, Product, Quotient,
                           ZeroSequence, expr_from_json, expr_to_json,
                           zero_sequence_from_spec)
@@ -199,14 +199,18 @@ def nabla(space: DbSpace, z) -> float:
         rad = kernel_diagonal(space, z).real
         if rad < -1e-12 * max(1.0, abs(rad)):
             raise NegativeRadicand(f"kernel-norm radicand {rad} at z={z}")
-        return math.sqrt(max(rad, 0.0))
-    # factor |E(z)|^2 - |E(conj z)|^2 so moduli up to ~1e300 stay in range
-    d = abs(space.e.at(z))
-    s = abs(space.e.at(np.conj(z)))
-    if d - s < -1e-12 * max(1.0, d):
-        raise NegativeRadicand(f"|E#| exceeds |E| at z={z}: not Hermite-Biehler")
-    scale = 2.0 * math.sqrt(math.pi * z.imag)
-    return math.sqrt(max(d - s, 0.0)) * math.sqrt(d + s) / scale
+        value = math.sqrt(max(rad, 0.0))
+    else:
+        # factor |E(z)|^2 - |E(conj z)|^2 so moduli up to ~1e300 stay in range
+        d = abs(space.e.at(z))
+        s = abs(space.e.at(np.conj(z)))
+        if d - s < -1e-12 * max(1.0, d):
+            raise NegativeRadicand(f"|E#| exceeds |E| at z={z}: not Hermite-Biehler")
+        scale = 2.0 * math.sqrt(math.pi * z.imag)
+        value = math.sqrt(max(d - s, 0.0)) * math.sqrt(d + s) / scale
+    if not math.isfinite(value):
+        raise Overflow(f"the kernel norm at z={z} is not finite in double precision")
+    return value
 
 
 def nabla_values(space: DbSpace, zs: np.ndarray) -> np.ndarray:

@@ -28,9 +28,6 @@ from .expressions import Const, Cos, ExpCZ, FunctionExpr, Poly
 from .majorization import mS_majorant, nabla_majorant, test_majorization
 from .space import DbSpace, hb_check
 
-THEOREM_IDS = ("A10", "A12", "A13", "A15", "A18", "A37", "A48", "A54")
-
-
 @dataclass
 class WitnessRow:
     label: str

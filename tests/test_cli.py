@@ -237,3 +237,26 @@ def test_main_entrypoint_in_process(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert json.loads(out)["result"]["version"] == 1
+
+
+def _main_json(capsys, args):
+    rc = main(args)
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    return rc, json.loads(captured.out)
+
+
+def test_overflowing_value_is_a_computation_error(capsys):
+    rc, doc = _main_json(capsys, ["eval", "--f", '{"kind":"exp","coeff":[1,0]}', "--z", "800"])
+    assert rc == 1 and doc["error"]["kind"] == "overflow"
+
+
+def test_mistyped_expression_field_is_a_config_error(capsys):
+    rc, doc = _main_json(capsys, ["eval", "--f", '{"kind":"sum","children":5}'])
+    assert rc == 2 and doc["error"]["kind"] == "config-error"
+
+
+def test_overflowing_kernel_norm_is_a_computation_error(capsys):
+    rc, doc = _main_json(capsys, ["nabla", "--space", '{"E":{"kind":"exp","coeff":[0,-1]}}',
+                                  "--z", "0+800i"])
+    assert rc == 1 and doc["error"]["kind"] == "overflow"

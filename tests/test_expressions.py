@@ -1,16 +1,21 @@
+import cmath
+import functools
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dblab.errors import ConfigError, PoleHit, RadiusTooLarge, TruncationBudgetExceeded
-from dblab.examples import a38_g_sequence, a38_gtilde_sequence, a38_g_closed
+from dblab.examples import (a38_g_sequence, a38_gtilde_sequence, a38_g_closed,
+                            a41_pole_sequence)
 from dblab.expressions import (Affine, CanonicalProduct, Const, Cos, ExpCZ,
-                               Poly, Power, Product, Quotient, Sin, Sinc, Sum,
-                               Z, ZeroSequence, csinc, derivative, evaluate,
+                               PartialFractions, Poly, PoleSequence, Power,
+                               Product, Quotient, Sin, Sinc, Sum, Z,
+                               ZeroSequence, csinc, derivative, evaluate,
                                expr_from_json, expr_to_json, sharp)
 
 
@@ -190,7 +195,148 @@ def test_json_unknown_kind_rejected():
         expr_from_json({"kind": "nope"})
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "sum", "children": 5},
+    {"kind": "poly", "coeffs": "12"},
+    {"kind": "const", "value": ["1", 0]},
+    {"kind": "power", "child": {"kind": "z"}, "exponent": "2"},
+    {"kind": "canonical-product", "zeros": [1, 2]},
+    {"kind": "canonical-product", "zeros": {"kind": "named", "name": "a38_g", "params": {"m": 3}}},
+    {"kind": "partial-fractions", "poles": {"kind": "list", "poles": ["x"], "weights": [1]}},
+])
+def test_json_mistyped_fields_are_config_errors(spec):
+    with pytest.raises(ConfigError):
+        expr_from_json(spec)
+
+
 def test_csinc_series_patch_is_continuous():
     for w in (9e-5, 1.1e-4, 1e-4 + 1e-4j):
         direct = np.sin(complex(w)) / complex(w)
         assert abs(complex(csinc(w)) - direct) < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# shell-moment evaluation of long products and series against mpmath
+# ---------------------------------------------------------------------------
+
+def _mpc(z):
+    return mpmath.mpc(z.real, z.imag)
+
+
+def _g_ref(z):
+    return mpmath.sincpi(mpmath.sqrt(_mpc(z) + 1j)) / mpmath.sincpi(mpmath.sqrt(1j))
+
+
+def _gtilde_ref(z):
+    # prod (1 - z/(k^2 - ik)) = Gamma(1 - i) / (Gamma(1 - a) Gamma(1 - b)),
+    # a, b = (i +- sqrt(4z - 1)) / 2 the roots of k^2 - ik - z
+    w = mpmath.sqrt(4 * _mpc(z) - 1)
+    return (mpmath.gamma(1 - 1j) * mpmath.rgamma(1 - (1j + w) / 2)
+            * mpmath.rgamma(1 - (1j - w) / 2))
+
+
+def _a41_ref(z):
+    w = mpmath.sqrt(_mpc(z))
+    return 1 - mpmath.pi * w * mpmath.cot(mpmath.pi * w) if z else mpmath.mpf(0)
+
+
+def _product_ref(seq):
+    def ref(z):
+        p = mpmath.mpf(1)
+        for zk in seq.zeros:
+            q = _mpc(z) / _mpc(zk)
+            p *= (1 - q) * (mpmath.exp(q) if seq.genus else 1)
+        return p
+    return ref
+
+
+def _fractions_ref(seq):
+    def ref(z):
+        z = _mpc(z)
+        return sum(mu * z / (mpmath.mpf(t) * (mpmath.mpf(t) - z))
+                   for t, mu in zip(seq.poles, seq.weights))
+    return ref
+
+
+@functools.lru_cache(maxsize=None)
+def _series_case(name):
+    """(node, mpmath reference, largest |z| drawn, node moduli)."""
+    rng = np.random.default_rng(20261018)
+    if name.startswith("a38"):
+        _, which, n = name.split("-")
+        builder, ref = ((a38_g_sequence, _g_ref) if which == "G"
+                        else (a38_gtilde_sequence, _gtilde_ref))
+        seq = builder(int(float(n)))
+        return CanonicalProduct(seq), ref, 3e4, np.abs(seq.zeros)
+    if name == "genus1":
+        seq = ZeroSequence("lin", -1j * np.arange(1, 41, dtype=float), 1)
+        return CanonicalProduct(seq), _product_ref(seq), 400.0, np.abs(seq.zeros)
+    if name == "mixed":      # unsorted, moduli from 1e-2 to 1e3
+        zs = np.exp(rng.uniform(math.log(1e-2), math.log(1e3), 40)
+                    + 1j * rng.uniform(0, 2 * math.pi, 40))
+        seq = ZeroSequence("mixed", zs, 0)
+        return CanonicalProduct(seq), _product_ref(seq), 3e3, np.abs(zs)
+    if name == "a41":
+        seq = a41_pole_sequence(2.0, 100_000)
+        return PartialFractions(seq), _a41_ref, 1e4, seq.poles[:1000]
+    poles = np.concatenate([np.exp(rng.uniform(-2, 6, 20)), -np.exp(rng.uniform(-2, 6, 10))])
+    seq = PoleSequence("mixed", poles, rng.uniform(0.1, 3.0, poles.size))
+    return PartialFractions(seq), _fractions_ref(seq), 3e3, np.abs(poles)
+
+
+SERIES_CASES = ("a38-G-1e3", "a38-G-1e6", "a38-Gtilde-1e3", "a38-Gtilde-1e6",
+                "genus1", "mixed", "a41", "poles")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(SERIES_CASES),
+       st.sampled_from(("random", "zero", "boundary", "beyond", "pole")),
+       st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi))
+@example("a38-G-1e6", "zero", 0.0, 0.0)
+@example("a38-Gtilde-1e3", "boundary", 0.7, 0.0)
+@example("mixed", "beyond", 0.0, 1.0)
+@example("genus1", "beyond", 0.0, 2.0)
+@example("poles", "beyond", 0.0, 3.0)
+@example("a41", "pole", 0.3, 0.0)
+@example("mixed", "pole", 0.5, 0.0)
+def test_series_nodes_bound_their_error_against_mpmath(case, kind, t, angle):
+    f, ref, rmax, moduli = _series_case(case)
+    series = isinstance(f, PartialFractions)
+    if kind == "zero":
+        z = 0j
+    elif kind == "boundary":      # |z| exactly a power of two, the edge of a modulus shell
+        z = 2.0 ** math.floor(-3 + t * (math.log2(rmax) + 3)) * 1j ** round(2 * angle / math.pi)
+    elif kind == "beyond":        # every zero or pole lies in an inner shell
+        if 3.0 * moduli.max() > rmax:
+            return
+        z = 3.0 * moduli.max() * cmath.exp(1j * angle)
+    elif kind == "pole":          # a zero or pole, just off its exact position
+        z = complex(f.seq.zeros[int(t * (len(moduli) - 1))] if not series
+                    else f.seq.poles[int(t * (len(moduli) - 1))]) * (1 + 1e-13)
+    else:
+        z = 1e-3 * (rmax / 1e-3) ** t * cmath.exp(1j * angle)
+    if series and np.min(np.abs(f.seq.poles - z)) < 1e-9 * (1 + abs(z)):   # exclusion radius
+        with pytest.raises(PoleHit):
+            f.eval_array(z)
+        return
+    v, e = f.eval_array(z)
+    if kind == "zero":
+        assert v == (0.0 if series else 1.0)
+    if not np.isfinite(v):
+        assert e == math.inf
+        return
+    with mpmath.workdps(40):
+        exact = complex(ref(z))
+    assert abs(v - exact) <= e, (case, z, v, exact, e)
+
+
+def test_series_nodes_are_batch_invariant():
+    # each point's value is bit-identical whatever it is evaluated with
+    rng = np.random.default_rng(3)
+    z = rng.uniform(-3e3, 3e3, 64) + 1j * rng.uniform(-50.0, 50.0, 64)
+    for case in ("a38-Gtilde-1e6", "a41"):
+        f = _series_case(case)[0]
+        v, e = f.eval_array(z)
+        one = [f.eval_array(zi) for zi in z[::-1]][::-1]
+        assert np.array_equal(v, [o[0] for o in one])
+        assert np.array_equal(e, [o[1] for o in one])
