@@ -2,6 +2,8 @@ import cmath
 import functools
 import json
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -340,3 +342,22 @@ def test_series_nodes_are_batch_invariant():
         one = [f.eval_array(zi) for zi in z[::-1]][::-1]
         assert np.array_equal(v, [o[0] for o in one])
         assert np.array_equal(e, [o[1] for o in one])
+
+
+def test_series_tables_built_by_concurrent_threads_give_serial_values():
+    # the shell tables are built lazily on the shared sequence; eight
+    # threads building them at once must leave every value as in a serial run
+    rng = np.random.default_rng(5)
+    z = rng.uniform(-2e4, 2e4, 8_000) + 1j * rng.uniform(0.1, 300.0, 8_000)
+    chunks = np.split(z, 8)
+    for make in (lambda: CanonicalProduct(a38_gtilde_sequence(200_000)),
+                 lambda: PartialFractions(a41_pole_sequence(2.0, 100_000))):
+        shared = make()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                parts = list(pool.map(shared.values, chunks, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(np.concatenate(parts), make().values(z))
