@@ -10,9 +10,8 @@ Exit codes: 0 success, 1 computation error (structured ``error`` object),
 verdict matches its expectation.
 
 Complex numbers serialize as ``[re, im]`` pairs; flags accept the
-``a+bi`` form.  ``DBLAB_THREADS`` caps grid-evaluation parallelism
-(results are bit-identical for any setting); ``--seed`` pins the RNG used
-by randomized grid specs and is echoed for reproducibility.
+``a+bi`` form.  Non-finite floats serialize as the strings ``"inf"``,
+``"-inf"`` and ``"nan"``.
 """
 
 from __future__ import annotations
@@ -95,11 +94,11 @@ def _load_json_arg(text: str) -> dict:
 
 def _jsonable(obj):
     if isinstance(obj, complex):
-        return [obj.real, obj.imag]
+        return [_jsonable(obj.real), _jsonable(obj.imag)]
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):
-        return "inf" if obj > 0 else "-inf"
+        return "nan" if math.isnan(obj) else "inf" if obj > 0 else "-inf"
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, dict):
@@ -137,59 +136,47 @@ def _merged(args, keys) -> dict:
         v = getattr(args, k.replace("-", "_"), None)
         if v is not None:
             cfg[k] = v
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
     return cfg
 
 
-def _expr(cfg, key):
+def _decode(cfg, key, what, decoder):
+    """``decoder`` applied to the required spec ``cfg[key]``; a string spec
+    is inline JSON or a JSON file path."""
     if key not in cfg:
         raise ConfigError(f"missing required input {key!r}")
-    spec = cfg[key]
-    if isinstance(spec, str):
-        spec = _load_json_arg(spec)
-    return expr_from_json(spec)
+    with _decoding(f"{what} {key!r}"):
+        spec = cfg[key]
+        if isinstance(spec, str):
+            spec = _load_json_arg(spec)
+        return decoder(spec)
+
+
+def _expr(cfg, key):
+    return _decode(cfg, key, "expression", expr_from_json)
+
+
+def _space_from_json(spec) -> DbSpace:
+    if isinstance(spec, dict) and "spaces" in spec:
+        # whole example-instance documents are accepted: take the main space
+        spaces = spec["spaces"]
+        spec = spaces.get("H") or next(iter(spaces.values()))
+    return DbSpace.from_json(spec)
 
 
 def _space(cfg, key="space") -> DbSpace:
-    if key not in cfg:
-        raise ConfigError(f"missing required input {key!r}")
-    with _decoding(f"space {key!r}"):
-        spec = cfg[key]
-        if isinstance(spec, str):
-            spec = _load_json_arg(spec)
-        if isinstance(spec, dict) and "spaces" in spec:
-            # whole example-instance documents are accepted: take the main space
-            spaces = spec["spaces"]
-            spec = spaces.get("H") or next(iter(spaces.values()))
-        return DbSpace.from_json(spec)
+    return _decode(cfg, key, "space", _space_from_json)
 
 
 def _domain(cfg, key="domain") -> SampledDomain:
-    if key not in cfg:
-        raise ConfigError(f"missing required input {key!r}")
-    with _decoding(f"domain {key!r}"):
-        spec = cfg[key]
-        if isinstance(spec, str):
-            spec = _load_json_arg(spec)
-        return SampledDomain.from_json(spec)
+    return _decode(cfg, key, "domain", SampledDomain.from_json)
 
 
 def _inner(cfg, key="theta") -> InnerFunction:
-    if key not in cfg:
-        raise ConfigError(f"missing required input {key!r}")
-    with _decoding(f"inner function {key!r}"):
-        spec = cfg[key]
-        if isinstance(spec, str):
-            spec = _load_json_arg(spec)
-        return InnerFunction.from_spec(spec)
+    return _decode(cfg, key, "inner function", InnerFunction.from_spec)
 
 
 def _majorant(cfg, domain: SampledDomain) -> Majorant:
-    with _decoding("majorant"):
-        spec = cfg.get("majorant")
-        if isinstance(spec, str):
-            spec = _load_json_arg(spec)
+    def decoder(spec):
         if not isinstance(spec, dict) or "type" not in spec:
             raise ConfigError("majorant spec must be an object with a 'type'")
         zd = tuple((float(x), int(k)) for x, k in spec.get("zero-divisor", []))
@@ -199,7 +186,8 @@ def _majorant(cfg, domain: SampledDomain) -> Majorant:
             return mS_majorant(expr_from_json(spec["S"]), domain, zd)
         if spec["type"] == "expr":
             return expr_majorant(expr_from_json(spec["f"]), domain, zd)
-    raise ConfigError(f"unknown majorant type {spec['type']!r}")
+        raise ConfigError(f"unknown majorant type {spec['type']!r}")
+    return _decode(cfg, "majorant", "input", decoder)
 
 
 def _grid(cfg, key, default=None) -> np.ndarray:
@@ -377,7 +365,6 @@ def _cmd_defaults(args):
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="JSON config file ('-' for stdin)")
-    p.add_argument("--seed", type=int, help="seed for randomized grid specs")
     p.add_argument("--out", help="CSV output path for series results")
 
 

@@ -24,7 +24,6 @@ from typing import Callable, Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._parallel import ordered_chunk_map
 from .defaults import DEFAULTS
 from .domains import SampledDomain
 from .errors import AllPointsExcluded, ConfigError
@@ -157,8 +156,7 @@ def test_majorization(f: FunctionExpr, m: Majorant, *,
     z = z[mask]
 
     fsharp = f.sharp()
-    fv = np.maximum(np.abs(ordered_chunk_map(f.values, z)),
-                    np.abs(ordered_chunk_map(fsharp.values, z)))
+    fv = np.maximum(np.abs(f.values(z)), np.abs(fsharp.values(z)))
     mv = m.values(z)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(mv > 0, fv / mv, np.inf)

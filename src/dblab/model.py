@@ -27,7 +27,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._parallel import ordered_chunk_map
 from .defaults import DEFAULTS
 from .errors import (ConfigError, DegenerateInner, EnvelopeNotDecaying,
                      NegativeRealPart)
@@ -455,7 +454,7 @@ def theorem_a60_scan(theta: InnerFunction, y0: float, c: float,
         r = float(r)
         xs = np.linspace(r, 2.0 * r, samples_per_r)
         zline = xs + 1j * y0
-        tv = ordered_chunk_map(theta.expr.values, zline)
+        tv = theta.expr.values(zline)
         inside = np.abs(1.0 - tv) <= c / np.abs(zline)
         meas = float(np.mean(inside) * r)
         resid = None

@@ -22,7 +22,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._parallel import ordered_chunk_map
 from .defaults import DEFAULTS
 from .errors import NonConvergentTail
 
@@ -50,7 +49,7 @@ def _panel_batch(fn, lo: np.ndarray, hi: np.ndarray):
     for n in (15, 31):
         x, w = _gl(n)
         pts = mid[:, None] + rad[:, None] * x[None, :]
-        vals = ordered_chunk_map(fn, pts.ravel()).reshape(pts.shape)
+        vals = np.asarray(fn(pts.ravel())).reshape(pts.shape)
         out.append(rad * (vals @ w))
     return out[0], out[1]
 

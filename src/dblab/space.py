@@ -177,14 +177,19 @@ def kernel(space: DbSpace, w, z):
     switch = DEFAULTS["kernel_diagonal_switch"] * (1.0 + np.abs(zz))
     out = np.empty(zz.shape, dtype=complex)
     far = np.abs(u) >= switch
-    if np.any(far):
-        zf = zz[far]
-        num = (space.e.values(zf) * space.e_sharp.at(np.conj(w))
-               - space.e.at(np.conj(w)) * space.e_sharp.values(zf))
-        out[far] = num / (TWO_PI_I * u[far])
-    for i in np.nonzero(~far)[0]:
-        mid = 0.5 * (np.conj(w) + zz[i])
-        out[i] = kernel_diagonal(space, mid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.any(far):
+            zf = zz[far]
+            num = (space.e.values(zf) * space.e_sharp.at(np.conj(w))
+                   - space.e.at(np.conj(w)) * space.e_sharp.values(zf))
+            out[far] = num / (TWO_PI_I * u[far])
+        for i in np.nonzero(~far)[0]:
+            mid = 0.5 * (np.conj(w) + zz[i])
+            out[i] = kernel_diagonal(space, mid)
+    bad = ~np.isfinite(out)
+    if np.any(bad):
+        raise Overflow(f"the kernel K(w, z) at w={w}, z={zz[bad][0]} is not "
+                       "finite in double precision")
     if np.asarray(z).shape == ():
         return complex(out[0])
     return out
@@ -193,21 +198,8 @@ def kernel(space: DbSpace, w, z):
 def nabla(space: DbSpace, z) -> float:
     """Norm of the reproducing kernel at z (z in the closed upper half-plane)."""
     z = complex(z)
-    if z.imag < 0:
-        raise ConfigError("nabla is defined on the closed upper half-plane")
-    if z.imag == 0.0:
-        rad = kernel_diagonal(space, z).real
-        if rad < -1e-12 * max(1.0, abs(rad)):
-            raise NegativeRadicand(f"kernel-norm radicand {rad} at z={z}")
-        value = math.sqrt(max(rad, 0.0))
-    else:
-        # factor |E(z)|^2 - |E(conj z)|^2 so moduli up to ~1e300 stay in range
-        d = abs(space.e.at(z))
-        s = abs(space.e.at(np.conj(z)))
-        if d - s < -1e-12 * max(1.0, d):
-            raise NegativeRadicand(f"|E#| exceeds |E| at z={z}: not Hermite-Biehler")
-        scale = 2.0 * math.sqrt(math.pi * z.imag)
-        value = math.sqrt(max(d - s, 0.0)) * math.sqrt(d + s) / scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(nabla_values(space, z)[0])
     if not math.isfinite(value):
         raise Overflow(f"the kernel norm at z={z} is not finite in double precision")
     return value
@@ -219,12 +211,13 @@ def nabla_values(space: DbSpace, zs: np.ndarray) -> np.ndarray:
     out = np.empty(zs.shape, dtype=float)
     off = zs.imag > 0
     if np.any(off):
+        # factor |E(z)|^2 - |E(conj z)|^2 so moduli up to ~1e300 stay in range
         zo = zs[off]
         d = np.abs(space.e.values(zo))
         s = np.abs(space.e.values(np.conj(zo)))
-        if np.any(d - s < -1e-12 * np.maximum(1.0, d)):
-            zbad = zo[d - s < 0].ravel()[0]
-            raise NegativeRadicand(f"|E#| exceeds |E| at z={zbad}: not Hermite-Biehler")
+        bad = d - s < -1e-12 * np.maximum(1.0, d)
+        if np.any(bad):
+            raise NegativeRadicand(f"|E#| exceeds |E| at z={zo[bad][0]}: not Hermite-Biehler")
         scale = 2.0 * np.sqrt(math.pi * zo.imag)
         out[off] = np.sqrt(np.maximum(d - s, 0.0)) * np.sqrt(d + s) / scale
     if np.any(~off):
@@ -232,8 +225,9 @@ def nabla_values(space: DbSpace, zs: np.ndarray) -> np.ndarray:
         if np.any(za.imag < 0):
             raise ConfigError("nabla is defined on the closed upper half-plane")
         rad = kernel_diagonal_values(space, za).real
-        if np.any(rad < -1e-12 * np.maximum(1.0, np.abs(rad))):
-            raise NegativeRadicand("diagonal kernel negative on the real axis")
+        bad = rad < -1e-12 * np.maximum(1.0, np.abs(rad))
+        if np.any(bad):
+            raise NegativeRadicand(f"kernel-norm radicand {rad[bad][0]} at z={za[bad][0]}")
         out[~off] = np.sqrt(np.maximum(rad, 0.0))
     return out
 

@@ -28,6 +28,7 @@ from .expressions import Const, Cos, ExpCZ, FunctionExpr, Poly
 from .majorization import mS_majorant, nabla_majorant, test_majorization
 from .space import DbSpace, hb_check
 
+
 @dataclass
 class WitnessRow:
     label: str
@@ -80,9 +81,18 @@ def _a20_pair() -> Tuple[DbSpace, DbSpace, FunctionExpr]:
     return big, small, ExpCZ(-1.0j)
 
 
-_SINC = pw_kernel_expr(1.0, 0.0)
-_ONE = Const(1.0)
-_ZED = Poly([0.0, 1.0])
+def _pw_nested_pair() -> Tuple[DbSpace, DbSpace, None]:
+    return pw_space(1.0), pw_space(0.5), None
+
+
+# instance -> (big space, small space, E1); built when a theorem is verified
+_PAIRS = {"a20": _a20_pair, "poly": _poly_pair, "pw-nested": _pw_nested_pair}
+
+# witness rows: (label, function, expected verdict)
+_A20_ROWS = (("sin z/(pi z)", pw_kernel_expr(1.0, 0.0), "majorized"),
+             ("cos z", Cos(), "not-majorized"))
+_POLY_ROWS = (("1", Const(1.0), "majorized"),
+              ("z", Poly([0.0, 1.0]), "not-majorized"))
 
 # fine grids where ratios oscillate; short rays where witnesses grow like cosh
 _AXIS = dom.axis(ratio=1.01, rmax=1.0e4)
@@ -90,86 +100,46 @@ _AXIS_SHORT = dom.axis(ratio=1.01, rmax=512.0)
 _VRAY = dom.ray(0.5, 1.0, ratio=1.02, rmax=512.0)
 _LINE1 = dom.line(1.0, ratio=1.01, rmax=1.0e4)
 
-
-def _config(theorem: str, instance: str):
-    """(majorant builder, witness rows) for a shipped (theorem, instance)."""
-    key = (theorem, instance)
-    if key == ("A12", "a20"):
-        big, small, _ = _a20_pair()
-        return big, lambda: nabla_majorant(small, _VRAY), [
-            ("sin z/(pi z)", _SINC, "majorized"),
-            ("cos z", Cos(), "not-majorized")]
-    if key == ("A12", "poly"):
-        big, small, _ = _poly_pair()
-        return big, lambda: nabla_majorant(small, _VRAY), [
-            ("1", _ONE, "majorized"),
-            ("z", _ZED, "not-majorized")]
-    if key == ("A13", "a20"):
-        big, small, _ = _a20_pair()
-        d = dom.union(_AXIS_SHORT, _VRAY)
-        return big, lambda: nabla_majorant(small, d), [
-            ("sin z/(pi z)", _SINC, "majorized"),
-            ("cos z", Cos(), "not-majorized")]
-    if key == ("A10", "a20"):
-        big, _, e1 = _a20_pair()
-        return big, lambda: mS_majorant(e1, _AXIS), [
-            ("sin z/(pi z)", _SINC, "majorized"),
-            ("cos z", Cos(), "not-majorized")]
-    if key == ("A15", "pw-nested"):
-        big = pw_space(1.0)
-        small = pw_space(0.5)
-        return big, lambda: nabla_majorant(small, _AXIS), [
-            ("k05[0]", pw_kernel_expr(0.5, 0.0), "majorized"),
-            ("k05[1.3]", pw_kernel_expr(0.5, 1.3), "majorized")]
-    if key == ("A18", "a20"):
-        big, small, e1 = _a20_pair()
-        return big, lambda: mS_majorant(e1, _LINE1), [
-            ("sin z/(pi z)", _SINC, "majorized"),
-            ("cos z", Cos(), "not-majorized")]
-    if key == ("A18-nabla", "a20"):
-        # the kernel-norm variant keeps cos z: the line test cannot cut the
-        # one-dimensional extension down to PW_1
-        big, small, _ = _a20_pair()
-        return big, lambda: nabla_majorant(small, _LINE1), [
-            ("sin z/(pi z)", _SINC, "majorized"),
-            ("cos z", Cos(), "majorized")]
-    if key == ("A37", "poly"):
-        big, small, _ = _poly_pair()
-        d = dom.ray(0.25, 1.0, ratio=1.02, rmax=1.0e4)
-        return big, lambda: nabla_majorant(small, d), [
-            ("1", _ONE, "majorized"),
-            ("z", _ZED, "not-majorized")]
-    if key == ("A48", "poly"):
-        big, _, e1 = _poly_pair()
-        d = dom.horizontal_ray(1.0, 1.0, ratio=1.02, rmax=1.0e4)
-        return big, lambda: mS_majorant(e1, d), [
-            ("1", _ONE, "majorized"),
-            ("z", _ZED, "not-majorized")]
-    if key == ("A54", "a20"):
-        big, _, e1 = _a20_pair()
-        d = dom.union(_AXIS_SHORT, dom.ray(0.25, 0.0, ratio=1.02, rmax=512.0))
-        return big, lambda: mS_majorant(e1, d), [
-            ("sin z/(pi z)", _SINC, "majorized"),
-            ("cos z", Cos(), "not-majorized")]
-    raise UnknownInstance(f"no shipped configuration for theorem {theorem!r} "
-                          f"on instance {instance!r}")
-
-
-DEFAULT_INSTANCE: Dict[str, str] = {
-    "A10": "a20", "A12": "a20", "A13": "a20", "A15": "pw-nested",
-    "A18": "a20", "A18-nabla": "a20", "A37": "poly", "A48": "poly",
-    "A54": "a20",
+# (theorem, instance) -> (majorant kind, domain, witness rows).  The kind is
+# "nabla" (kernel norm of the small space) or "mS" (m_S with S = E1).  The
+# first entry of a theorem is its default instance; ``verify_all`` sweeps the
+# theorems in table order.
+TABLE: Dict[Tuple[str, str], tuple] = {
+    ("A10", "a20"): ("mS", _AXIS, _A20_ROWS),
+    ("A12", "a20"): ("nabla", _VRAY, _A20_ROWS),
+    ("A12", "poly"): ("nabla", _VRAY, _POLY_ROWS),
+    ("A13", "a20"): ("nabla", dom.union(_AXIS_SHORT, _VRAY), _A20_ROWS),
+    ("A15", "pw-nested"): ("nabla", _AXIS, (
+        ("k05[0]", pw_kernel_expr(0.5, 0.0), "majorized"),
+        ("k05[1.3]", pw_kernel_expr(0.5, 1.3), "majorized"))),
+    ("A18", "a20"): ("mS", _LINE1, _A20_ROWS),
+    # the kernel-norm variant keeps cos z: the line test cannot cut the
+    # one-dimensional extension down to PW_1
+    ("A18-nabla", "a20"): ("nabla", _LINE1, (
+        _A20_ROWS[0], ("cos z", Cos(), "majorized"))),
+    ("A37", "poly"): ("nabla", dom.ray(0.25, 1.0, ratio=1.02, rmax=1.0e4), _POLY_ROWS),
+    ("A48", "poly"): ("mS", dom.horizontal_ray(1.0, 1.0, ratio=1.02, rmax=1.0e4),
+                      _POLY_ROWS),
+    ("A54", "a20"): ("mS", dom.union(_AXIS_SHORT,
+                                     dom.ray(0.25, 0.0, ratio=1.02, rmax=512.0)),
+                     _A20_ROWS),
 }
+
+THEOREMS = list(dict.fromkeys(t for t, _ in TABLE))
 
 
 def verify_theorem(theorem: str, instance: str | None = None) -> TheoremReport:
     theorem = theorem.upper().replace("A18-NABLA", "A18-nabla")
-    if theorem not in DEFAULT_INSTANCE:
+    if theorem not in THEOREMS:
         raise UnknownInstance(f"unknown theorem id {theorem!r}; "
-                              f"known: {sorted(DEFAULT_INSTANCE)}")
-    instance = instance or DEFAULT_INSTANCE[theorem]
-    _, maj_builder, witnesses = _config(theorem, instance)
-    m = maj_builder()
+                              f"known: {sorted(THEOREMS)}")
+    instance = instance or next(i for t, i in TABLE if t == theorem)
+    if (theorem, instance) not in TABLE:
+        raise UnknownInstance(f"no shipped configuration for theorem {theorem!r} "
+                              f"on instance {instance!r}")
+    kind, domain, witnesses = TABLE[theorem, instance]
+    _, small, e1 = _PAIRS[instance]()
+    m = nabla_majorant(small, domain) if kind == "nabla" else mS_majorant(e1, domain)
     rows = []
     for label, f, expected in witnesses:
         rep = test_majorization(f, m)
@@ -181,5 +151,4 @@ def verify_theorem(theorem: str, instance: str | None = None) -> TheoremReport:
 def verify_all() -> List[TheoremReport]:
     """The full sweep: every shipped theorem id on its default instance,
     with the kernel-norm line variant alongside the plain A18 row."""
-    return [verify_theorem(t) for t in
-            ("A10", "A12", "A13", "A15", "A18", "A18-nabla", "A37", "A48", "A54")]
+    return [verify_theorem(t) for t in THEOREMS]

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from dblab.cli import main, parse_complex
+from dblab.cli import _jsonable, main, parse_complex
 from dblab.examples import pw_space
 
 
@@ -260,3 +260,18 @@ def test_overflowing_kernel_norm_is_a_computation_error(capsys):
     rc, doc = _main_json(capsys, ["nabla", "--space", '{"E":{"kind":"exp","coeff":[0,-1]}}',
                                   "--z", "0+800i"])
     assert rc == 1 and doc["error"]["kind"] == "overflow"
+
+
+def test_overflowing_kernel_is_a_computation_error():
+    rc, out, err = run_cli(["kernel", "--space", '{"E":{"kind":"exp","coeff":[0,-1]}}',
+                            "--w", "0+800i", "--z", "1+800i"])
+    assert rc == 1 and json.loads(out)["error"]["kind"] == "overflow"
+    assert err == ""
+
+
+def test_jsonable_flags_non_finite_floats_and_complex_parts():
+    assert _jsonable(float("nan")) == "nan"
+    assert _jsonable(-math.inf) == "-inf"
+    assert _jsonable(complex(math.inf, 0.0)) == ["inf", 0.0]
+    assert _jsonable(complex(0.5, -2.0)) == [0.5, -2.0]
+    assert json.dumps(_jsonable({"v": complex(math.nan, math.inf)}), allow_nan=False)

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from dblab.errors import ConfigError, MissingZeroData, ZeroOnAxis
-from dblab.examples import (a45_truncated_space, pw_kernel_closed,
-                            pw_kernel_expr, pw_space)
+from dblab.errors import (ConfigError, MissingZeroData, NegativeRadicand,
+                          ZeroOnAxis)
+from dblab.examples import (a20_structure_function, a45_truncated_space,
+                            pw_kernel_closed, pw_kernel_expr, pw_space)
 from dblab.expressions import (Affine, Const, Cos, ExpCZ, Poly, Product,
                                Quotient, Sinc, ZeroSequence)
 from dblab.space import (DbSpace, default_hb_grid, hb_check, inner_product,
@@ -132,6 +133,22 @@ def test_nabla_continuity_toward_axis(pw1):
 def test_nabla_rejects_lower_half_plane(pw1):
     with pytest.raises(ConfigError):
         nabla(pw1, -1j)
+
+
+@pytest.mark.parametrize("z", [0.0, 3.0, -17.25, 0.5j, 2.0 + 1e-6j, -40.0 + 3.0j])
+def test_nabla_is_a_one_point_nabla_values(pw1, z):
+    a20 = DbSpace(a20_structure_function(), None, 1.0, 1.0, "a20")
+    for sp in (pw1, a20):
+        one = nabla(sp, z)
+        assert np.float64(one).view(np.int64) == nabla_values(sp, [z]).view(np.int64)[0]
+
+
+def test_nabla_keeps_its_negative_radicand_messages():
+    anti = DbSpace(ExpCZ(1j), None, 1.0, 1.0, "anti")
+    with pytest.raises(NegativeRadicand, match=r"\|E#\| exceeds \|E\| at z=1j"):
+        nabla(anti, 1j)
+    with pytest.raises(NegativeRadicand, match=r"kernel-norm radicand -0\.3\d* at z=\(2\+0j\)"):
+        nabla(anti, 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
+import subprocess
+import sys
+
 import pytest
 
 from dblab.errors import UnknownInstance
-from dblab.theorems import verify_all, verify_theorem
+from dblab.theorems import TABLE, verify_all, verify_theorem
 
 
 def test_vertical_ray_representation():
@@ -41,3 +44,17 @@ def test_unknown_ids_rejected():
 def test_report_serializes():
     doc = verify_theorem("A48").to_json()
     assert doc["ok"] and doc["witnesses"][0]["expected"] == "majorized"
+
+
+@pytest.mark.parametrize("theorem, instance", list(TABLE))
+def test_every_table_entry_is_green(theorem, instance):
+    rep = verify_theorem(theorem, instance)
+    assert rep.ok and (rep.theorem, rep.instance) == (theorem, instance)
+
+
+def test_import_loads_neither_scipy_nor_a_thread_pool():
+    code = ("import sys, dblab; "
+            "print([m for m in ('scipy', 'concurrent.futures') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
