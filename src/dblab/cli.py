@@ -123,19 +123,20 @@ def _emit(command: str, config: dict, result: dict, out_rows=None,
     sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _merged(args, keys) -> dict:
+def _merged(args) -> dict:
+    """The config file (if any) overlaid with every flag given on the
+    command line, keyed by flag name (``--a-grid`` as ``a-grid``)."""
     cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         if args.config == "-":
             cfg = json.load(sys.stdin)
         else:
             cfg = json.loads(Path(args.config).read_text())
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a JSON object")
-    for k in keys:
-        v = getattr(args, k.replace("-", "_"), None)
-        if v is not None:
-            cfg[k] = v
+    for k, v in vars(args).items():
+        if k not in ("cmd", "fn", "config", "out") and v is not None:
+            cfg[k.replace("_", "-")] = v
     return cfg
 
 
@@ -209,7 +210,7 @@ def _grid(cfg, key, default=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _cmd_eval(args):
-    cfg = _merged(args, ["f", "z", "order"])
+    cfg = _merged(args)
     f = _expr(cfg, "f")
     z = parse_complex(cfg.get("z", "0"))
     order = _num(cfg, "order", 0, int)
@@ -221,20 +222,20 @@ def _cmd_eval(args):
 
 
 def _cmd_kernel(args):
-    cfg = _merged(args, ["space", "w", "z"])
+    cfg = _merged(args)
     sp = _space(cfg)
     w, z = parse_complex(cfg.get("w", "0")), parse_complex(cfg.get("z", "0"))
     _emit("kernel", cfg, {"value": complex(kernel(sp, w, z))})
 
 
 def _cmd_nabla(args):
-    cfg = _merged(args, ["space", "z"])
+    cfg = _merged(args)
     sp = _space(cfg)
     _emit("nabla", cfg, {"value": nabla(sp, parse_complex(cfg.get("z", "0")))})
 
 
 def _cmd_phase(args):
-    cfg = _merged(args, ["space", "t", "route"])
+    cfg = _merged(args)
     sp = _space(cfg)
     route = cfg.get("route", "kernel")
     _emit("phase", cfg, {"value": phase_derivative(sp, _num(cfg, "t", 0.0), route),
@@ -242,7 +243,7 @@ def _cmd_phase(args):
 
 
 def _cmd_meantype(args):
-    cfg = _merged(args, ["f", "theta", "rmin", "rmax", "rcount"])
+    cfg = _merged(args)
     f = _expr(cfg, "f")
     theta = _num(cfg, "theta", math.pi / 2)
     radii = None
@@ -257,14 +258,14 @@ def _cmd_meantype(args):
 
 
 def _cmd_member(args):
-    cfg = _merged(args, ["space", "f"])
+    cfg = _merged(args)
     sp = _space(cfg)
     res = membership(sp, _expr(cfg, "f"))
     _emit("member", cfg, {"verdict": res.verdict, "diagnostics": res.diagnostics})
 
 
 def _cmd_majorize(args):
-    cfg = _merged(args, ["f", "majorant", "domain"])
+    cfg = _merged(args)
     dom = _domain(cfg)
     m = _majorant(cfg, dom)
     rep = test_majorization(_expr(cfg, "f"), m)
@@ -273,7 +274,7 @@ def _cmd_majorize(args):
 
 
 def _cmd_admissible(args):
-    cfg = _merged(args, ["majorant", "domain", "space", "witnesses"])
+    cfg = _merged(args)
     dom = _domain(cfg)
     m = _majorant(cfg, dom)
     sp = _space(cfg)
@@ -287,7 +288,7 @@ def _cmd_admissible(args):
 
 
 def _cmd_herglotz(args):
-    cfg = _merged(args, ["q", "delta"])
+    cfg = _merged(args)
     q = _expr(cfg, "q")
     data = herglotz_extract(q, delta=_num(cfg, "delta"))
     rows = zip(data.density_grid.tolist(), data.density.tolist())
@@ -295,7 +296,7 @@ def _cmd_herglotz(args):
 
 
 def _cmd_weaktype(args):
-    cfg = _merged(args, ["q", "y0", "a-grid", "measure"])
+    cfg = _merged(args)
     q = _expr(cfg, "q")
     rep = weak_type_test(q, _num(cfg, "y0", 1.0),
                          _grid(cfg, "a-grid", "0.1:2.0:0.1"),
@@ -305,7 +306,7 @@ def _cmd_weaktype(args):
 
 
 def _cmd_clark(args):
-    cfg = _merged(args, ["theta", "z"])
+    cfg = _merged(args)
     th = _inner(cfg)
     z = parse_complex(cfg.get("z", "1i"))
     kz = clark_kernel(th, z)
@@ -314,7 +315,7 @@ def _cmd_clark(args):
 
 
 def _cmd_a60scan(args):
-    cfg = _merged(args, ["theta", "y0", "c", "r-grid", "f"])
+    cfg = _merged(args)
     th = _inner(cfg)
     f = _expr(cfg, "f") if cfg.get("f") else None
     rep = theorem_a60_scan(th, _num(cfg, "y0", 1.0), _num(cfg, "c", 1.0),
@@ -324,7 +325,7 @@ def _cmd_a60scan(args):
 
 
 def _cmd_example(args):
-    cfg = _merged(args, ["id", "a", "alpha", "y0", "n"])
+    cfg = _merged(args)
     tokens = cfg.get("id") or ["list"]
     if isinstance(tokens, str):
         tokens = [tokens]
@@ -345,7 +346,7 @@ def _cmd_example(args):
 
 
 def _cmd_verify(args):
-    cfg = _merged(args, ["theorem", "instance"])
+    cfg = _merged(args)
     tid = cfg.get("theorem", "all")
     if tid == "all":
         reports = theorems.verify_all()

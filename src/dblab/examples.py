@@ -192,14 +192,11 @@ class ExampleInstance:
     def check_claims(self) -> List[dict]:
         """Run the shipped member/non-member table through membership()."""
         rows = []
-        for label, f, key in self.members:
-            v = membership(self.spaces[key], f).verdict
-            rows.append({"function": label, "space": key, "expected": "in",
-                         "verdict": v, "ok": v == "in"})
-        for label, f, key in self.non_members:
-            v = membership(self.spaces[key], f).verdict
-            rows.append({"function": label, "space": key, "expected": "out",
-                         "verdict": v, "ok": v == "out"})
+        for table, expected in ((self.members, "in"), (self.non_members, "out")):
+            for label, f, key in table:
+                v = membership(self.spaces[key], f).verdict
+                rows.append({"function": label, "space": key, "expected": expected,
+                             "verdict": v, "ok": v == expected})
         return rows
 
     def to_json(self) -> dict:

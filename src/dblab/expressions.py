@@ -49,6 +49,8 @@ _BLOCK = 2 ** 18
 _POINTS = 2 ** 13
 # the highest expansion order: a shell is expanded only at ratios <= 1/2
 _MAX_ORDER = math.ceil(_LOG_EPS / math.log(0.5))
+# the most terms a sequence without a generator spec serializes inline
+_INLINE_MAX = 10_000
 
 
 def _c2pair(c: complex) -> list:
@@ -123,6 +125,15 @@ class ZeroSequence:
         """Modulus shells of the zeros, built at the first evaluation."""
         return _cached_shells(self, self.zeros)
 
+    def to_spec(self) -> dict:
+        """The generator spec, or else an inline list of the zeros."""
+        if self.spec is not None:
+            return self.spec
+        if len(self) > _INLINE_MAX:
+            raise ConfigError("zero sequence too large for inline serialization")
+        return {"kind": "list", "genus": self.genus,
+                "zeros": [_c2pair(c) for c in self.zeros]}
+
     def genus0_partial_sums(self, n_checks: int = 6) -> np.ndarray:
         """Partial sums of 1/|z_n| at geometric prefixes (monotone, for the
         genus-0 convergence check)."""
@@ -162,6 +173,15 @@ class PoleSequence:
     def shells(self) -> "_Shells":
         """Modulus shells of the poles, built at the first evaluation."""
         return _cached_shells(self, self.poles, self.weights)
+
+    def to_spec(self) -> dict:
+        """The generator spec, or else an inline list of the poles."""
+        if self.spec is not None:
+            return self.spec
+        if len(self) > _INLINE_MAX:
+            raise ConfigError("pole sequence too large for inline serialization")
+        return {"kind": "list", "poles": self.poles.tolist(),
+                "weights": self.weights.tolist()}
 
 
 # named generator registries; examples.py registers its builders on import
@@ -509,9 +529,13 @@ class FunctionExpr:
 
     # -- evaluation entry points ------------------------------------------
 
-    def eval_array(self, z, **opts):
-        """Vectorized evaluation; returns (values, abs_error_estimates)."""
-        ctx = _make_ctx(opts)
+    def eval_array(self, z, max_terms: int | None = None):
+        """Vectorized evaluation; returns (values, abs_error_estimates).
+
+        ``max_terms`` caps the terms of each product or series node
+        (default ``max_series_terms``).
+        """
+        ctx = {"max_terms": DEFAULTS["max_series_terms"] if max_terms is None else max_terms}
         zz = np.asarray(z, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             vals, errs = self._eval(np.atleast_1d(zz), ctx)
@@ -521,11 +545,11 @@ class FunctionExpr:
             return vals[0], errs[0]
         return vals, errs
 
-    def values(self, z, **opts) -> np.ndarray:
-        return self.eval_array(z, **opts)[0]
+    def values(self, z) -> np.ndarray:
+        return self.eval_array(z)[0]
 
-    def at(self, z, **opts) -> complex:
-        v, _ = self.eval_array(complex(z), **opts)
+    def at(self, z) -> complex:
+        v, _ = self.eval_array(complex(z))
         return complex(v)
 
     # -- arithmetic sugar ---------------------------------------------------
@@ -561,14 +585,6 @@ def as_expr(x) -> FunctionExpr:
     if isinstance(x, (int, float, complex)):
         return Const(complex(x))
     raise TypeError(f"cannot coerce {type(x)} to FunctionExpr")
-
-
-def _make_ctx(opts: dict) -> dict:
-    return {
-        "max_terms": opts.get("max_terms", DEFAULTS["max_series_terms"]),
-        "pole_exclusion_scale": opts.get("pole_exclusion_scale",
-                                         DEFAULTS["pole_exclusion_scale"]),
-    }
 
 
 class Const(FunctionExpr):
@@ -784,7 +800,7 @@ class Quotient(FunctionExpr):
     def _eval(self, z, ctx):
         nv, ne = self.num._eval(z, ctx)
         dv, de = self.den._eval(z, ctx)
-        excl = ctx["pole_exclusion_scale"] * (1.0 + np.abs(z))
+        excl = DEFAULTS["pole_exclusion_scale"] * (1.0 + np.abs(z))
         if self._den_roots is not None and self._den_roots.size:
             dist = np.min(np.abs(z[..., None] - self._den_roots[None, :]), axis=-1)
             if np.any(dist < excl):
@@ -868,13 +884,7 @@ class CanonicalProduct(FunctionExpr):
         return CanonicalProduct(self.seq.conjugated())
 
     def to_json(self):
-        spec = self.seq.spec
-        if spec is None:
-            if len(self.seq) > 10_000:
-                raise ConfigError("zero sequence too large for inline serialization")
-            spec = {"kind": "list", "genus": self.seq.genus,
-                    "zeros": [_c2pair(c) for c in self.seq.zeros]}
-        return {"kind": "canonical-product", "zeros": spec}
+        return {"kind": "canonical-product", "zeros": self.seq.to_spec()}
 
 
 class PartialFractions(FunctionExpr):
@@ -891,7 +901,7 @@ class PartialFractions(FunctionExpr):
             raise TruncationBudgetExceeded(
                 f"{n} series terms exceed the budget of {ctx['max_terms']}")
         flat = z.ravel()
-        excl = ctx["pole_exclusion_scale"] * (1.0 + np.abs(flat))
+        excl = DEFAULTS["pole_exclusion_scale"] * (1.0 + np.abs(flat))
         v, e = self.seq.shells().series(flat, excl)
         if self.seq.tail_abs_bound is not None:
             e = e + np.asarray(self.seq.tail_abs_bound(np.abs(flat)), dtype=float)
@@ -902,22 +912,16 @@ class PartialFractions(FunctionExpr):
         return PartialFractions(self.seq)
 
     def to_json(self):
-        spec = self.seq.spec
-        if spec is None:
-            if len(self.seq) > 10_000:
-                raise ConfigError("pole sequence too large for inline serialization")
-            spec = {"kind": "list", "poles": self.seq.poles.tolist(),
-                    "weights": self.seq.weights.tolist()}
-        return {"kind": "partial-fractions", "poles": spec}
+        return {"kind": "partial-fractions", "poles": self.seq.to_spec()}
 
 
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
 
-def evaluate(f: FunctionExpr, z, **opts) -> EvalResult:
+def evaluate(f: FunctionExpr, z, max_terms: int | None = None) -> EvalResult:
     """Evaluate ``f`` at a single point with an absolute-error estimate."""
-    v, e = f.eval_array(complex(z), **opts)
+    v, e = f.eval_array(complex(z), max_terms)
     return EvalResult(complex(v), float(e))
 
 
@@ -925,24 +929,25 @@ def sharp(f: FunctionExpr) -> FunctionExpr:
     return f.sharp()
 
 
-def derivative(f: FunctionExpr, z, order: int = 1, *, radius: float | None = None,
-               nodes: int | None = None, **opts) -> EvalResult:
+def derivative(f: FunctionExpr, z, order: int = 1, *,
+               radius: float | None = None) -> EvalResult:
     """Derivative of order 1 or 2 via a Cauchy-integral mean.
 
     Trapezoid rule on a circle of radius ``radius`` (default
-    ``1e-3*(1+|z|)``) with ``nodes`` points; spectrally accurate for
-    entire integrands.  The error estimate compares the full-node result
-    with the half-node result and adds propagated evaluation error.
+    ``1e-3*(1+|z|)``) with ``derivative_nodes`` points; spectrally
+    accurate for entire integrands.  The error estimate compares the
+    full-node result with the half-node result and adds propagated
+    evaluation error.
     """
     if order not in (1, 2):
         raise ConfigError("derivative order must be 1 or 2")
     z = complex(z)
     r = radius if radius is not None else DEFAULTS["derivative_radius_scale"] * (1.0 + abs(z))
-    m = nodes if nodes is not None else DEFAULTS["derivative_nodes"]
+    m = DEFAULTS["derivative_nodes"]
     theta = 2.0 * np.pi * np.arange(m) / m
     ring = z + r * np.exp(1j * theta)
     try:
-        vals, errs = f.eval_array(ring, **opts)
+        vals, errs = f.eval_array(ring)
     except PoleHit as exc:
         raise RadiusTooLarge(f"derivative circle of radius {r} at z={z}: {exc}") from exc
     fact = math.factorial(order)

@@ -32,6 +32,10 @@ from .space import DbSpace, membership, nabla_values
 
 ZeroDivisor = Union[str, Sequence[Tuple[float, int]]]
 
+# the tail slope is fitted to this many bin maxima over the top octaves of |z|
+_TAIL_OCTAVES = 2.0
+_TAIL_BINS = 4
+
 
 @dataclass
 class Majorant:
@@ -109,20 +113,19 @@ class MajorizationReport:
             yield (float(zi.real), float(zi.imag), float(ri))
 
 
-def tail_slope(z_abs: np.ndarray, values: np.ndarray, octaves: float = 2.0,
-               bins: int = 4) -> float:
-    """Log-log growth slope of bin maxima over the top ``octaves`` of |z|."""
+def tail_slope(z_abs: np.ndarray, values: np.ndarray) -> float:
+    """Log-log growth slope of bin maxima over the top octaves of |z|."""
     keep = np.isfinite(values) & (values > 0)
     z_abs, values = z_abs[keep], values[keep]
     if z_abs.size < 2:
         return math.inf
     top = z_abs.max()
-    lo = top / 2.0 ** octaves
+    lo = top / 2.0 ** _TAIL_OCTAVES
     sel = z_abs >= lo
     za, va = np.log(z_abs[sel]), np.log(values[sel])
-    edges = np.linspace(math.log(lo) - 1e-12, math.log(top) + 1e-12, bins + 1)
+    edges = np.linspace(math.log(lo) - 1e-12, math.log(top) + 1e-12, _TAIL_BINS + 1)
     xs, ys = [], []
-    for i in range(bins):
+    for i in range(_TAIL_BINS):
         m = (za >= edges[i]) & (za < edges[i + 1])
         if np.any(m):
             xs.append(0.5 * (edges[i] + edges[i + 1]))
@@ -134,14 +137,11 @@ def tail_slope(z_abs: np.ndarray, values: np.ndarray, octaves: float = 2.0,
     return float(np.sum((x - xb) * (y - yb)) / np.sum((x - xb) ** 2))
 
 
-def test_majorization(f: FunctionExpr, m: Majorant, *,
-                      slope_majorized: float | None = None,
-                      slope_not_majorized: float | None = None,
-                      sup_ratio_cap: float | None = None) -> MajorizationReport:
+def test_majorization(f: FunctionExpr, m: Majorant) -> MajorizationReport:
     """Decide whether ``|F|, |F#| <= C m`` plausibly holds on the domain."""
-    s_maj = DEFAULTS["slope_majorized"] if slope_majorized is None else slope_majorized
-    s_not = DEFAULTS["slope_not_majorized"] if slope_not_majorized is None else slope_not_majorized
-    cap = DEFAULTS["sup_ratio_cap"] if sup_ratio_cap is None else sup_ratio_cap
+    s_maj = DEFAULTS["slope_majorized"]
+    s_not = DEFAULTS["slope_not_majorized"]
+    cap = DEFAULTS["sup_ratio_cap"]
 
     z = m.domain.points()
     if isinstance(m.zero_divisor, str):
@@ -180,15 +180,13 @@ def test_majorization(f: FunctionExpr, m: Majorant, *,
                                "sup-ratio-cap": cap})
 
 
-def estimate_zero_divisor_order(m: Majorant, x0: float,
-                                deltas: np.ndarray | None = None) -> int:
+def estimate_zero_divisor_order(m: Majorant, x0: float) -> int:
     """Log-log estimate of the vanishing order of a majorant at a real
     point: the slope of ``log m(x0 + delta)`` against ``log delta``,
     rounded.  Declared divisors remain authoritative; this is the sampled
     cross-check (local infima are not computable from finitely many
     samples)."""
-    if deltas is None:
-        deltas = np.geomspace(1e-6, 1e-3, 12)
+    deltas = np.geomspace(1e-6, 1e-3, 12)
     vals = m.values(np.asarray(x0 + deltas, dtype=complex))
     keep = vals > 0
     if np.count_nonzero(keep) < 4:

@@ -22,7 +22,7 @@ Lebesgue or Poisson measure and compare ``a * m({...})`` with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,24 +45,20 @@ class InnerFunction:
 
     kind: str                  # ratio | exp | blaschke | expr
     expr: FunctionExpr
-    meta: dict = field(default_factory=dict)
 
-    def values(self, z, **opts) -> np.ndarray:
-        return self.expr.values(z, **opts)
+    def values(self, z) -> np.ndarray:
+        return self.expr.values(z)
 
     def at(self, z) -> complex:
         return self.expr.at(z)
 
-    def validate(self, grid_upper: np.ndarray | None = None,
-                 grid_real: np.ndarray | None = None) -> dict:
+    def validate(self) -> dict:
         """Contraction margin on a half-plane grid and boundary-modulus
         deviation on a real grid."""
-        if grid_upper is None:
-            x = np.linspace(-10, 10, 9)
-            y = np.geomspace(0.05, 20.0, 7)
-            grid_upper = (x[:, None] + 1j * y[None, :]).ravel()
-        if grid_real is None:
-            grid_real = np.linspace(-30.0, 30.0, 61)
+        x = np.linspace(-10, 10, 9)
+        y = np.geomspace(0.05, 20.0, 7)
+        grid_upper = (x[:, None] + 1j * y[None, :]).ravel()
+        grid_real = np.linspace(-30.0, 30.0, 61)
         up = np.abs(self.values(grid_upper))
         margin = float(np.min(1.0 - up))
         boundary = float(np.max(np.abs(np.abs(self.values(grid_real + 0j)) - 1.0)))
@@ -72,14 +68,14 @@ class InnerFunction:
     def from_space(cls, space: DbSpace, alpha: float = 0.0) -> "InnerFunction":
         """Theta = e^{-2 i alpha} E# / E."""
         expr = Quotient(Product([Const(np.exp(-2j * alpha)), space.e_sharp]), space.e)
-        return cls("ratio", expr, {"alpha": alpha, "space": space.label})
+        return cls("ratio", expr)
 
     @classmethod
     def exponential(cls, a: float) -> "InnerFunction":
         if a < 0:
             raise ConfigError("exponential inner function needs a >= 0")
         from .expressions import ExpCZ
-        return cls("exp", ExpCZ(1j * a), {"a": a})
+        return cls("exp", ExpCZ(1j * a))
 
     @classmethod
     def blaschke(cls, zeros: Sequence[complex]) -> "InnerFunction":
@@ -87,12 +83,12 @@ class InnerFunction:
         if any(z.imag <= 0 for z in zs):
             raise ConfigError("Blaschke zeros must lie in the open upper half-plane")
         factors = [Quotient(Poly([-z, 1.0]), Poly([-np.conj(z), 1.0])) for z in zs]
-        return cls("blaschke", Product(factors), {"zeros": zs})
+        return cls("blaschke", Product(factors))
 
     @classmethod
     def constant(cls, c: complex) -> "InnerFunction":
         # handy for degenerate test inputs such as Theta == 0
-        return cls("expr", Const(c), {})
+        return cls("expr", Const(c))
 
     def to_json(self) -> dict:
         return {"inner": expr_to_json(self.expr), "kind": self.kind}
@@ -191,9 +187,12 @@ def y_limit(q: FunctionExpr) -> float:
     return math.inf
 
 
+# smallest scanned delta*|q| taken as a point-mass candidate
+_MASS_FLOOR = 5e-3
+
+
 def herglotz_extract(q: FunctionExpr, density_grid: np.ndarray | None = None,
-                     delta: float | None = None,
-                     mass_floor: float = 5e-3) -> HerglotzData:
+                     delta: float | None = None) -> HerglotzData:
     """Numeric Herglotz-representation summary of a nonnegative-real-part
     function."""
     probes_x = np.linspace(-10.0, 10.0, 9)
@@ -226,7 +225,7 @@ def herglotz_extract(q: FunctionExpr, density_grid: np.ndarray | None = None,
     d_scan = max(dlt, spacing)
     cand = d_scan * np.abs(q.values(grid + 1j * d_scan))
     for i in range(1, grid.size - 1):
-        if cand[i] > mass_floor and cand[i] >= cand[i - 1] and cand[i] >= cand[i + 1]:
+        if cand[i] > _MASS_FLOOR and cand[i] >= cand[i - 1] and cand[i] >= cand[i + 1]:
             from scipy.optimize import minimize_scalar   # deferred: slow to import
             lo, hi = grid[i - 1], grid[i + 1]
             res = minimize_scalar(lambda x: -abs(q.at(x + 1j * dlt)),
@@ -281,14 +280,13 @@ class WeakTypeReport:
 
 
 def _superlevel_intervals(g: Callable[[np.ndarray], np.ndarray], a: float,
-                          xmax: float, n_base: int = 1200,
-                          bisect_tol: float | None = None):
+                          xmax: float):
     """Intervals of {|q| > a} inside [-xmax, xmax] with refined endpoints.
 
     Returns (intervals, touches_edge).
     """
-    tol = DEFAULTS["weak_type_bisect_tol"] if bisect_tol is None else bisect_tol
-    pos = np.geomspace(1e-6, xmax, n_base)
+    tol = DEFAULTS["weak_type_bisect_tol"]
+    pos = np.geomspace(1e-6, xmax, 1200)
     xs = np.concatenate([-pos[::-1], [0.0], pos])
     above = g(xs) > a
 
@@ -319,12 +317,11 @@ def _superlevel_intervals(g: Callable[[np.ndarray], np.ndarray], a: float,
 
 
 def weak_type_test(q: FunctionExpr, y0: float, a_grid: Sequence[float],
-                   measure: str = "lebesgue",
-                   envelope: Callable[[np.ndarray], np.ndarray] | None = None) -> WeakTypeReport:
+                   measure: str = "lebesgue") -> WeakTypeReport:
     """Superlevel-set measures of ``|q(x + i y0)|`` over an ``a`` grid.
 
-    The scan extends to where a decay envelope (user-supplied or fitted as
-    a power law on ``|q|``) certifies ``|q| < a``.  With Lebesgue measure
+    The scan extends to where a decay envelope (fitted as a power law on
+    ``|q|``) certifies ``|q| < a``.  With Lebesgue measure
     a non-decaying envelope is an error; with Poisson measure the
     unbounded remainder contributes its full Poisson tail and the report
     flags the failure of the scaled measures to decay.
@@ -340,21 +337,17 @@ def weak_type_test(q: FunctionExpr, y0: float, a_grid: Sequence[float],
     def g(x):
         return np.abs(q.values(np.asarray(x, dtype=float) + 1j * y0))
 
-    # decay envelope: fitted log-log slope on [1e2, 1e6] unless supplied
-    if envelope is None:
-        xf = np.geomspace(1e2, 1e6, 17)
-        gf = g(xf) + g(-xf)
-        lg, lx = np.log(np.maximum(gf, 1e-300)), np.log(xf)
-        slope = float(np.sum((lx - lx.mean()) * (lg - lg.mean()))
-                      / np.sum((lx - lx.mean()) ** 2))
-        amp = float(np.exp(lg.mean() - slope * lx.mean()))
-        decaying = slope < -0.05
+    # decay envelope: fitted log-log slope on [1e2, 1e6]
+    xf = np.geomspace(1e2, 1e6, 17)
+    gf = g(xf) + g(-xf)
+    lg, lx = np.log(np.maximum(gf, 1e-300)), np.log(xf)
+    slope = float(np.sum((lx - lx.mean()) * (lg - lg.mean()))
+                  / np.sum((lx - lx.mean()) ** 2))
+    amp = float(np.exp(lg.mean() - slope * lx.mean()))
+    decaying = slope < -0.05
 
-        def env(x):
-            return amp * np.asarray(x, dtype=float) ** slope
-    else:
-        env = envelope
-        decaying = bool(env(np.array([1e8]))[0] < env(np.array([1e2]))[0])
+    def env(x):
+        return amp * np.asarray(x, dtype=float) ** slope
 
     measures = np.empty(a_grid.shape)
     unbounded = np.zeros(a_grid.shape, dtype=bool)

@@ -25,6 +25,10 @@ import numpy as np
 from .defaults import DEFAULTS
 from .errors import NonConvergentTail
 
+# refinement rounds and panel count at which an interval stops splitting
+_MAX_ROUNDS = 18
+_MAX_PANELS = 200_000
+
 
 @lru_cache(maxsize=None)
 def _gl(n: int):
@@ -54,21 +58,18 @@ def _panel_batch(fn, lo: np.ndarray, hi: np.ndarray):
     return out[0], out[1]
 
 
-def integrate_interval(fn, a: float, b: float, tol: float,
-                       panel_len: float | None = None, max_rounds: int = 18,
-                       max_panels: int = 200_000):
+def integrate_interval(fn, a: float, b: float, tol: float):
     """Adaptive integral of ``fn`` over [a, b]; returns (value, error)."""
     if b <= a:
         return 0.0 + 0.0j, 0.0
-    plen = panel_len if panel_len is not None else DEFAULTS["quad_panel_length"]
-    n0 = max(4, int(math.ceil((b - a) / plen)))
+    n0 = max(4, int(math.ceil((b - a) / DEFAULTS["quad_panel_length"])))
     edges = np.linspace(a, b, n0 + 1)
     lo, hi = edges[:-1], edges[1:]
     i15, i31 = _panel_batch(fn, lo, hi)
     err = np.abs(i31 - i15)
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         total_err = float(np.sum(err))
-        if total_err <= tol or lo.size >= max_panels:
+        if total_err <= tol or lo.size >= _MAX_PANELS:
             break
         # split the panels carrying the top 90% of the error budget
         order = np.argsort(err)[::-1]
@@ -102,30 +103,28 @@ def _ar_ratio(sums: np.ndarray):
     return r, (resid / scale if scale > 0 else 0.0)
 
 
-def integrate_real_line(fn, *, rel_tol: float | None = None, abs_tol: float | None = None,
-                        core: float | None = None, panel_len: float | None = None,
-                        max_halfwidth: float | None = None) -> QuadResult:
+def integrate_real_line(fn, *, rel_tol: float | None = None) -> QuadResult:
     """Integrate ``fn`` over all of R with a certified-decay tail estimate.
 
     Raises :class:`NonConvergentTail` when the fitted octave decay is too
     slow (integrand envelope worse than ``1/t**1.05``).
     """
     rel = DEFAULTS["quad_rel_tol"] if rel_tol is None else rel_tol
-    abst = DEFAULTS["quad_abs_tol"] if abs_tol is None else abs_tol
-    t0 = DEFAULTS["quad_core_halfwidth"] if core is None else core
-    tmax = DEFAULTS["quad_max_halfwidth"] if max_halfwidth is None else max_halfwidth
+    abst = DEFAULTS["quad_abs_tol"]
+    t0 = DEFAULTS["quad_core_halfwidth"]
+    tmax = DEFAULTS["quad_max_halfwidth"]
     fit_k = DEFAULTS["quad_fit_octaves"]
     div_slope = DEFAULTS["quad_divergence_slope"]
 
     def tol_now(current):
         return max(abst, rel * abs(current)) / 8.0
 
-    total, toterr = integrate_interval(fn, -t0, t0, tol_now(1.0), panel_len)
+    total, toterr = integrate_interval(fn, -t0, t0, tol_now(1.0))
     sums, t = [], t0
     tail, tail_exp = 0.0 + 0.0j, -np.inf
     while t < tmax:
-        vp, ep = integrate_interval(fn, t, 2 * t, tol_now(total), panel_len)
-        vm, em = integrate_interval(fn, -2 * t, -t, tol_now(total), panel_len)
+        vp, ep = integrate_interval(fn, t, 2 * t, tol_now(total))
+        vm, em = integrate_interval(fn, -2 * t, -t, tol_now(total))
         s = vp + vm
         total += s
         toterr += ep + em

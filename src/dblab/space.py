@@ -71,13 +71,7 @@ class DbSpace:
         return self._cache["b"]
 
     def to_json(self) -> dict:
-        zspec = None
-        if self.zeros is not None:
-            zspec = self.zeros.spec
-            if zspec is None:
-                zspec = {"kind": "list", "genus": self.zeros.genus,
-                         "zeros": [[float(np.real(c)), float(np.imag(c))]
-                                   for c in self.zeros.zeros]}
+        zspec = None if self.zeros is None else self.zeros.to_spec()
         return {"E": expr_to_json(self.e), "zeros": zspec,
                 "declared-order": self.declared_order,
                 "declared-exp-type": self.declared_exp_type,
@@ -115,9 +109,9 @@ class MembershipResult:
 # Hermite-Biehler check
 # ---------------------------------------------------------------------------
 
-def default_hb_grid(n_x: int = 10, n_y: int = 10) -> np.ndarray:
-    x = np.linspace(-20.0, 20.0, n_x)
-    y = np.geomspace(0.1, 10.0, n_y)
+def default_hb_grid() -> np.ndarray:
+    x = np.linspace(-20.0, 20.0, 10)
+    y = np.geomspace(0.1, 10.0, 10)
     return (x[:, None] + 1j * y[None, :]).ravel()
 
 
@@ -302,7 +296,7 @@ def phase_derivative(space: DbSpace, t: float, route: str = "kernel") -> float:
 # ---------------------------------------------------------------------------
 
 def inner_product(space: DbSpace, f: FunctionExpr, g: FunctionExpr,
-                  rel_tol: float | None = None, abs_tol: float | None = None) -> EvalResult:
+                  rel_tol: float | None = None) -> EvalResult:
     """Adaptive quadrature of ``F(t) conj(G(t)) / |E(t)|**2`` over R.
 
     Raises :class:`NonConvergentTail` when the octave envelope decays too
@@ -316,21 +310,21 @@ def inner_product(space: DbSpace, f: FunctionExpr, g: FunctionExpr,
         ev = space.e.values(tt.astype(complex))
         return fv * np.conj(gv) / np.abs(ev) ** 2
 
-    res = integrate_real_line(integrand, rel_tol=rel_tol, abs_tol=abs_tol)
+    res = integrate_real_line(integrand, rel_tol=rel_tol)
     return EvalResult(res.value, res.error)
 
 
-def norm_squared(space: DbSpace, f: FunctionExpr, **kw) -> float:
-    return inner_product(space, f, f, **kw).value.real
+def norm_squared(space: DbSpace, f: FunctionExpr) -> float:
+    return inner_product(space, f, f).value.real
 
 
 # ---------------------------------------------------------------------------
 # mean type
 # ---------------------------------------------------------------------------
 
-def mean_type(f: FunctionExpr, theta: float, radii: np.ndarray | None = None,
-              anchor: complex = 0.0) -> MeanTypeEstimate:
-    """Exponential growth rate of ``f`` along the ray ``anchor + r e^{i theta}``.
+def mean_type(f: FunctionExpr, theta: float,
+              radii: np.ndarray | None = None) -> MeanTypeEstimate:
+    """Exponential growth rate of ``f`` along the ray ``r e^{i theta}``.
 
     Least-squares slope of ``log|f|`` against ``r sin(theta)`` over the
     upper half of a geometric radius grid (tiny/nonfinite samples are
@@ -345,7 +339,7 @@ def mean_type(f: FunctionExpr, theta: float, radii: np.ndarray | None = None,
     radii = np.asarray(radii, dtype=float)
     if radii.size < 20:
         raise ConfigError("mean-type grid needs at least 20 radii")
-    pts = anchor + radii * np.exp(1j * theta)
+    pts = radii * np.exp(1j * theta)
     vals = np.abs(f.values(pts))
     keep = np.isfinite(vals) & (vals > DEFAULTS["meantype_tiny"])
     radii_kept, vals = radii[keep], vals[keep]
@@ -367,8 +361,7 @@ def mean_type(f: FunctionExpr, theta: float, radii: np.ndarray | None = None,
 # membership
 # ---------------------------------------------------------------------------
 
-def membership(space: DbSpace, f: FunctionExpr, tol: float | None = None,
-               quad_rel_tol: float = 1e-4) -> MembershipResult:
+def membership(space: DbSpace, f: FunctionExpr) -> MembershipResult:
     """Decide membership of ``f`` in the space.
 
     ``in`` needs nonpositive mean type (within tolerance) for both
@@ -376,7 +369,7 @@ def membership(space: DbSpace, f: FunctionExpr, tol: float | None = None,
     gives ``out``; slopes inside the regression noise band give
     ``undecided``.
     """
-    tol = DEFAULTS["membership_tol"] if tol is None else tol
+    tol = DEFAULTS["membership_tol"]
     diag: dict = {}
     verdicts = []
     for name, g in (("mt_f_over_e", Quotient(f, space.e)),
@@ -390,7 +383,7 @@ def membership(space: DbSpace, f: FunctionExpr, tol: float | None = None,
         else:
             verdicts.append("fail")
     try:
-        ip = inner_product(space, f, f, rel_tol=quad_rel_tol)
+        ip = inner_product(space, f, f, rel_tol=1e-4)
         diag["norm_squared"] = ip.value.real
         diag["norm_error"] = ip.abs_error
         verdicts.append("pass" if math.isfinite(ip.value.real) else "fail")

@@ -23,10 +23,10 @@ from typing import Dict, List, Tuple
 
 from . import domains as dom
 from .errors import UnknownInstance
-from .examples import a20_structure_function, pw_kernel_expr, pw_space
-from .expressions import Const, Cos, ExpCZ, FunctionExpr, Poly
+from .examples import pw_kernel_expr, pw_space
+from .expressions import Const, Cos, ExpCZ, Poly
 from .majorization import mS_majorant, nabla_majorant, test_majorization
-from .space import DbSpace, hb_check
+from .space import DbSpace
 
 
 @dataclass
@@ -66,27 +66,14 @@ class TheoremReport:
                 "ok": self.ok}
 
 
-def _poly_pair() -> Tuple[DbSpace, DbSpace, FunctionExpr]:
-    big = DbSpace(Poly([-1.0, 2.0j, 1.0]), None, 0.0, 0.0, "poly2")   # (z+i)^2
-    small = DbSpace(Poly([1.0j, 1.0]), None, 0.0, 0.0, "poly1")       # z+i
-    hb_check(big)
-    hb_check(small)
-    return big, small, Poly([1.0j, 1.0])
-
-
-def _a20_pair() -> Tuple[DbSpace, DbSpace, FunctionExpr]:
-    big = DbSpace(a20_structure_function(), None, 1.0, 1.0, "a20")
-    small = pw_space(1.0)
-    hb_check(big)
-    return big, small, ExpCZ(-1.0j)
-
-
-def _pw_nested_pair() -> Tuple[DbSpace, DbSpace, None]:
-    return pw_space(1.0), pw_space(0.5), None
-
-
-# instance -> (big space, small space, E1); built when a theorem is verified
-_PAIRS = {"a20": _a20_pair, "poly": _poly_pair, "pw-nested": _pw_nested_pair}
+# instance -> (small space, E1), built when a theorem is verified; both
+# majorant kinds need only these, never the big space
+_PAIRS = {
+    "a20": lambda: (pw_space(1.0), ExpCZ(-1.0j)),
+    "poly": lambda: (DbSpace(Poly([1.0j, 1.0]), None, 0.0, 0.0, "poly1"),   # z+i
+                     Poly([1.0j, 1.0])),
+    "pw-nested": lambda: (pw_space(0.5), None),
+}
 
 # witness rows: (label, function, expected verdict)
 _A20_ROWS = (("sin z/(pi z)", pw_kernel_expr(1.0, 0.0), "majorized"),
@@ -138,7 +125,7 @@ def verify_theorem(theorem: str, instance: str | None = None) -> TheoremReport:
         raise UnknownInstance(f"no shipped configuration for theorem {theorem!r} "
                               f"on instance {instance!r}")
     kind, domain, witnesses = TABLE[theorem, instance]
-    _, small, e1 = _PAIRS[instance]()
+    small, e1 = _PAIRS[instance]()
     m = nabla_majorant(small, domain) if kind == "nabla" else mS_majorant(e1, domain)
     rows = []
     for label, f, expected in witnesses:

@@ -346,3 +346,16 @@ def test_membership_pw2_kernel_in_pw2():
     sp = pw_space(2.0)
     f = Product([Const(1.0 / math.pi), Affine(Sinc(), 2.0)])
     assert membership(sp, f).verdict == "in"
+
+
+# ---------------------------------------------------------------------------
+# serialization
+# ---------------------------------------------------------------------------
+
+def test_space_json_keeps_the_inline_zero_limit(zpi):
+    big = DbSpace(Poly([1j, 1.0]), ZeroSequence("big", -1j * np.arange(1.0, 10_002.0)),
+                  0.0, 0.0, "big")
+    with pytest.raises(ConfigError, match="too large"):
+        big.to_json()
+    back = DbSpace.from_json(zpi.to_json())
+    assert np.array_equal(back.zeros.zeros, zpi.zeros.zeros)

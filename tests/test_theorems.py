@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from dblab import space, theorems
 from dblab.errors import UnknownInstance
 from dblab.theorems import TABLE, verify_all, verify_theorem
 
@@ -32,6 +33,22 @@ def test_sweep_is_green():
     reports = verify_all()
     assert len(reports) == 9
     assert all(r.ok for r in reports)
+
+
+@pytest.mark.parametrize("instance, checked", [("a20", []), ("poly", ["poly1"])])
+def test_verify_checks_only_the_space_its_majorant_uses(monkeypatch, instance, checked):
+    calls = []
+    real = space.hb_check
+
+    def counting(sp, grid=None):
+        calls.append(sp.label)
+        return real(sp, grid)
+
+    # whichever module holds a binding of hb_check
+    monkeypatch.setattr(space, "hb_check", counting)
+    monkeypatch.setattr(theorems, "hb_check", counting, raising=False)
+    assert verify_theorem("A12", instance).ok
+    assert calls == checked
 
 
 def test_unknown_ids_rejected():
