@@ -369,10 +369,17 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out", help="CSV output path for series results")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a config error; subparsers
+    inherit the class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="dblab",
-                                 description="numerical laboratory for de Branges "
-                                             "spaces of entire functions")
+    ap = _Parser(prog="dblab",
+                 description="numerical laboratory for de Branges spaces of entire functions")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     def add(name, fn, flags):
@@ -416,12 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    try:
+        args = build_parser().parse_args(argv)
         args.fn(args)
     except SystemExit as exc:
         return int(exc.code or 0)

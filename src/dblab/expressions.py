@@ -10,9 +10,10 @@ value.
 
 Expressions are immutable after construction and evaluation is pure, so
 values are safe to share across threads.  Canonical products and
-partial-fraction series are summed shell by shell through power moments
-(see ``_Shells``); the moment tables a sequence builds at its first
-evaluation are caches, and no value depends on whether they were built.
+partial-fraction series are summed shell by shell: shells far beyond the
+point through power moments, every other shell term by term (see
+``_Shells``); the moment tables a sequence builds at its first evaluation
+are caches, and no value depends on whether they were built.
 
 The ``#``-conjugate ``F#(z) = conj(F(conj z))`` is implemented
 structurally: every node knows its own conjugate, so double conjugation
@@ -299,17 +300,16 @@ def _blockwise(fn, *arrays):
 class _Shells:
     """A zero or pole sequence split into modulus shells ``[2^s, 2^(s+1))``.
 
-    Seen from a point ``z``, a shell with ``2|z| <= lo`` is far and is
-    summed through power moments about its smallest modulus ``lo``; a
-    shell with ``2 hi <= |z|`` is inner and is summed through multipole
-    moments about its largest modulus ``hi``; the two or three shells
-    around ``|z|`` are summed term by term.  ``moments(s, side, order)``
-    is ``sum_k c_k x_k**j`` for ``j = 0..order`` with ``|x_k| <= 1``:
-    ``x = lo/t_k`` and ``c = 1`` (``mu/t`` for a series) on the far side,
-    ``x = t_k/hi`` and ``c = 1`` (``mu``) on the inner side.  A table is
-    built when first needed and rebuilt from scratch for a higher order,
-    so a point's value never depends on what else was evaluated, and two
-    threads that build the same table at once store equal tables.
+    Seen from a point ``z``, a shell whose smallest modulus ``lo`` is at
+    least ``2|z|`` is far and is summed through its power moments about
+    ``lo``; every other shell is summed term by term, so a point costs
+    shells x orders plus one step per term with modulus below about
+    ``2|z|``.  ``moments(s, order)`` is ``sum_k c_k x_k**j`` for
+    ``j = 0..order`` with ``x = lo/t_k`` and ``c = 1`` (``mu/t`` for a
+    series).  A table is built when first needed and rebuilt from scratch
+    for a higher order, so a point's value never depends on what else was
+    evaluated, and two threads that build the same table at once store
+    equal tables.
     """
 
     def __init__(self, nodes: np.ndarray, weights: Optional[np.ndarray] = None):
@@ -324,7 +324,7 @@ class _Shells:
             exps = np.arange(math.frexp(mod[0])[1], math.frexp(mod[-1])[1])
             edges = np.unique(np.r_[0, np.searchsorted(mod, np.ldexp(1.0, exps)), mod.size])
         self.start, self.stop = edges[:-1], edges[1:]
-        self.lo, self.hi = mod[self.start], mod[self.stop - 1]
+        self.lo = mod[self.start]
         self.count = self.stop - self.start
         # roundoff of a sum over one shell: pairwise within a block, sequential across blocks
         self.gamma = EPS * (np.log2(np.maximum(self.count, 1)) + 8.0
@@ -335,80 +335,61 @@ class _Shells:
         for a in range(self.start[s], self.stop[s], _CHUNK):
             yield a, min(a + _CHUNK, self.stop[s])
 
-    def moments(self, s: int, side: str, order: int):
+    def moments(self, s: int, order: int):
         """Moment table of shell ``s`` (at least ``order + 1`` entries) and ``sum |c_k|``."""
-        tab = self._tables.get((s, side))
+        tab = self._tables.get(s)
         if tab is None or tab[0].size <= order:
             mom = np.zeros(order + 1, dtype=self.nodes.dtype)
             absw = 0.0
-            far = side == "far"
             for a, b in self._blocks(s):
                 t = self.nodes[a:b]
-                x = self.lo[s] / t if far else t / self.hi[s]
-                if self.weights is None:
-                    p = np.ones(b - a, dtype=t.dtype)
-                else:
-                    p = self.weights[a:b] / t if far else self.weights[a:b].copy()
+                x = self.lo[s] / t
+                p = np.ones(b - a, dtype=t.dtype) if self.weights is None else self.weights[a:b] / t
                 absw += float(np.sum(np.abs(p)))
                 for j in range(order + 1):
                     mom[j] += np.sum(p)
                     p *= x
-            tab = self._tables[(s, side)] = (mom, absw)
+            tab = self._tables[s] = (mom, absw)
         return tab
 
-    def log_sum(self, s: int):
-        """``sum log t_k`` over shell ``s`` and the sum of the moduli of its terms."""
-        tab = self._tables.get((s, "log"))
-        if tab is None:
-            acc, mag = 0j, 0.0
-            for a, b in self._blocks(s):
-                lt = np.log(self.nodes[a:b])
-                acc += complex(np.sum(lt))
-                mag += float(np.sum(np.abs(lt)))
-            tab = self._tables[(s, "log")] = (acc, mag)
-        return tab
-
-    def _per_shell(self, s: np.ndarray, fn) -> list:
-        """The tuple ``fn(k)`` of each shell ``k`` in ``s``, spread over the pairs."""
-        shells, index = np.unique(s, return_inverse=True)
-        return [np.asarray(col)[index] for col in zip(*(fn(k) for k in shells))]
-
-    def _expansion(self, z, az, mask, side, scale):
-        """The pairs (point ``p``, shell ``s``) of ``mask`` on one side, their
-        ratio ``rho``, order ``J`` and ``sum_{j=1..J} scale_j m_j w**j`` over
-        the shell's moments ``m``, with each shell's ``m_0`` and ``sum |c|``."""
-        p, s = np.nonzero(mask)
-        far = side == "far"
-        rho = az[p] / self.lo[s] if far else self.hi[s] / az[p]
+    def _expansion(self, z, az, far, scale):
+        """The far pairs (point ``p``, shell ``s``) of ``far``, their ratio
+        ``rho = |z|/lo``, order ``J`` and ``sum_{j=1..J} scale_j m_j (z/lo)**j``
+        over the shell's moments ``m``, with each shell's ``sum |c|``."""
+        p, s = np.nonzero(far)
+        rho = az[p] / self.lo[s]
         order = _order(rho)
         top = np.zeros(self.lo.size, dtype=int)
         np.maximum.at(top, s, order)
         table = np.zeros((self.lo.size, top.max(initial=0)), dtype=complex)
-        first, absw = np.zeros(self.lo.size, dtype=complex), np.zeros(self.lo.size)
+        absw = np.zeros(self.lo.size)
         for k in np.unique(s):
-            mom, absw[k] = self.moments(k, side, top[k])
-            first[k] = mom[0]
+            mom, absw[k] = self.moments(k, top[k])
             table[k, :top[k]] = scale[:top[k]] * mom[1:top[k] + 1]
-        w = z[p] / self.lo[s] if far else self.hi[s] / z[p]
-        return p, s, rho, order, _horner(table, s, w, order), first[s], absw[s]
+        return p, s, rho, order, _horner(table, s, z[p] / self.lo[s], order), absw[s]
 
-    def _direct(self, s: int, z: np.ndarray, aux: np.ndarray, term):
-        """Term-by-term sum over shell ``s``.  ``term(zb, auxb, a, b)`` gets
-        a column of points (and of ``aux``) and the block ``a:b`` of the
-        shell; it returns the terms, extra per-term error bounds and a
-        per-point flag."""
-        val = np.zeros(z.shape, dtype=complex)
-        err = np.zeros(z.shape)
+    def _direct(self, z, aux, near, acc, err, term):
+        """Add the shells marked in ``near`` (points x shells) into ``acc``
+        and ``err`` term by term, and return the per-point flags.
+        ``term(zb, auxb, a, b)`` gets a column of points (and of ``aux``)
+        and the block ``a:b`` of a shell; it returns the terms, extra
+        per-term error bounds and a per-point flag."""
         flag = np.zeros(z.shape, dtype=bool)
-        for a, b in self._blocks(s):
-            step = max(1, _BLOCK // (b - a))
-            for i in range(0, z.size, step):
-                sl = slice(i, i + step)
-                t, e, f = term(z[sl, None], aux[sl, None], a, b)
-                val[sl] += np.sum(t, axis=1)
-                err[sl] += np.sum(e + self.gamma[s] * np.abs(t), axis=1)
-                flag[sl] |= f
-        return val, err, flag
+        for s in np.nonzero(near.any(axis=0))[0]:
+            pts = np.nonzero(near[:, s])[0]
+            zs, xs = z[pts, None], aux[pts, None]
+            val = np.zeros(pts.size, dtype=complex)
+            e = np.zeros(pts.size)
+            for a, b in self._blocks(s):
+                step = max(1, _BLOCK // (b - a))
+                for i in range(0, pts.size, step):
+                    sl = slice(i, i + step)
+                    t, et, f = term(zs[sl], xs[sl], a, b)
+                    val[sl] += np.sum(t, axis=1)
+                    e[sl] += np.sum(et + self.gamma[s] * np.abs(t), axis=1)
+                    flag[pts[sl]] |= f
+            _accumulate(acc, err, pts, val, e)
+        return flag
 
     def log_product(self, z: np.ndarray, genus: int):
         """``sum log(1 - z/t_k)`` (plus ``z/t_k`` at genus 1) modulo 2 pi i,
@@ -418,32 +399,20 @@ class _Shells:
     def _log_product(self, z, genus):
         az = np.abs(z)
         far = 2.0 * az[:, None] <= self.lo
-        inner = 2.0 * self.hi <= az[:, None]
         logv = np.zeros(z.shape, dtype=complex)
         err = np.zeros(z.shape)
-        for side, mask in (("far", far), ("inner", inner)):
-            if not mask.any():
-                continue
+        if far.any():
             scale = -1.0 / np.arange(1, _MAX_ORDER + 1)
-            if genus == 1 and side == "far":
+            if genus == 1:
                 scale[0] = 0.0
-            p, s, rho, jj, val, _, _ = self._expansion(z, az, mask, side, scale)
+            p, s, rho, jj, val, _ = self._expansion(z, az, far, scale)
             n, gam = self.count[s], self.gamma[s]
             # sum_k sum_j |x_k w|^j / j bounds every term of the expansion
             mag = -n * np.log1p(-rho)
             e = n * rho ** (jj + 1) / ((jj + 1) * (1.0 - rho)) + (gam + 2 * jj * EPS) * mag
-            if side == "inner":
-                lsum, lmag = self._per_shell(s, self.log_sum)
-                lz = np.log(-z[p])
-                val = val + n * lz - lsum
-                e = e + gam * (n * np.abs(lz) + lmag)
-                if genus == 1:
-                    inv, = self._per_shell(s, lambda k: (self.moments(k, "far", 1)[0][1] / self.lo[k],))
-                    val = val + z[p] * inv
-                    e = e + gam * az[p] * n / self.lo[s]
             _accumulate(logv, err, p, val, e)
 
-        def near_term(zb, _, a, b):
+        def term(zb, _, a, b):
             q = zb / self.nodes[None, a:b]
             d = 1.0 - q
             cancelled = d == 0
@@ -454,45 +423,29 @@ class _Shells:
                 lt += q
             return lt, 4.0 * EPS * np.abs(q) / np.abs(d), cancelled.any(axis=1)
 
-        hit = np.zeros(z.shape, dtype=bool)
-        near = ~(far | inner)
-        for k in np.nonzero(near.any(axis=0))[0]:
-            pts = np.nonzero(near[:, k])[0]
-            val, e, cancelled = self._direct(k, z[pts], az[pts], near_term)
-            _accumulate(logv, err, pts, val, e)
-            hit[pts] |= cancelled
+        hit = self._direct(z, az, ~far, logv, err, term)
         return logv, err, hit
 
     def series(self, z: np.ndarray, excl: np.ndarray):
         """``sum mu_k z / (t_k (t_k - z))`` and a bound on its error.
 
-        Far and inner shells keep a margin of ``excl`` from every point, so
-        only the near shells can hold a pole inside the exclusion radius.
+        Far shells keep a margin of ``excl`` from every point, so only the
+        shells summed term by term can hold a pole inside the exclusion
+        radius.
         """
         return _blockwise(self._series, z, excl)
 
     def _series(self, z, excl):
         az = np.abs(z)
         far = 2.0 * az[:, None] + excl[:, None] <= self.lo
-        inner = 2.0 * (self.hi + excl[:, None]) <= az[:, None]
         v = np.zeros(z.shape, dtype=complex)
         err = np.zeros(z.shape)
-        ones = np.ones(_MAX_ORDER)
         if far.any():
-            p, s, rho, jj, val, _, absw = self._expansion(z, az, far, "far", ones)
+            p, s, rho, jj, val, absw = self._expansion(z, az, far, np.ones(_MAX_ORDER))
             e = absw * (rho ** (jj + 1) + (self.gamma[s] + 2 * jj * EPS) * rho) / (1.0 - rho)
             _accumulate(v, err, p, val, e)
-        if inner.any():
-            p, s, rho, jj, val, first, absw = self._expansion(z, az, inner, "inner", ones)
-            gam, r = self.gamma[s], az[p]
-            # sum mu/t over the shell, the far-side moment of order 0
-            inv, invabs = self._per_shell(s, lambda k: (self.moments(k, "far", 0)[0][0],
-                                                        self.moments(k, "far", 0)[1]))
-            val = -inv - (first + val) / z[p]
-            e = absw * (rho ** (jj + 1) + gam + 2 * jj * EPS) / (r * (1.0 - rho)) + gam * invabs
-            _accumulate(v, err, p, val, e)
 
-        def near_term(zb, exb, a, b):
+        def term(zb, exb, a, b):
             t = self.nodes[None, a:b]
             d = t - zb
             close = np.abs(d) < exb
@@ -501,11 +454,7 @@ class _Shells:
                 raise PoleHit(f"z={zbad} within exclusion radius of a series pole")
             return self.weights[None, a:b] * zb / (t * d), 0.0, False
 
-        near = ~(far | inner)
-        for k in np.nonzero(near.any(axis=0))[0]:
-            pts = np.nonzero(near[:, k])[0]
-            val, e, _ = self._direct(k, z[pts], excl[pts], near_term)
-            _accumulate(v, err, pts, val, e)
+        self._direct(z, excl, ~far, v, err, term)
         return v, err
 
 

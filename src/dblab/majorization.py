@@ -28,7 +28,7 @@ from .defaults import DEFAULTS
 from .domains import SampledDomain
 from .errors import AllPointsExcluded, ConfigError
 from .expressions import FunctionExpr, expr_to_json
-from .space import DbSpace, membership, nabla_values
+from .space import DbSpace, _ls_slope, membership, nabla_values
 
 ZeroDivisor = Union[str, Sequence[Tuple[float, int]]]
 
@@ -132,9 +132,7 @@ def tail_slope(z_abs: np.ndarray, values: np.ndarray) -> float:
             ys.append(float(np.max(va[m])))
     if len(xs) < 2:
         return 0.0
-    x, y = np.array(xs), np.array(ys)
-    xb, yb = x.mean(), y.mean()
-    return float(np.sum((x - xb) * (y - yb)) / np.sum((x - xb) ** 2))
+    return _ls_slope(np.array(xs), np.array(ys))
 
 
 def test_majorization(f: FunctionExpr, m: Majorant) -> MajorizationReport:
@@ -191,9 +189,7 @@ def estimate_zero_divisor_order(m: Majorant, x0: float) -> int:
     keep = vals > 0
     if np.count_nonzero(keep) < 4:
         return 0
-    x, y = np.log(deltas[keep]), np.log(vals[keep])
-    slope = float(np.sum((x - x.mean()) * (y - y.mean()))
-                  / np.sum((x - x.mean()) ** 2))
+    slope = _ls_slope(np.log(deltas[keep]), np.log(vals[keep]))
     return max(0, int(round(slope)))
 
 

@@ -32,7 +32,7 @@ from .errors import (ConfigError, DegenerateInner, EnvelopeNotDecaying,
                      NegativeRealPart)
 from .expressions import (Const, FunctionExpr, Poly, Product, Quotient,
                           expr_from_json, expr_to_json)
-from .space import DbSpace
+from .space import DbSpace, _ls_slope
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +204,7 @@ def herglotz_extract(q: FunctionExpr, density_grid: np.ndarray | None = None,
 
     y0, y1, n = DEFAULTS["herglotz_fit_y"]
     y = np.geomspace(y0, y1, int(n))
-    re_iy = q.values(1j * y).real
-    ybar = y.mean()
-    p = float(np.sum((y - ybar) * (re_iy - re_iy.mean())) / np.sum((y - ybar) ** 2))
+    p = _ls_slope(y, q.values(1j * y).real)
     # bounded-measure contributions leak O(1/y^2) into the fit; snap those
     # to the exact p = 0 so the representation invariant p >= 0 holds
     if abs(p) < 1e-6:
@@ -225,7 +223,7 @@ def herglotz_extract(q: FunctionExpr, density_grid: np.ndarray | None = None,
     d_scan = max(dlt, spacing)
     cand = d_scan * np.abs(q.values(grid + 1j * d_scan))
     for i in range(1, grid.size - 1):
-        if cand[i] > _MASS_FLOOR and cand[i] >= cand[i - 1] and cand[i] >= cand[i + 1]:
+        if cand[i] > _MASS_FLOOR and cand[i] > cand[i - 1] and cand[i] >= cand[i + 1]:
             from scipy.optimize import minimize_scalar   # deferred: slow to import
             lo, hi = grid[i - 1], grid[i + 1]
             res = minimize_scalar(lambda x: -abs(q.at(x + 1j * dlt)),
@@ -341,8 +339,7 @@ def weak_type_test(q: FunctionExpr, y0: float, a_grid: Sequence[float],
     xf = np.geomspace(1e2, 1e6, 17)
     gf = g(xf) + g(-xf)
     lg, lx = np.log(np.maximum(gf, 1e-300)), np.log(xf)
-    slope = float(np.sum((lx - lx.mean()) * (lg - lg.mean()))
-                  / np.sum((lx - lx.mean()) ** 2))
+    slope = _ls_slope(lx, lg)
     amp = float(np.exp(lg.mean() - slope * lx.mean()))
     decaying = slope < -0.05
 

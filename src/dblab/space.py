@@ -322,6 +322,12 @@ def norm_squared(space: DbSpace, f: FunctionExpr) -> float:
 # mean type
 # ---------------------------------------------------------------------------
 
+def _ls_slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of ``y`` against ``x``."""
+    xbar, ybar = x.mean(), y.mean()
+    return float(np.sum((x - xbar) * (y - ybar)) / np.sum((x - xbar) ** 2))
+
+
 def mean_type(f: FunctionExpr, theta: float,
               radii: np.ndarray | None = None) -> MeanTypeEstimate:
     """Exponential growth rate of ``f`` along the ray ``r e^{i theta}``.

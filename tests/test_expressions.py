@@ -308,7 +308,7 @@ def test_series_nodes_bound_their_error_against_mpmath(case, kind, t, angle):
         z = 0j
     elif kind == "boundary":      # |z| exactly a power of two, the edge of a modulus shell
         z = 2.0 ** math.floor(-3 + t * (math.log2(rmax) + 3)) * 1j ** round(2 * angle / math.pi)
-    elif kind == "beyond":        # every zero or pole lies in an inner shell
+    elif kind == "beyond":        # |z| beyond every zero or pole: every shell is summed term by term
         if 3.0 * moduli.max() > rmax:
             return
         z = 3.0 * moduli.max() * cmath.exp(1j * angle)

@@ -91,6 +91,17 @@ def test_herglotz_lebesgue_density():
     assert h.total_mass == math.inf
 
 
+def test_herglotz_plateau_yields_no_mass_candidates(monkeypatch):
+    # a flat delta*|q| profile has no strict local maximum to refine
+    import scipy.optimize
+    calls = []
+    real = scipy.optimize.minimize_scalar
+    monkeypatch.setattr(scipy.optimize, "minimize_scalar",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    assert not herglotz_extract(Const(1.0)).point_masses
+    assert not calls
+
+
 def test_herglotz_rejects_negative_real_part():
     with pytest.raises(NegativeRealPart):
         herglotz_extract(Product([Const(-1.0), Q_ONE]))
