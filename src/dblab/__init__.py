@@ -13,8 +13,8 @@ from .domains import SampledDomain, axis, horizontal_ray, line, ray, union
 from .errors import DblabError
 from .expressions import (Affine, CanonicalProduct, Const, Cos, EvalResult,
                           ExpCZ, FunctionExpr, PartialFractions, Poly,
-                          PoleSequence, Power, Product, Quotient, Sin, Sinc,
-                          Sum, Z, ZeroSequence, derivative, evaluate,
+                          PoleSequence, Power, Product, Quotient, Sharp, Sin,
+                          Sinc, Sum, Z, ZeroSequence, derivative, evaluate,
                           expr_from_json, expr_to_json, sharp)
 from .majorization import (AdmissibilityReport, Majorant, MajorizationReport,
                            admissibility_check, expr_majorant, mS_majorant,

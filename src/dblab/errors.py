@@ -18,9 +18,14 @@ class DblabError(Exception):
 
 
 class PoleHit(DblabError):
-    """Evaluation point inside the exclusion radius of a pole."""
+    """Evaluation point ``z`` inside the exclusion radius of a pole;
+    ``template`` words the detail around ``{z}``."""
 
     kind = "pole-hit"
+
+    def __init__(self, z, template: str):
+        super().__init__(template.format(z=z))
+        self.z, self.template = z, template
 
 
 class TruncationBudgetExceeded(DblabError):

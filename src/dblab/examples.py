@@ -258,8 +258,7 @@ def build_pw(a: float = 1.0) -> ExampleInstance:
               member_norm2([(1.0, xs[0]), (-1.0, xs[2])])]
     return ExampleInstance(
         "pw", {"a": a}, {"H": sp}, members, non_members,
-        extras={"kernel_closed": lambda w, z: pw_kernel_closed(a, w, z),
-                "member_norms2": norms2, "kernel_points": xs})
+        extras={"member_norms2": norms2})
 
 
 def a20_structure_function() -> FunctionExpr:
@@ -279,12 +278,7 @@ def build_a20() -> ExampleInstance:
     non_members = [("cos z", Cos(), "L")]
     return ExampleInstance(
         "a20", {}, {"H": big, "L": pw1}, members, non_members,
-        extras={"A": Cos(), "B": Sum([Product([Z(), Cos()]), Sin()]),
-                "nabla_L_on_line": lambda h: math.sqrt(math.sinh(2 * h) / (2 * math.pi * h))
-                if h > 0 else 1.0 / math.sqrt(math.pi),
-                "cos_line_sup_ratio": lambda h: math.cosh(h)
-                / math.sqrt(math.sinh(2 * h) / (2 * math.pi * h)),
-                "cos_ray_ratio": lambda y: math.sqrt(math.pi * y / math.tanh(y))})
+        extras={"A": Cos(), "B": Sum([Product([Z(), Cos()]), Sin()])})
 
 
 @lru_cache(maxsize=None)
@@ -328,9 +322,7 @@ def build_a38(n: int | None = None) -> ExampleInstance:
     sp = DbSpace(e0, None, 0.5, 0.0, "a38")
     return ExampleInstance(
         "a38", {"n": n}, {"H": sp}, [], [],
-        extras={"G": g, "Gtilde": gtilde, "E0": e0,
-                "constant": a38_constant(),
-                "g_closed": a38_g_closed,
+        extras={"G": g, "Gtilde": gtilde,
                 "gtilde_x2_envelope": a38_gtilde_x2_envelope})
 
 
@@ -376,9 +368,7 @@ def build_a45(n: int | None = None) -> ExampleInstance:
 def a45_truncated_space(n: int = 200) -> DbSpace:
     """Finite product with the conjugated (lower half-plane) zero set; a
     genuine HB polynomial-type function used for phase-route cross-checks."""
-    seq = a45_zero_sequence(n)
-    conj = seq.conjugated()
-    lower = ZeroSequence(f"a45#[{n}]", conj.zeros, 0, None, None, None)
+    lower = ZeroSequence(f"a45#[{n}]", np.conj(a45_zero_sequence(n).zeros), 0)
     sp = DbSpace(CanonicalProduct(lower), lower, 0.0, 0.0, f"a45-trunc-{n}")
     return sp
 

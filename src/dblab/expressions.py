@@ -15,9 +15,10 @@ point through power moments, every other shell term by term (see
 ``_Shells``); the moment tables a sequence builds at its first evaluation
 are caches, and no value depends on whether they were built.
 
-The ``#``-conjugate ``F#(z) = conj(F(conj z))`` is implemented
-structurally: every node knows its own conjugate, so double conjugation
-returns a tree that evaluates identically to the original.
+The ``#``-conjugate ``F#(z) = conj(F(conj z))`` is one node, ``Sharp``,
+which evaluates its child at the conjugate points and conjugates the
+values.  Its error estimate is the child's, and its own ``sharp()`` is
+the child.
 
 JSON codec: each node serializes to ``{"kind": ..., ...}`` with complex
 payloads as ``[re, im]`` pairs.  Zero/pole sequences serialize either as
@@ -116,12 +117,6 @@ class ZeroSequence:
     def __len__(self) -> int:
         return int(self.zeros.size)
 
-    def conjugated(self) -> "ZeroSequence":
-        spec = {"kind": "conjugate", "base": self.spec} if self.spec else None
-        inv = None if self.tail_inv_sum is None else np.conj(self.tail_inv_sum)
-        return ZeroSequence(self.label + "#", np.conj(self.zeros), self.genus,
-                            self.tail_log_bound, inv, spec)
-
     def shells(self) -> "_Shells":
         """Modulus shells of the zeros, built at the first evaluation."""
         return _cached_shells(self, self.zeros)
@@ -217,8 +212,6 @@ def zero_sequence_from_spec(spec: dict) -> ZeroSequence:
             raise ConfigError(f"a zero list needs a list of zeros and an integer genus: {spec!r}")
         zs = np.array([_pair2c(p) for p in zeros], dtype=complex)
         return ZeroSequence("list", zs, genus, None, None, spec)
-    if kind == "conjugate":
-        return zero_sequence_from_spec(spec.get("base")).conjugated()
     if kind == "named":
         return _from_builder(SEQUENCE_BUILDERS, spec, "zero-sequence")
     raise ConfigError(f"bad zero-sequence spec: {spec!r}")
@@ -451,7 +444,7 @@ class _Shells:
             close = np.abs(d) < exb
             if np.any(close):
                 zbad = np.broadcast_to(zb, close.shape)[close][0]
-                raise PoleHit(f"z={zbad} within exclusion radius of a series pole")
+                raise PoleHit(zbad, "z={z} within exclusion radius of a series pole")
             return self.weights[None, a:b] * zb / (t * d), 0.0, False
 
         self._direct(z, excl, ~far, v, err, term)
@@ -463,7 +456,7 @@ class _Shells:
 # ---------------------------------------------------------------------------
 
 class FunctionExpr:
-    """Base class. Subclasses implement ``_eval`` and ``sharp``."""
+    """Base class. Subclasses implement ``_eval`` and ``to_json``."""
 
     kind = "?"
 
@@ -471,7 +464,8 @@ class FunctionExpr:
         raise NotImplementedError
 
     def sharp(self) -> "FunctionExpr":
-        raise NotImplementedError
+        """``F#(z) = conj(F(conj z))``."""
+        return Sharp(self)
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -546,9 +540,6 @@ class Const(FunctionExpr):
         v = np.full(z.shape, self.value, dtype=complex)
         return v, np.full(z.shape, abs(self.value) * EPS)
 
-    def sharp(self):
-        return Const(np.conj(self.value))
-
     def to_json(self):
         return {"kind": "const", "value": _c2pair(self.value)}
 
@@ -558,9 +549,6 @@ class Z(FunctionExpr):
 
     def _eval(self, z, ctx):
         return z.copy(), np.abs(z) * EPS
-
-    def sharp(self):
-        return Z()
 
     def to_json(self):
         return {"kind": "z"}
@@ -578,9 +566,6 @@ class ExpCZ(FunctionExpr):
         v = np.exp(self.coeff * z)
         return v, 4.0 * EPS * np.abs(v) * (1.0 + np.abs(self.coeff * z))
 
-    def sharp(self):
-        return ExpCZ(np.conj(self.coeff))
-
     def to_json(self):
         return {"kind": "exp", "coeff": _c2pair(self.coeff)}
 
@@ -592,9 +577,6 @@ class Sin(FunctionExpr):
         v = np.sin(z)
         return v, 4.0 * EPS * (np.abs(v) + np.abs(z))
 
-    def sharp(self):
-        return Sin()
-
     def to_json(self):
         return {"kind": "sin"}
 
@@ -605,9 +587,6 @@ class Cos(FunctionExpr):
     def _eval(self, z, ctx):
         v = np.cos(z)
         return v, 4.0 * EPS * (np.abs(v) + np.abs(z))
-
-    def sharp(self):
-        return Cos()
 
     def to_json(self):
         return {"kind": "cos"}
@@ -635,9 +614,6 @@ class Sinc(FunctionExpr):
         v = csinc(z)
         return v, 4.0 * EPS * (np.abs(v) + 1.0)
 
-    def sharp(self):
-        return Sinc()
-
     def to_json(self):
         return {"kind": "sinc"}
 
@@ -657,9 +633,6 @@ class Poly(FunctionExpr):
         az = np.abs(z)
         cond = np.polynomial.polynomial.polyval(az, np.abs(self.coeffs))
         return v, EPS * (self.coeffs.size + 1) * cond
-
-    def sharp(self):
-        return Poly(np.conj(self.coeffs))
 
     def roots(self) -> np.ndarray:
         c = np.trim_zeros(self.coeffs, "b")
@@ -684,9 +657,6 @@ class Affine(FunctionExpr):
     def _eval(self, z, ctx):
         return self.child._eval(self.scale * z + self.shift, ctx)
 
-    def sharp(self):
-        return Affine(self.child.sharp(), np.conj(self.scale), np.conj(self.shift))
-
     def to_json(self):
         return {"kind": "affine", "child": self.child.to_json(),
                 "scale": _c2pair(self.scale), "shift": _c2pair(self.shift)}
@@ -707,9 +677,6 @@ class Sum(FunctionExpr):
             e = e + ce + EPS * np.abs(v)
         return v, e
 
-    def sharp(self):
-        return Sum([c.sharp() for c in self.children])
-
     def to_json(self):
         return {"kind": "sum", "children": [c.to_json() for c in self.children]}
 
@@ -728,9 +695,6 @@ class Product(FunctionExpr):
             e = e * np.abs(cv) + ce * np.abs(v) + EPS * np.abs(v * cv)
             v = v * cv
         return v, e
-
-    def sharp(self):
-        return Product([c.sharp() for c in self.children])
 
     def to_json(self):
         return {"kind": "product", "children": [c.to_json() for c in self.children]}
@@ -754,18 +718,15 @@ class Quotient(FunctionExpr):
             dist = np.min(np.abs(z[..., None] - self._den_roots[None, :]), axis=-1)
             if np.any(dist < excl):
                 zbad = z[dist < excl].ravel()[0]
-                raise PoleHit(f"z={zbad} within exclusion radius of a denominator zero")
+                raise PoleHit(zbad, "z={z} within exclusion radius of a denominator zero")
         else:
             # overflow (inf) denominators are fine: the quotient underflows to 0
             bad = dv == 0
             if np.any(bad):
-                raise PoleHit(f"denominator vanished at z={z[bad].ravel()[0]}")
+                raise PoleHit(z[bad].ravel()[0], "denominator vanished at z={z}")
         v = nv / dv
         e = (ne + np.abs(v) * de) / np.abs(dv) + EPS * np.abs(v)
         return v, e
-
-    def sharp(self):
-        return Quotient(self.num.sharp(), self.den.sharp())
 
     def to_json(self):
         return {"kind": "quotient", "num": self.num.to_json(), "den": self.den.to_json()}
@@ -786,9 +747,6 @@ class Power(FunctionExpr):
         v = cv ** k
         e = k * np.abs(cv) ** max(k - 1, 0) * ce + EPS * np.abs(v)
         return v, e
-
-    def sharp(self):
-        return Power(self.child.sharp(), self.exponent)
 
     def to_json(self):
         return {"kind": "power", "child": self.child.to_json(), "exponent": self.exponent}
@@ -829,9 +787,6 @@ class CanonicalProduct(FunctionExpr):
         v[hit] = 0.0
         return v.reshape(z.shape), e.reshape(z.shape)
 
-    def sharp(self):
-        return CanonicalProduct(self.seq.conjugated())
-
     def to_json(self):
         return {"kind": "canonical-product", "zeros": self.seq.to_spec()}
 
@@ -856,12 +811,31 @@ class PartialFractions(FunctionExpr):
             e = e + np.asarray(self.seq.tail_abs_bound(np.abs(flat)), dtype=float)
         return v.reshape(z.shape), e.reshape(z.shape)
 
-    def sharp(self):
-        # real poles and masses: the series is its own #-conjugate
-        return PartialFractions(self.seq)
-
     def to_json(self):
         return {"kind": "partial-fractions", "poles": self.seq.to_spec()}
+
+
+class Sharp(FunctionExpr):
+    """``conj(child(conj z))``, with the child's error estimate."""
+
+    kind = "sharp"
+
+    def __init__(self, child: FunctionExpr):
+        self.child = child
+
+    def _eval(self, z, ctx):
+        try:
+            v, e = self.child._eval(np.conj(z), ctx)
+        except PoleHit as exc:
+            # name the point the caller passed, not its conjugate
+            raise PoleHit(np.conj(exc.z), exc.template) from None
+        return np.conj(v), e
+
+    def sharp(self):
+        return self.child
+
+    def to_json(self):
+        return {"kind": "sharp", "child": self.child.to_json()}
 
 
 # ---------------------------------------------------------------------------
@@ -949,7 +923,6 @@ _DECODERS: Dict[str, Callable[[dict], FunctionExpr]] = {
     "quotient": lambda d: Quotient(_child(d, "num"), _child(d, "den")),
     "power": lambda d: Power(_child(d), _field(d, "exponent", (int, float))),
     "sharp": lambda d: _child(d).sharp(),
-    "sharp-conjugate": lambda d: _child(d).sharp(),
     "canonical-product": lambda d: CanonicalProduct(zero_sequence_from_spec(_field(d, "zeros"))),
     "partial-fractions": lambda d: PartialFractions(pole_sequence_from_spec(_field(d, "poles"))),
 }

@@ -27,7 +27,7 @@ import numpy as np
 from .defaults import DEFAULTS
 from .domains import SampledDomain
 from .errors import AllPointsExcluded, ConfigError
-from .expressions import FunctionExpr, expr_to_json
+from .expressions import FunctionExpr
 from .space import DbSpace, _ls_slope, membership, nabla_values
 
 ZeroDivisor = Union[str, Sequence[Tuple[float, int]]]
@@ -43,20 +43,12 @@ class Majorant:
     fn: Callable[[np.ndarray], np.ndarray]
     domain: SampledDomain
     zero_divisor: ZeroDivisor = ()
-    spec: dict | None = None
 
     def values(self, z: np.ndarray) -> np.ndarray:
         v = np.asarray(self.fn(np.asarray(z, dtype=complex)), dtype=float)
         if np.any(v < -1e-300):
             raise ConfigError(f"majorant {self.label} negative on the grid")
         return v
-
-    def to_json(self) -> dict:
-        zd = self.zero_divisor
-        if not isinstance(zd, str):
-            zd = [[float(x), int(k)] for x, k in zd]
-        return {"label": self.label, "domain": self.domain.to_json(),
-                "zero-divisor": zd, "base": self.spec}
 
 
 def nabla_majorant(space: DbSpace, domain: SampledDomain) -> Majorant:
@@ -72,7 +64,7 @@ def nabla_majorant(space: DbSpace, domain: SampledDomain) -> Majorant:
         real = zs[np.abs(zs.imag) < 1e-12]
         zd = [(float(x.real), 1) for x in real]
     return Majorant(f"nabla[{space.label}]", lambda z: nabla_values(space, z),
-                    domain, tuple(zd), {"type": "nabla", "space": space.to_json()})
+                    domain, tuple(zd))
 
 
 def mS_majorant(s: FunctionExpr, domain: SampledDomain,
@@ -83,15 +75,13 @@ def mS_majorant(s: FunctionExpr, domain: SampledDomain,
     def fn(z):
         return np.maximum(np.abs(s.values(z)), np.abs(ssharp.values(z))) / np.abs(z + 1j)
 
-    return Majorant("mS", fn, domain, zero_divisor,
-                    {"type": "mS", "S": expr_to_json(s)})
+    return Majorant("mS", fn, domain, zero_divisor)
 
 
 def expr_majorant(f: FunctionExpr, domain: SampledDomain,
                   zero_divisor: ZeroDivisor = ()) -> Majorant:
     """User expression taken in modulus."""
-    return Majorant("expr", lambda z: np.abs(f.values(z)), domain, zero_divisor,
-                    {"type": "expr", "f": expr_to_json(f)})
+    return Majorant("expr", lambda z: np.abs(f.values(z)), domain, zero_divisor)
 
 
 @dataclass

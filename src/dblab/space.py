@@ -52,9 +52,7 @@ class DbSpace:
 
     @property
     def e_sharp(self) -> FunctionExpr:
-        if "e_sharp" not in self._cache:
-            self._cache["e_sharp"] = self.e.sharp()
-        return self._cache["e_sharp"]
+        return self.e.sharp()
 
     @property
     def a(self) -> FunctionExpr:
@@ -142,19 +140,24 @@ def kernel_diagonal(space: DbSpace, z) -> complex:
 
 
 def kernel_diagonal_values(space: DbSpace, zs) -> np.ndarray:
-    """Vectorized diagonal kernel; one Cauchy ring shared per batch."""
+    """Vectorized diagonal kernel; one Cauchy ring shared per batch.
+
+    E# on the ring is ``conj(E(conj ring))``, with the ring and the values
+    conjugated in place, so the batch holds one ring of points.
+    """
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     m = DEFAULTS["derivative_nodes"]
     r = DEFAULTS["derivative_radius_scale"] * (1.0 + np.abs(zs))
     theta = 2.0 * np.pi * np.arange(m) / m
     ring = zs[:, None] + r[:, None] * np.exp(1j * theta)[None, :]
     ev = space.e.values(ring)
-    esv = space.e_sharp.values(ring)
+    esv = space.e.values(np.conj(ring, out=ring))
+    np.conj(esv, out=esv)
     phase = np.exp(-1j * theta)
     ed = (ev @ phase) / (m * r)
     esd = (esv @ phase) / (m * r)
     e0 = space.e.values(zs)
-    es0 = space.e_sharp.values(zs)
+    es0 = np.conj(space.e.values(np.conj(zs)))
     return (e0 * esd - ed * es0) / TWO_PI_I
 
 
@@ -177,9 +180,9 @@ def kernel(space: DbSpace, w, z):
             num = (space.e.values(zf) * space.e_sharp.at(np.conj(w))
                    - space.e.at(np.conj(w)) * space.e_sharp.values(zf))
             out[far] = num / (TWO_PI_I * u[far])
-        for i in np.nonzero(~far)[0]:
-            mid = 0.5 * (np.conj(w) + zz[i])
-            out[i] = kernel_diagonal(space, mid)
+        near = ~far
+        if np.any(near):
+            out[near] = kernel_diagonal_values(space, 0.5 * (np.conj(w) + zz[near]))
     bad = ~np.isfinite(out)
     if np.any(bad):
         raise Overflow(f"the kernel K(w, z) at w={w}, z={zz[bad][0]} is not "

@@ -4,10 +4,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from dblab.cli import _jsonable, main, parse_complex
-from dblab.examples import pw_space
+from dblab.examples import build_a20, pw_space
+from dblab.expressions import expr_from_json
+from dblab.model import InnerFunction, clark_kernel
 
 
 def run_cli(args, stdin=None, env=None):
@@ -178,6 +181,22 @@ def test_clark_subcommand():
     res = json.loads(out)["result"]
     assert res["diagonal"] > 0
     assert res["kernel"]["kind"] == "product"
+    assert res["checks"]["contraction-margin"] > 0
+
+
+def test_clark_of_the_ratio_inner_function():
+    space = build_a20().spaces["H"].to_json()
+    theta = {"kind": "ratio", "space": space}
+    rc, out, _ = run_cli(["clark", "--theta", json.dumps(theta), "--z", "0.5+0.8i"])
+    assert rc == 0
+    res = json.loads(out)["result"]
+    th = InnerFunction.from_spec(theta)
+    z = 0.5 + 0.8j
+    pts = np.linspace(-3, 3, 20) + 1j * np.linspace(0.1, 2.0, 20)
+    got = expr_from_json(res["kernel"]).values(pts)
+    assert np.allclose(got, clark_kernel(th, z).values(pts), rtol=1e-13, atol=0)
+    expect = (1 - abs(th.at(z)) ** 2) / (4 * math.pi * z.imag)
+    assert res["diagonal"] == pytest.approx(expect, rel=1e-15)
     assert res["checks"]["contraction-margin"] > 0
 
 

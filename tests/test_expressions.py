@@ -46,7 +46,41 @@ def test_sharp_examples():
     z = 0.3 + 0.2j
     assert Cos().sharp().at(z) == Cos().at(z)
     p = Poly([-(1 + 1j), 1.0]).sharp()
-    assert np.allclose(p.coeffs, [-(1 - 1j), 1.0])
+    assert p.at(z) == Poly([-(1 - 1j), 1.0]).at(z)
+
+
+def test_sharp_matches_the_node_with_conjugated_parameters(rng):
+    # F#(z) = conj(F(conj z)) is, bit for bit in value and abs_error, the
+    # node rebuilt with conjugated parameters; the real axis is included
+    x = rng.uniform(-50, 50, 2000)
+    z = np.concatenate([x + 1j * rng.uniform(-50, 50, 2000), x + 0j])
+    seq = a38_g_sequence(100_000)
+    lower = ZeroSequence("a38_g#", np.conj(seq.zeros), seq.genus,
+                         seq.tail_log_bound, np.conj(seq.tail_inv_sum))
+    pairs = [(ExpCZ(0.3 - 1.7j), ExpCZ(0.3 + 1.7j)),
+             (Poly([1j, 0.5 - 2j, -2.0]), Poly([-1j, 0.5 + 2j, -2.0])),
+             (Affine(ExpCZ(0.4j), 2.0 - 0.5j, -1.3 + 0.2j),
+              Affine(ExpCZ(-0.4j), 2.0 + 0.5j, -1.3 - 0.2j)),
+             (CanonicalProduct(seq), CanonicalProduct(lower))]
+    for f, rebuilt in pairs:
+        v, e = f.sharp().eval_array(z)
+        rv, rerr = rebuilt.eval_array(z)
+        assert np.array_equal(v.view(np.uint64), rv.view(np.uint64)), f.kind
+        assert np.array_equal(e.view(np.uint64), rerr.view(np.uint64)), f.kind
+    # these nodes are their own conjugates up to the signs of zero parts
+    for f in (Z(), Sin(), Cos(), Sinc(), PartialFractions(a41_pole_sequence(2.0, 1000))):
+        v, e = f.sharp().eval_array(z)
+        rv, rerr = f.eval_array(z)
+        assert np.array_equal(v, rv) and np.array_equal(e, rerr), f.kind
+
+
+def test_pole_hit_in_sharp_names_the_point_passed():
+    f = Quotient(Const(1.0), Poly([-(1 + 1j), 1.0])).sharp()
+    with pytest.raises(PoleHit, match=r"z=\(1-1j\) within"):
+        f.at(1 - 1j)
+    g = PartialFractions(PoleSequence("one", [2.0], [1.0])).sharp()
+    with pytest.raises(PoleHit, match=r"z=\(2\+0j\) within"):
+        g.at(2.0)
 
 
 SHIPPED = [

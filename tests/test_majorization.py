@@ -5,7 +5,7 @@ import pytest
 
 from dblab import domains as dom
 from dblab.errors import AllPointsExcluded, ConfigError
-from dblab.examples import pw_kernel_expr, pw_space
+from dblab.examples import a45_truncated_space, pw_kernel_expr, pw_space
 from dblab.expressions import Const, Cos, ExpCZ, Product, Sinc
 from dblab.majorization import (Majorant, admissibility_check, expr_majorant,
                                 mS_majorant, nabla_majorant)
@@ -63,6 +63,17 @@ def test_nabla_majorant_is_constant_on_lines(pw1):
         expect = math.sqrt(math.sinh(2 * h) / (2 * math.pi * h))
         vals = m.values(m.domain.points())
         assert np.allclose(vals, expect, rtol=1e-12)
+
+
+def test_nabla_majorant_of_a_space_too_large_to_serialize():
+    # 10,002 unnamed zeros: more than a space serializes inline; the zeros
+    # lie below the axis, so the product is HB, but the default HB grid
+    # overflows it
+    sp = a45_truncated_space(5_002)
+    sp.hb_verified = True
+    m = nabla_majorant(sp, dom.ray(0.5, 1.0, rmax=100.0))
+    assert m.label == "nabla[a45-trunc-5002]"
+    assert np.all(m.values(np.array([1j, 0.5 + 2j])) > 0)
 
 
 def test_nabla_majorant_on_axis(pw1):

@@ -94,6 +94,20 @@ def test_kernel_continuous_across_diagonal_switch(pw1):
         assert abs(kernel(pw1, w, z) - expect) < 1e-8
 
 
+def test_kernel_array_matches_scalar_calls(pw1, rng):
+    # far points and two inside the diagonal switch, in one array
+    w = 0.7 + 0.4j
+    delta = 1e-6 * (1 + abs(w))
+    far = rng.uniform(-4, 4, 30) + 1j * rng.uniform(-1, 2, 30)
+    z = np.concatenate([far[:15], [np.conj(w) + 0.5 * delta], far[15:],
+                        [np.conj(w) - 0.3j * delta]])
+    for sp in (pw1, DbSpace(a20_structure_function())):
+        got = kernel(sp, w, z)
+        expect = np.array([kernel(sp, w, zi) for zi in z])
+        assert got.shape == z.shape
+        assert np.all(np.abs(got - expect) <= 1e-13 * np.abs(expect))
+
+
 def test_kernel_diagonal_positive_when_hb(pw1, zpi, rng):
     pts = rng.uniform(-5, 5, 50) + 1j * rng.uniform(0.0, 3.0, 50)
     for sp in (pw1, zpi):
