@@ -4,9 +4,11 @@ The node set covers closed forms (constants, the identity, ``exp(c*z)``,
 ``sin``, ``cos``, polynomials), arithmetic combinations, affine
 composition, integer powers, truncated canonical products over a declared
 zero sequence, and partial-fraction series over a pole sequence.  Every
-node evaluates vectorized over numpy arrays of complex points and carries
-an absolute-error estimate (truncation + bounded roundoff) alongside the
-value.
+node evaluates vectorized over numpy arrays of complex points.
+``eval_array`` returns the values together with an absolute-error estimate
+(truncation + bounded roundoff); ``values`` returns the same values only,
+through ``_value``, which skips the error propagation of every node but
+the canonical products and partial-fraction series.
 
 Expressions are immutable after construction and evaluation is pure, so
 values are safe to share across threads.  Canonical products and
@@ -456,12 +458,17 @@ class _Shells:
 # ---------------------------------------------------------------------------
 
 class FunctionExpr:
-    """Base class. Subclasses implement ``_eval`` and ``to_json``."""
+    """Base class. Subclasses implement ``_eval`` and ``to_json``, and may
+    override ``_value`` with a path that skips the error estimate."""
 
     kind = "?"
 
     def _eval(self, z: np.ndarray, ctx: dict):
         raise NotImplementedError
+
+    def _value(self, z: np.ndarray, ctx: dict):
+        """The values of ``_eval``, bit for bit."""
+        return self._eval(z, ctx)[0]
 
     def sharp(self) -> "FunctionExpr":
         """``F#(z) = conj(F(conj z))``."""
@@ -472,28 +479,31 @@ class FunctionExpr:
 
     # -- evaluation entry points ------------------------------------------
 
-    def eval_array(self, z, max_terms: int | None = None):
-        """Vectorized evaluation; returns (values, abs_error_estimates).
+    def eval_array(self, z, max_terms: int | None = None, *, error: bool = True):
+        """Vectorized evaluation; returns (values, abs_error_estimates), or
+        (values, None) when ``error`` is false.
 
         ``max_terms`` caps the terms of each product or series node
         (default ``max_series_terms``).
         """
         ctx = {"max_terms": DEFAULTS["max_series_terms"] if max_terms is None else max_terms}
         zz = np.asarray(z, dtype=complex)
+        z1 = np.atleast_1d(zz)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            vals, errs = self._eval(np.atleast_1d(zz), ctx)
-        vals = np.asarray(vals, dtype=complex).reshape(np.atleast_1d(zz).shape)
-        errs = np.asarray(errs, dtype=float).reshape(np.atleast_1d(zz).shape)
+            vals, errs = self._eval(z1, ctx) if error else (self._value(z1, ctx), None)
+        vals = np.asarray(vals, dtype=complex).reshape(z1.shape)
+        if errs is not None:
+            errs = np.asarray(errs, dtype=float).reshape(z1.shape)
         if zz.shape == ():
-            return vals[0], errs[0]
+            return vals[0], None if errs is None else errs[0]
         return vals, errs
 
     def values(self, z) -> np.ndarray:
-        return self.eval_array(z)[0]
+        """The values of ``eval_array``, without the error estimates."""
+        return self.eval_array(z, error=False)[0]
 
     def at(self, z) -> complex:
-        v, _ = self.eval_array(complex(z))
-        return complex(v)
+        return complex(self.values(complex(z)))
 
     # -- arithmetic sugar ---------------------------------------------------
 
@@ -536,9 +546,11 @@ class Const(FunctionExpr):
     def __init__(self, value):
         self.value = complex(value)
 
+    def _value(self, z, ctx):
+        return np.full(z.shape, self.value, dtype=complex)
+
     def _eval(self, z, ctx):
-        v = np.full(z.shape, self.value, dtype=complex)
-        return v, np.full(z.shape, abs(self.value) * EPS)
+        return self._value(z, ctx), np.full(z.shape, abs(self.value) * EPS)
 
     def to_json(self):
         return {"kind": "const", "value": _c2pair(self.value)}
@@ -547,8 +559,11 @@ class Const(FunctionExpr):
 class Z(FunctionExpr):
     kind = "z"
 
+    def _value(self, z, ctx):
+        return z.copy()
+
     def _eval(self, z, ctx):
-        return z.copy(), np.abs(z) * EPS
+        return self._value(z, ctx), np.abs(z) * EPS
 
     def to_json(self):
         return {"kind": "z"}
@@ -562,8 +577,11 @@ class ExpCZ(FunctionExpr):
     def __init__(self, coeff):
         self.coeff = complex(coeff)
 
+    def _value(self, z, ctx):
+        return np.exp(self.coeff * z)
+
     def _eval(self, z, ctx):
-        v = np.exp(self.coeff * z)
+        v = self._value(z, ctx)
         return v, 4.0 * EPS * np.abs(v) * (1.0 + np.abs(self.coeff * z))
 
     def to_json(self):
@@ -573,8 +591,11 @@ class ExpCZ(FunctionExpr):
 class Sin(FunctionExpr):
     kind = "sin"
 
+    def _value(self, z, ctx):
+        return np.sin(z)
+
     def _eval(self, z, ctx):
-        v = np.sin(z)
+        v = self._value(z, ctx)
         return v, 4.0 * EPS * (np.abs(v) + np.abs(z))
 
     def to_json(self):
@@ -584,8 +605,11 @@ class Sin(FunctionExpr):
 class Cos(FunctionExpr):
     kind = "cos"
 
+    def _value(self, z, ctx):
+        return np.cos(z)
+
     def _eval(self, z, ctx):
-        v = np.cos(z)
+        v = self._value(z, ctx)
         return v, 4.0 * EPS * (np.abs(v) + np.abs(z))
 
     def to_json(self):
@@ -610,8 +634,11 @@ class Sinc(FunctionExpr):
 
     kind = "sinc"
 
+    def _value(self, z, ctx):
+        return csinc(z)
+
     def _eval(self, z, ctx):
-        v = csinc(z)
+        v = self._value(z, ctx)
         return v, 4.0 * EPS * (np.abs(v) + 1.0)
 
     def to_json(self):
@@ -628,8 +655,11 @@ class Poly(FunctionExpr):
         if self.coeffs.size == 0:
             self.coeffs = np.zeros(1, dtype=complex)
 
+    def _value(self, z, ctx):
+        return np.polynomial.polynomial.polyval(z, self.coeffs)
+
     def _eval(self, z, ctx):
-        v = np.polynomial.polynomial.polyval(z, self.coeffs)
+        v = self._value(z, ctx)
         az = np.abs(z)
         cond = np.polynomial.polynomial.polyval(az, np.abs(self.coeffs))
         return v, EPS * (self.coeffs.size + 1) * cond
@@ -657,6 +687,9 @@ class Affine(FunctionExpr):
     def _eval(self, z, ctx):
         return self.child._eval(self.scale * z + self.shift, ctx)
 
+    def _value(self, z, ctx):
+        return self.child._value(self.scale * z + self.shift, ctx)
+
     def to_json(self):
         return {"kind": "affine", "child": self.child.to_json(),
                 "scale": _c2pair(self.scale), "shift": _c2pair(self.shift)}
@@ -677,6 +710,13 @@ class Sum(FunctionExpr):
             e = e + ce + EPS * np.abs(v)
         return v, e
 
+    def _value(self, z, ctx):
+        v = np.zeros(z.shape, dtype=complex)
+        for c in self.children:
+            cv = c._value(z, ctx)
+            v = v + cv
+        return v
+
     def to_json(self):
         return {"kind": "sum", "children": [c.to_json() for c in self.children]}
 
@@ -696,6 +736,15 @@ class Product(FunctionExpr):
             v = v * cv
         return v, e
 
+    def _value(self, z, ctx):
+        # name each child's value first: in ``v * c._value(...)`` numpy may
+        # multiply into the temporary in place, which rounds differently
+        v = np.ones(z.shape, dtype=complex)
+        for c in self.children:
+            cv = c._value(z, ctx)
+            v = v * cv
+        return v
+
     def to_json(self):
         return {"kind": "product", "children": [c.to_json() for c in self.children]}
 
@@ -710,9 +759,7 @@ class Quotient(FunctionExpr):
         if isinstance(den, Poly):
             self._den_roots = den.roots()
 
-    def _eval(self, z, ctx):
-        nv, ne = self.num._eval(z, ctx)
-        dv, de = self.den._eval(z, ctx)
+    def _check_poles(self, z, dv):
         excl = DEFAULTS["pole_exclusion_scale"] * (1.0 + np.abs(z))
         if self._den_roots is not None and self._den_roots.size:
             dist = np.min(np.abs(z[..., None] - self._den_roots[None, :]), axis=-1)
@@ -724,9 +771,20 @@ class Quotient(FunctionExpr):
             bad = dv == 0
             if np.any(bad):
                 raise PoleHit(z[bad].ravel()[0], "denominator vanished at z={z}")
+
+    def _eval(self, z, ctx):
+        nv, ne = self.num._eval(z, ctx)
+        dv, de = self.den._eval(z, ctx)
+        self._check_poles(z, dv)
         v = nv / dv
         e = (ne + np.abs(v) * de) / np.abs(dv) + EPS * np.abs(v)
         return v, e
+
+    def _value(self, z, ctx):
+        nv = self.num._value(z, ctx)
+        dv = self.den._value(z, ctx)
+        self._check_poles(z, dv)
+        return nv / dv
 
     def to_json(self):
         return {"kind": "quotient", "num": self.num.to_json(), "den": self.den.to_json()}
@@ -747,6 +805,10 @@ class Power(FunctionExpr):
         v = cv ** k
         e = k * np.abs(cv) ** max(k - 1, 0) * ce + EPS * np.abs(v)
         return v, e
+
+    def _value(self, z, ctx):
+        cv = self.child._value(z, ctx)
+        return cv ** self.exponent
 
     def to_json(self):
         return {"kind": "power", "child": self.child.to_json(), "exponent": self.exponent}
@@ -823,13 +885,20 @@ class Sharp(FunctionExpr):
     def __init__(self, child: FunctionExpr):
         self.child = child
 
-    def _eval(self, z, ctx):
+    @staticmethod
+    def _at_conj(fn, z, ctx):
         try:
-            v, e = self.child._eval(np.conj(z), ctx)
+            return fn(np.conj(z), ctx)
         except PoleHit as exc:
             # name the point the caller passed, not its conjugate
             raise PoleHit(np.conj(exc.z), exc.template) from None
+
+    def _eval(self, z, ctx):
+        v, e = self._at_conj(self.child._eval, z, ctx)
         return np.conj(v), e
+
+    def _value(self, z, ctx):
+        return np.conj(self._at_conj(self.child._value, z, ctx))
 
     def sharp(self):
         return self.child

@@ -116,14 +116,18 @@ def default_hb_grid() -> np.ndarray:
 def hb_check(space: DbSpace, grid: np.ndarray | None = None):
     """True iff |E#| < |E| at every grid point; also reports the worst margin.
 
-    Sets ``space.hb_verified`` on success.
+    Sets ``space.hb_verified`` on success.  Raises :class:`Overflow` when
+    |E| or |E#| is not finite at a grid point.
     """
     grid = default_hb_grid() if grid is None else np.asarray(grid, dtype=complex)
     if grid.size == 0 or np.any(np.imag(grid) <= 0):
         raise ConfigError("hb_check grid must be nonempty with Im z > 0")
-    ev = space.e.values(grid)
-    es = space.e_sharp.values(grid)
-    margin = float(np.min(np.abs(ev) - np.abs(es)))
+    ev = np.abs(space.e.values(grid))
+    es = np.abs(space.e_sharp.values(grid))
+    bad = ~(np.isfinite(ev) & np.isfinite(es))
+    if np.any(bad):
+        raise Overflow(f"|E| or |E#| at z={grid[bad][0]} is not finite in double precision")
+    margin = float(np.min(ev - es))
     ok = bool(margin > 0.0)
     if ok:
         space.hb_verified = True
@@ -307,10 +311,10 @@ def inner_product(space: DbSpace, f: FunctionExpr, g: FunctionExpr,
     """
 
     def integrand(t):
-        tt = np.asarray(t, dtype=float)
-        fv = f.values(tt.astype(complex))
-        gv = g.values(tt.astype(complex))
-        ev = space.e.values(tt.astype(complex))
+        tc = np.asarray(t, dtype=float).astype(complex)
+        fv = f.values(tc)
+        gv = fv if g is f else g.values(tc)
+        ev = space.e.values(tc)
         return fv * np.conj(gv) / np.abs(ev) ** 2
 
     res = integrate_real_line(integrand, rel_tol=rel_tol)

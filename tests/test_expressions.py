@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 from dblab.errors import ConfigError, PoleHit, RadiusTooLarge, TruncationBudgetExceeded
 from dblab.examples import (a38_g_sequence, a38_gtilde_sequence, a38_g_closed,
                             a41_pole_sequence)
+from dblab.defaults import DEFAULTS
 from dblab.expressions import (Affine, CanonicalProduct, Const, Cos, ExpCZ,
-                               PartialFractions, Poly, PoleSequence, Power,
-                               Product, Quotient, Sin, Sinc, Sum, Z,
-                               ZeroSequence, csinc, derivative, evaluate,
-                               expr_from_json, expr_to_json, sharp)
+                               FunctionExpr, PartialFractions, Poly,
+                               PoleSequence, Power, Product, Quotient, Sharp,
+                               Sin, Sinc, Sum, Z, ZeroSequence, csinc,
+                               derivative, evaluate, expr_from_json,
+                               expr_to_json, sharp)
 
 
 def test_eval_exp_closed_form():
@@ -395,3 +397,144 @@ def test_series_tables_built_by_concurrent_threads_give_serial_values():
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(np.concatenate(parts), make().values(z))
+
+
+# ---------------------------------------------------------------------------
+# the value-only path against the path with error estimates
+# ---------------------------------------------------------------------------
+
+SEQUENCE_NODES = (
+    CanonicalProduct(a38_g_sequence(300)),
+    CanonicalProduct(ZeroSequence("pair", np.array([2.0 + 1.0j, -1.0 - 3.0j]), 1)),
+    PartialFractions(a41_pole_sequence(2.0, 300)),
+)
+
+
+@st.composite
+def any_kind(draw, depth=2):
+    """Trees over all 15 node kinds; coefficients and points are wide
+    enough that values overflow to inf and NaN."""
+    c = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
+    atoms = st.one_of(
+        st.builds(Const, c), st.just(Z()), st.builds(ExpCZ, c),
+        st.just(Sin()), st.just(Cos()), st.just(Sinc()),
+        st.builds(Poly, st.lists(c, max_size=4)),
+        st.sampled_from(SEQUENCE_NODES),
+    )
+    if depth == 0:
+        return draw(atoms)
+    sub = any_kind(depth=depth - 1)
+    return draw(st.one_of(
+        atoms,
+        st.builds(Affine, sub, c, c),
+        st.builds(Sum, st.lists(sub, min_size=1, max_size=3)),
+        st.builds(Product, st.lists(sub, min_size=1, max_size=3)),
+        st.builds(Quotient, sub, sub),
+        st.builds(Power, sub, st.integers(0, 4)),
+        st.builds(Sharp, sub),
+    ))
+
+
+def _values_or_pole(fn):
+    try:
+        return fn()
+    except PoleHit as exc:
+        return ("pole-hit", complex(exc.z), str(exc))
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(np.atleast_1d(a).view(np.uint64),
+                                                 np.atleast_1d(b).view(np.uint64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_kind(), st.lists(st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                               allow_infinity=False),
+                            min_size=1, max_size=8))
+@example(Sharp(Quotient(Sum([Z(), Const(1.0)]), Affine(Poly([-(1 + 1j), 1.0]), 1.0, 0.5j))),
+         [0.3, 1.0 - 1.5j])
+@example(Product([ExpCZ(-3j), Sin()]), [400j, -400j, 0.0])
+def test_values_equal_eval_array_values_bit_for_bit(f, z):
+    z = np.array(z)
+    got = _values_or_pole(lambda: f.values(z))
+    ref = _values_or_pole(lambda: f.eval_array(z)[0])
+    if isinstance(ref, tuple):
+        assert got == ref
+    else:
+        assert _same_bits(got, ref)
+
+
+def test_values_equal_eval_array_values_on_a_large_batch(rng):
+    # above numpy's temporary-elision threshold (256 KiB), where an
+    # operation written on a temporary can run in place and round differently
+    z = rng.uniform(-50, 50, 40_000) + 1j * rng.uniform(-5, 5, 40_000)
+    f = Sum([Product([ExpCZ(0.3 - 1.7j), Sin(), Cos(), Poly([1j, 2.0, 3.0])]),
+             Sharp(Quotient(Affine(Sinc(), 2.0, 0.5j), Poly([3j, 1.0]))),
+             Power(Sum([Z(), Const(1j)]), 3),
+             Product(list(SEQUENCE_NODES))])
+    assert _same_bits(f.values(z), f.eval_array(z)[0])
+
+
+def test_values_of_a_scalar_is_a_scalar():
+    f = Sharp(Sum([Product([Z(), Cos()]), Quotient(Sin(), ExpCZ(0.3 - 0.1j))]))
+    z = 0.3 + 0.2j
+    v, e = f.eval_array(z, error=False)
+    assert e is None and np.ndim(v) == 0 and np.ndim(f.values(z)) == 0
+    assert _same_bits(f.values(z), f.eval_array(z)[0])
+    assert f.at(z) == complex(f.eval_array(z)[0])
+
+
+def test_value_path_raises_the_same_pole_hit():
+    near_root = Quotient(Const(1.0), Poly([-(1 + 1j), 1.0]))
+    vanishing = Quotient(Cos(), Z())
+    # (tree, pole, the point the PoleHit names): an affine child names
+    # its own argument
+    cases = [(near_root, 1 + 1j, 1 + 1j), (vanishing, 0.0, 0.0),
+             (Sharp(near_root), 1 - 1j, 1 - 1j), (Sharp(vanishing), 0.0, 0.0),
+             (Product([Const(2.0), Sharp(Affine(near_root, 1.0, 2.0))]), -1 - 1j, 1 - 1j)]
+    for f, pole, named in cases:
+        z = np.array([0.5 + 0.5j, pole, 2.0])
+        with pytest.raises(PoleHit) as on_values:
+            f.values(z)
+        with pytest.raises(PoleHit) as on_eval:
+            f.eval_array(z)
+        assert complex(on_values.value.z) == complex(on_eval.value.z) == named
+        assert str(on_values.value) == str(on_eval.value)
+
+
+def test_value_path_of_an_overflowing_exp():
+    f = ExpCZ(-1j)
+    z = np.array([800j, -800j, 1j])
+    v = f.values(z)
+    assert not np.isfinite(v[0]) and v[1] == 0 and abs(v[2] - math.e) < 1e-15
+    assert _same_bits(v, f.eval_array(z)[0])
+
+
+def test_value_path_keeps_the_truncation_budget(monkeypatch):
+    g = CanonicalProduct(a38_g_sequence(2000))
+    with pytest.raises(TruncationBudgetExceeded):
+        g.eval_array(np.array([1.0]), 1000, error=False)
+    monkeypatch.setitem(DEFAULTS, "max_series_terms", 1000)
+    for f in (g, Sharp(g), Sum([Z(), PartialFractions(a41_pole_sequence(2.0, 2000))])):
+        with pytest.raises(TruncationBudgetExceeded):
+            f.values(np.array([1.0, 2.0j]))
+        with pytest.raises(TruncationBudgetExceeded):
+            f.at(0.5)
+
+
+def test_values_and_at_enter_through_eval_array(monkeypatch):
+    # the benchmark's tracer counts points on FunctionExpr.eval_array, with
+    # the points as the first positional argument
+    seen = []
+    real = FunctionExpr.eval_array
+
+    def spy(self, *args, **kwargs):
+        seen.append((self, np.size(args[0]), kwargs))
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(FunctionExpr, "eval_array", spy)
+    f = Sum([Cos(), Z()])
+    f.values(np.array([0.5, 1j, 2.0]))
+    f.at(0.25)
+    assert seen == [(f, 3, {"error": False}), (f, 1, {"error": False})]

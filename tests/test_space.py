@@ -3,12 +3,16 @@ import math
 import numpy as np
 import pytest
 
+import dblab.space as space_module
+from dblab import domains as dom
 from dblab.errors import (ConfigError, MissingZeroData, NegativeRadicand,
-                          ZeroOnAxis)
+                          Overflow, ZeroOnAxis)
 from dblab.examples import (a20_structure_function, a45_truncated_space,
                             pw_kernel_closed, pw_kernel_expr, pw_space)
 from dblab.expressions import (Affine, Const, Cos, ExpCZ, Poly, Product,
-                               Quotient, Sinc, ZeroSequence)
+                               Quotient, Sinc, ZeroSequence, expr_from_json)
+from dblab.majorization import nabla_majorant
+from dblab.quadrature import integrate_real_line
 from dblab.space import (DbSpace, default_hb_grid, hb_check, inner_product,
                          kernel, kernel_diagonal, mean_type, membership,
                          nabla, nabla_values, norm_squared, phase_derivative)
@@ -40,6 +44,17 @@ def test_hb_reversed_exponential_fails():
 def test_hb_grid_validation(pw1):
     with pytest.raises(ConfigError):
         hb_check(pw1, np.array([1.0 - 1j]))
+
+
+def test_hb_check_overflow_is_an_overflow():
+    # 10,002 zeros below the axis: the space is HB, but |E| and |E#|
+    # overflow on the default grid
+    sp = a45_truncated_space(5_002)
+    with pytest.raises(Overflow, match=r"z=\(-20\+0\.1j\)"):
+        hb_check(sp)
+    with pytest.raises(Overflow):
+        nabla_majorant(sp, dom.ray(0.5, 1.0, rmax=100.0))
+    assert not sp.hb_verified
 
 
 def test_even_odd_parts_are_real_on_axis(pw1, rng):
@@ -226,6 +241,27 @@ def test_pw_orthogonality_of_integer_shifts(pw1):
     k_pi = pw_kernel_expr(1.0, math.pi)
     ip = inner_product(pw1, SINC, k_pi)
     assert abs(ip.value) < 1e-8
+
+
+def test_norm_integral_evaluates_f_once_per_batch(pw1, monkeypatch):
+    batches = []
+
+    def counting_quadrature(fn, **kw):
+        def counted(t):
+            batches.append(np.size(t))
+            return fn(t)
+        return integrate_real_line(counted, **kw)
+
+    monkeypatch.setattr(space_module, "integrate_real_line", counting_quadrature)
+    f = pw_kernel_expr(1.0, 0.3)
+    f_values, calls = f.values, []
+    f.values = lambda z: calls.append(np.size(z)) or f_values(z)
+    ip = inner_product(pw1, f, f)
+    assert calls == batches and batches
+    # a structurally equal but distinct tree gives the same bits
+    g = expr_from_json(f.to_json())
+    other = inner_product(pw1, f, g)
+    assert (other.value, other.abs_error) == (ip.value, ip.abs_error)
 
 
 def test_zero_function_has_zero_norm(pw1):
