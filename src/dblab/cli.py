@@ -373,6 +373,12 @@ class _Parser(argparse.ArgumentParser):
     """Reports a malformed command line as a config error; subparsers
     inherit the class."""
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value that starts with "-" and a digit (-1+1i, -1e-3) is a
+        # value, not an option, so "--z -1+1i" parses like "--z=-1+1i"
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         raise ConfigError(message)
 

@@ -8,7 +8,12 @@ node evaluates vectorized over numpy arrays of complex points.
 ``eval_array`` returns the values together with an absolute-error estimate
 (truncation + bounded roundoff); ``values`` returns the same values only,
 through ``_value``, which skips the error propagation of every node but
-the canonical products and partial-fraction series.
+the canonical products and partial-fraction series.  On the value path a
+subtree that does not depend on ``z`` (a constant, or arithmetic of
+constants) stays a 0-d value, and ``eval_array`` broadcasts a 0-d result
+to the shape of ``z``.  Nodes combine values through numpy ufunc calls,
+never numpy-scalar arithmetic, whose complex products round differently
+from the array loops, so both paths give the same values bit for bit.
 
 Expressions are immutable after construction and evaluation is pure, so
 values are safe to share across threads.  Canonical products and
@@ -467,7 +472,7 @@ class FunctionExpr:
         raise NotImplementedError
 
     def _value(self, z: np.ndarray, ctx: dict):
-        """The values of ``_eval``, bit for bit."""
+        """The values of ``_eval``, bit for bit; 0-d when they do not depend on ``z``."""
         return self._eval(z, ctx)[0]
 
     def sharp(self) -> "FunctionExpr":
@@ -491,7 +496,10 @@ class FunctionExpr:
         z1 = np.atleast_1d(zz)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             vals, errs = self._eval(z1, ctx) if error else (self._value(z1, ctx), None)
-        vals = np.asarray(vals, dtype=complex).reshape(z1.shape)
+        vals = np.asarray(vals, dtype=complex)
+        if vals.ndim == 0:
+            vals = np.full(z1.shape, vals)
+        vals = vals.reshape(z1.shape)
         if errs is not None:
             errs = np.asarray(errs, dtype=float).reshape(z1.shape)
         if zz.shape == ():
@@ -532,6 +540,18 @@ class FunctionExpr:
         return Quotient(as_expr(other), self)
 
 
+def _at(fn, w, z, ctx):
+    """``fn(w, ctx)`` at the images ``w`` of the caller's points ``z``; a
+    PoleHit names the caller's point, not its image."""
+    try:
+        return fn(w, ctx)
+    except PoleHit as exc:
+        hit = np.flatnonzero(w == exc.z)
+        if hit.size == 0:
+            raise
+        raise PoleHit(z.flat[hit[0]], exc.template) from None
+
+
 def as_expr(x) -> FunctionExpr:
     if isinstance(x, FunctionExpr):
         return x
@@ -547,10 +567,11 @@ class Const(FunctionExpr):
         self.value = complex(value)
 
     def _value(self, z, ctx):
-        return np.full(z.shape, self.value, dtype=complex)
+        return np.complex128(self.value)
 
     def _eval(self, z, ctx):
-        return self._value(z, ctx), np.full(z.shape, abs(self.value) * EPS)
+        return (np.full(z.shape, self.value, dtype=complex),
+                np.full(z.shape, abs(self.value) * EPS))
 
     def to_json(self):
         return {"kind": "const", "value": _c2pair(self.value)}
@@ -620,12 +641,13 @@ def csinc(w: np.ndarray) -> np.ndarray:
     """Entire ``sin(w)/w`` (value 1 at 0), complex-safe."""
     w = np.asarray(w, dtype=complex)
     small = np.abs(w) < 1e-4
-    ws = np.where(small, 0.0, w)
     with np.errstate(invalid="ignore", over="ignore"):
+        if not small.any():
+            return np.sin(w) / w
+        ws = np.where(small, 0.0, w)
         big = np.sin(ws) / np.where(small, 1.0, ws)
     w2 = w * w
-    series = 1.0 - w2 / 6.0 + w2 * w2 / 120.0
-    return np.where(small, series, big)
+    return np.where(small, 1.0 - w2 / 6.0 + w2 * w2 / 120.0, big)
 
 
 class Sinc(FunctionExpr):
@@ -645,6 +667,18 @@ class Sinc(FunctionExpr):
         return {"kind": "sinc"}
 
 
+def _polyval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``np.polynomial.polynomial.polyval(x, c)`` for 1-d ``c``, bit for bit:
+    the same Horner steps with the same operands in the same order, without
+    its per-call set-up, adding each coefficient in place."""
+    v = x * 0
+    np.add(c[-1], v, out=v)
+    for a in c[-2::-1]:
+        v = v * x
+        np.add(a, v, out=v)
+    return v
+
+
 class Poly(FunctionExpr):
     """Polynomial with complex coefficients, ascending degree order."""
 
@@ -656,12 +690,11 @@ class Poly(FunctionExpr):
             self.coeffs = np.zeros(1, dtype=complex)
 
     def _value(self, z, ctx):
-        return np.polynomial.polynomial.polyval(z, self.coeffs)
+        return _polyval(z, self.coeffs)
 
     def _eval(self, z, ctx):
         v = self._value(z, ctx)
-        az = np.abs(z)
-        cond = np.polynomial.polynomial.polyval(az, np.abs(self.coeffs))
+        cond = _polyval(np.abs(z), np.abs(self.coeffs))
         return v, EPS * (self.coeffs.size + 1) * cond
 
     def roots(self) -> np.ndarray:
@@ -685,10 +718,10 @@ class Affine(FunctionExpr):
         self.shift = complex(shift)
 
     def _eval(self, z, ctx):
-        return self.child._eval(self.scale * z + self.shift, ctx)
+        return _at(self.child._eval, self.scale * z + self.shift, z, ctx)
 
     def _value(self, z, ctx):
-        return self.child._value(self.scale * z + self.shift, ctx)
+        return _at(self.child._value, self.scale * z + self.shift, z, ctx)
 
     def to_json(self):
         return {"kind": "affine", "child": self.child.to_json(),
@@ -711,10 +744,9 @@ class Sum(FunctionExpr):
         return v, e
 
     def _value(self, z, ctx):
-        v = np.zeros(z.shape, dtype=complex)
+        v = 0
         for c in self.children:
-            cv = c._value(z, ctx)
-            v = v + cv
+            v = np.add(v, c._value(z, ctx))
         return v
 
     def to_json(self):
@@ -737,12 +769,12 @@ class Product(FunctionExpr):
         return v, e
 
     def _value(self, z, ctx):
-        # name each child's value first: in ``v * c._value(...)`` numpy may
-        # multiply into the temporary in place, which rounds differently
-        v = np.ones(z.shape, dtype=complex)
+        # a ufunc call, not ``v * c._value(...)``: the operator may multiply
+        # into a temporary in place, and two numpy scalars multiply outside
+        # the array loop; both round differently
+        v = 1
         for c in self.children:
-            cv = c._value(z, ctx)
-            v = v * cv
+            v = np.multiply(v, c._value(z, ctx))
         return v
 
     def to_json(self):
@@ -760,17 +792,19 @@ class Quotient(FunctionExpr):
             self._den_roots = den.roots()
 
     def _check_poles(self, z, dv):
-        excl = DEFAULTS["pole_exclusion_scale"] * (1.0 + np.abs(z))
-        if self._den_roots is not None and self._den_roots.size:
-            dist = np.min(np.abs(z[..., None] - self._den_roots[None, :]), axis=-1)
-            if np.any(dist < excl):
-                zbad = z[dist < excl].ravel()[0]
-                raise PoleHit(zbad, "z={z} within exclusion radius of a denominator zero")
+        roots = self._den_roots
+        if roots is not None and roots.size:
+            dist = np.abs(z - roots[0])
+            for r in roots[1:]:
+                np.minimum(dist, np.abs(z - r), out=dist)
+            bad = dist < DEFAULTS["pole_exclusion_scale"] * (1.0 + np.abs(z))
+            what = "z={z} within exclusion radius of a denominator zero"
         else:
             # overflow (inf) denominators are fine: the quotient underflows to 0
-            bad = dv == 0
-            if np.any(bad):
-                raise PoleHit(z[bad].ravel()[0], "denominator vanished at z={z}")
+            bad = np.broadcast_to(dv == 0, z.shape)
+            what = "denominator vanished at z={z}"
+        if np.any(bad):
+            raise PoleHit(z[bad][0], what)
 
     def _eval(self, z, ctx):
         nv, ne = self.num._eval(z, ctx)
@@ -784,7 +818,7 @@ class Quotient(FunctionExpr):
         nv = self.num._value(z, ctx)
         dv = self.den._value(z, ctx)
         self._check_poles(z, dv)
-        return nv / dv
+        return np.divide(nv, dv)
 
     def to_json(self):
         return {"kind": "quotient", "num": self.num.to_json(), "den": self.den.to_json()}
@@ -807,8 +841,9 @@ class Power(FunctionExpr):
         return v, e
 
     def _value(self, z, ctx):
-        cv = self.child._value(z, ctx)
-        return cv ** self.exponent
+        # the array operator, which squares through np.square as _eval does;
+        # a numpy scalar's ``**`` rounds differently
+        return np.asarray(self.child._value(z, ctx)) ** self.exponent
 
     def to_json(self):
         return {"kind": "power", "child": self.child.to_json(), "exponent": self.exponent}
@@ -885,20 +920,12 @@ class Sharp(FunctionExpr):
     def __init__(self, child: FunctionExpr):
         self.child = child
 
-    @staticmethod
-    def _at_conj(fn, z, ctx):
-        try:
-            return fn(np.conj(z), ctx)
-        except PoleHit as exc:
-            # name the point the caller passed, not its conjugate
-            raise PoleHit(np.conj(exc.z), exc.template) from None
-
     def _eval(self, z, ctx):
-        v, e = self._at_conj(self.child._eval, z, ctx)
+        v, e = _at(self.child._eval, np.conj(z), z, ctx)
         return np.conj(v), e
 
     def _value(self, z, ctx):
-        return np.conj(self._at_conj(self.child._value, z, ctx))
+        return np.conj(_at(self.child._value, np.conj(z), z, ctx))
 
     def sharp(self):
         return self.child

@@ -129,6 +129,37 @@ def test_malformed_complex_flag_is_a_config_error(pw1_file):
     assert json.loads(out)["error"]["kind"] == "config-error"
 
 
+def _without_timestamp(out: str) -> dict:
+    doc = json.loads(out)
+    doc.pop("timestamp", None)
+    return doc
+
+
+@pytest.mark.parametrize("args", [["eval", "--f", '{"kind":"z"}', "--z", "-1+1i"],
+                                  ["eval", "--f", '{"kind":"z"}', "--z", "-2.5e-1-1e-3j"],
+                                  ["kernel", "--space", '{"E":{"kind":"exp","coeff":[0,-1]}}',
+                                   "--w", "-1+1i", "--z", "-0.5-2i"]])
+def test_complex_flag_values_may_start_with_a_minus(capsys, args):
+    joined = [f"{a}={b}" for a, b in zip(args[1::2], args[2::2])]
+    rc, doc = _main_json(capsys, args)
+    assert rc == 0 and "error" not in doc
+    assert main(args[:1] + joined) == 0
+    doc.pop("timestamp")
+    assert _without_timestamp(capsys.readouterr().out) == doc
+
+
+AFFINE_POLE = ('{"kind":"affine","child":{"kind":"quotient","num":{"kind":"const","value":[1,0]},'
+               '"den":{"kind":"poly","coeffs":[[-1,-1],[1,0]]}},"scale":[1,0],"shift":[2,0]}')
+
+
+@pytest.mark.parametrize("z", [["--z=-1+1i"], ["--z", "-1+1i"]])
+def test_pole_hit_under_an_affine_node_names_the_point_passed(capsys, z):
+    # the quotient's pole is at 1+1i, which the shift by 2 reaches from -1+1i
+    rc, doc = _main_json(capsys, ["eval", "--f", AFFINE_POLE] + z)
+    assert rc == 1 and doc["error"]["kind"] == "pole-hit"
+    assert doc["error"]["detail"].startswith("z=(-1+1j) within")
+
+
 def test_majorize_csv(tmp_path, pw1_file):
     target = tmp_path / "ratios.csv"
     cfg = {

@@ -15,7 +15,7 @@ from dblab.errors import ConfigError, PoleHit, RadiusTooLarge, TruncationBudgetE
 from dblab.examples import (a38_g_sequence, a38_gtilde_sequence, a38_g_closed,
                             a41_pole_sequence)
 from dblab.defaults import DEFAULTS
-from dblab.expressions import (Affine, CanonicalProduct, Const, Cos, ExpCZ,
+from dblab.expressions import (EPS, Affine, CanonicalProduct, Const, Cos, ExpCZ,
                                FunctionExpr, PartialFractions, Poly,
                                PoleSequence, Power, Product, Quotient, Sharp,
                                Sin, Sinc, Sum, Z, ZeroSequence, csinc,
@@ -253,6 +253,23 @@ def test_csinc_series_patch_is_continuous():
         assert abs(complex(csinc(w)) - direct) < 1e-13
 
 
+def test_csinc_matches_mpmath_on_both_sides_of_the_series_switch():
+    # the series is used below |w| = 1e-4 and sin(w)/w above; an array with
+    # no small point skips the series altogether
+    small = [0.0, 1e-12, 3e-5j, 9.999e-5, 7e-5 * cmath.exp(2.2j), -9.9e-5 - 1e-6j]
+    large = [1.0001e-4, -1.0001e-4j, 1.5e-4 * cmath.exp(0.7j), 2e-3 - 1e-3j, 0.9 + 0.3j, 30j]
+    with mpmath.workdps(40):
+        def ref(w):
+            m = _mpc(w)
+            return complex(mpmath.sin(m) / m) if w else 1.0
+        for ws in (small + large, large, small):
+            got = csinc(np.array(ws))
+            for g, w in zip(got, ws):
+                assert abs(g - ref(w)) <= 2 * EPS * abs(ref(w)), w
+        for w in small + large:
+            assert abs(complex(csinc(w)) - ref(w)) <= 2 * EPS * abs(ref(w)), w
+
+
 # ---------------------------------------------------------------------------
 # shell-moment evaluation of long products and series against mpmath
 # ---------------------------------------------------------------------------
@@ -488,11 +505,13 @@ def test_values_of_a_scalar_is_a_scalar():
 def test_value_path_raises_the_same_pole_hit():
     near_root = Quotient(Const(1.0), Poly([-(1 + 1j), 1.0]))
     vanishing = Quotient(Cos(), Z())
-    # (tree, pole, the point the PoleHit names): an affine child names
-    # its own argument
+    # (tree, pole, the point the PoleHit names): under sharp and affine
+    # nodes it is still the point passed
     cases = [(near_root, 1 + 1j, 1 + 1j), (vanishing, 0.0, 0.0),
              (Sharp(near_root), 1 - 1j, 1 - 1j), (Sharp(vanishing), 0.0, 0.0),
-             (Product([Const(2.0), Sharp(Affine(near_root, 1.0, 2.0))]), -1 - 1j, 1 - 1j)]
+             (Product([Const(2.0), Sharp(Affine(near_root, 1.0, 2.0))]), -1 - 1j, -1 - 1j),
+             (Affine(near_root, 2.0, 1j), 0.5, 0.5),
+             (Affine(Quotient(Cos(), Z()), 0.0, 0.0), 0.5 + 0.5j, 0.5 + 0.5j)]
     for f, pole, named in cases:
         z = np.array([0.5 + 0.5j, pole, 2.0])
         with pytest.raises(PoleHit) as on_values:
@@ -538,3 +557,70 @@ def test_values_and_at_enter_through_eval_array(monkeypatch):
     f.values(np.array([0.5, 1j, 2.0]))
     f.at(0.25)
     assert seen == [(f, 3, {"error": False}), (f, 1, {"error": False})]
+
+
+CONSTANT_TREES = (
+    Const(1.5 - 2j), Const(complex(-0.0, -0.0)),
+    Sum([Const(complex(-0.0, 0.0)), Const(complex(0.0, -0.0))]),
+    Sum([Const(1.5 - 2j), Const(-0.25 + 1e-17j), Const(3j)]),
+    Product([Const(0.3 + 1.1j), Const(-1.7 + 0.9j), Const(2.2 - 0.4j)]),
+    Product([Const(1e200 + 1e200j), Const(1e200 - 3e199j)]),
+    Quotient(Const(2j), Const(3.0 - 1.0j)),
+    Quotient(Sum([Const(1.0), Const(-1.0)]), Const(complex(-0.0, 1.0))),
+    Power(Const(1.1 + 0.7j), 0), Power(Const(1.1 + 0.7j), 2), Power(Const(-0.6 + 1.3j), 3),
+    Affine(Const(0.5 - 0.5j), 2.0, 1j), Sharp(Const(0.5 - 0.5j)),
+    Sharp(Product([Const(0.3 + 1.1j), Const(-1.7 + 0.9j)])),
+    Product([Sum([Const(0.1 + 0.2j), Const(0.3)]), Power(Sharp(Const(0.7 - 0.2j)), 2)]),
+    Sum([]), Product([]),
+)
+EVERY_KIND = CONSTANT_TREES + (
+    Z(), ExpCZ(0.3 - 1.7j), Sin(), Cos(), Sinc(), Poly([1j, 2.0, -0.0, 3.0]),
+    Affine(Sinc(), 2.0, 0.5j), Sum([Z(), Const(1j)]), Product([Const(-1.0), Z(), Cos()]),
+    Quotient(Sin(), Poly([3j, 1.0])), Power(Sum([Z(), Const(0.5)]), 2), Sharp(ExpCZ(1j)),
+) + SEQUENCE_NODES
+
+
+def _points(rng, shape):
+    z = rng.uniform(-3, 3, shape) + 1j * rng.uniform(-3, 3, shape)
+    z.flat[:2] = [complex(-0.0, 0.0), complex(0.0, -0.0)][:z.size]
+    return z
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (5,), (3, 4)])
+@pytest.mark.parametrize("f", EVERY_KIND, ids=lambda f: json.dumps(f.to_json())[:60])
+def test_values_have_the_shape_and_bits_of_eval_array(f, shape, rng):
+    z = _points(rng, shape)
+    v = f.values(z)
+    assert np.shape(v) == shape and np.asarray(v).dtype == np.complex128
+    assert _same_bits(v, f.eval_array(z)[0])
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (3, 4)])
+def test_a_constant_quotient_by_zero_names_the_first_point(shape, rng):
+    z = _points(rng, shape) + 1.0
+    for f in (Quotient(Const(1.0), Const(0.0)), Affine(Quotient(Const(1.0), Const(0.0)), 2.0, 1.0),
+              Sharp(Quotient(Const(1.0), Sum([Const(1.0), Const(-1.0)])))):
+        for run in (f.values, lambda z: f.eval_array(z)[0]):
+            with pytest.raises(PoleHit) as hit:
+                run(z)
+            assert complex(hit.value.z) == complex(z.flat[0])
+    assert Quotient(Const(1.0), Const(0.0)).values(np.zeros(0)).shape == (0,)
+    # a NaN image matches no point, so the PoleHit keeps the image
+    with pytest.raises(PoleHit, match="nan"):
+        Affine(Quotient(Const(1.0), Const(0.0)), 2.0).values(np.array([np.nan]))
+
+
+@pytest.mark.parametrize("degree", range(7))
+def test_poly_values_equal_polyval_byte_for_byte(degree, rng):
+    z = np.concatenate([
+        rng.normal(size=200) + 1j * rng.normal(size=200),
+        [0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), -2.0, 3j],
+        [1e200 + 1e200j, -1e300, 1e160j, complex(1e308, -1e308)],
+    ])
+    for _ in range(20):
+        c = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+        c[rng.random(degree + 1) < 0.3] = complex(-0.0, 0.0)
+        c[rng.random(degree + 1) < 0.3] = complex(0.0, -0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = np.polynomial.polynomial.polyval(z, c)
+        assert _same_bits(Poly(c).values(z), ref)
