@@ -358,7 +358,7 @@ def build_a45(n: int | None = None) -> ExampleInstance:
     seq = a45_zero_sequence(n)
 
     def phi(x):
-        return zero_sum_phase(seq.zeros, x, 0.0)
+        return zero_sum_phase(seq, x)
 
     return ExampleInstance(
         "a45", {"n": n}, {}, [], [],

@@ -94,6 +94,16 @@ class EvalResult:
 # zero / pole sequences
 # ---------------------------------------------------------------------------
 
+def cached(seq, key: str, build: Callable):
+    """``build()`` for a frozen sequence, kept on it under ``key`` once
+    built.  Two threads that build at once store equal objects."""
+    obj = seq.__dict__.get(key)
+    if obj is None:
+        obj = build()
+        object.__setattr__(seq, key, obj)
+    return obj
+
+
 @dataclass(frozen=True)
 class ZeroSequence:
     """Finite truncation of a declared zero set of an entire function.
@@ -126,7 +136,7 @@ class ZeroSequence:
 
     def shells(self) -> "_Shells":
         """Modulus shells of the zeros, built at the first evaluation."""
-        return _cached_shells(self, self.zeros)
+        return cached(self, "_shells", lambda: _Shells(self.zeros))
 
     def to_spec(self) -> dict:
         """The generator spec, or else an inline list of the zeros."""
@@ -175,7 +185,7 @@ class PoleSequence:
 
     def shells(self) -> "_Shells":
         """Modulus shells of the poles, built at the first evaluation."""
-        return _cached_shells(self, self.poles, self.weights)
+        return cached(self, "_shells", lambda: _Shells(self.poles, self.weights))
 
     def to_spec(self) -> dict:
         """The generator spec, or else an inline list of the poles."""
@@ -241,15 +251,6 @@ def pole_sequence_from_spec(spec: dict) -> PoleSequence:
 # ---------------------------------------------------------------------------
 # shell-moment evaluation of long products and series
 # ---------------------------------------------------------------------------
-
-def _cached_shells(seq, nodes, weights=None) -> "_Shells":
-    """The shells of a frozen sequence, kept on it once built."""
-    sh = seq.__dict__.get("_shells")
-    if sh is None:
-        sh = _Shells(nodes, weights)
-        object.__setattr__(seq, "_shells", sh)
-    return sh
-
 
 def _order(rho: np.ndarray) -> np.ndarray:
     """Per-pair expansion order J with rho**J <= EPS (0 at rho = 0)."""

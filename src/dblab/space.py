@@ -31,7 +31,7 @@ from .defaults import DEFAULTS
 from .errors import (AllPointsDiscarded, ConfigError, MissingZeroData,
                      NegativeRadicand, NonConvergentTail, Overflow, ZeroOnAxis)
 from .expressions import (Const, EvalResult, FunctionExpr, Product, Quotient,
-                          ZeroSequence, expr_from_json, expr_to_json,
+                          ZeroSequence, cached, expr_from_json, expr_to_json,
                           zero_sequence_from_spec)
 from .quadrature import integrate_real_line
 
@@ -237,17 +237,177 @@ def nabla_values(space: DbSpace, zs: np.ndarray) -> np.ndarray:
 # phase derivative
 # ---------------------------------------------------------------------------
 
-def zero_sum_phase(zeros: np.ndarray, t, constant: float = 0.0) -> np.ndarray:
-    """``constant + sum |Im z_n| / |t - z_n|**2`` for real ``t`` (vectorized)."""
-    tt = np.atleast_1d(np.asarray(t, dtype=float))
-    zs = np.asarray(zeros, dtype=complex)
-    out = np.full(tt.shape, float(constant))
-    step = max(1, 2 ** 21 // max(1, tt.size))
-    for i in range(0, zs.size, step):
-        blk = zs[i:i + step]
-        out += np.sum(np.abs(blk.imag)[None, :]
-                      / np.abs(tt[:, None] - blk[None, :]) ** 2, axis=1)
-    return out if np.asarray(t).shape else float(out[0])
+# The zero-sum cluster tree (see _PhaseTree): zeros per leaf at most, the
+# far ratio h/|t - c|, the moment order J (moments j < J), and the
+# relative truncation bound they give
+_LEAF = 64
+_RATIO = 0.25
+_ORDER = 29
+TRUNCATION_BOUND = ((1.0 + _RATIO) ** 2 * _RATIO ** (_ORDER - 1)
+                    * (_ORDER - (_ORDER - 1) * _RATIO) / (1.0 - _RATIO) ** 2)
+# points traversed together, and near (point, leaf) pairs summed together
+_POINTS = 2 ** 8
+_PAIRS = 2 ** 11
+
+
+class _PhaseTree:
+    """Binary cluster tree for ``sum |Im z_k| / |t - z_k|**2`` at real ``t``.
+
+    Each summand is ``Im 1/(t - w_k)`` with ``w_k = x_k + i y_k``,
+    ``y_k = |Im z_k|``: the zero reflected into the upper half-plane.  The
+    ``w_k`` are sorted by real part and halved level by level (node ``i``
+    of level ``l`` holds ``w[i n // 2^l : (i+1) n // 2^l]``) until every
+    node holds at most ``_LEAF`` zeros.  A node has a real centre ``c``
+    (the midpoint of its real parts), a radius ``h >= max |w_k - c|`` and
+    the moments ``M_j = sum (w_k - c)^j`` for ``j < J``.  Where
+    ``h <= |t - c|/4``, ``sum 1/(t - w_k) = sum_j M_j / (t - c)^(j+1)``, and
+    as ``t - c`` is real the node's share of the phase sum is
+    ``sum_j Im M_j / (t - c)^(j+1)`` exactly: only the ``Im M_j`` are kept
+    (``Im M_0 = 0``), so the real parts, about 1e6 times larger on the a45
+    set, never cancel against them.  A point takes the coarsest such nodes
+    and sums the zeros of every other leaf term by term.
+
+    Truncation.  With ``w_k - c = s_k e^(i a_k)``,
+    ``|Im (w_k - c)^j| = s_k^j |sin(j a_k)| <= j y_k h^(j-1)``, so at
+    ``r = |t - c|`` the omitted orders add at most
+    ``sum y_k * sum_{j>=J} j h^(j-1) / r^(j+1)``, while the node's share is
+    at least ``sum y_k / (r + h)^2`` (each ``|t - w_k| <= r + h``).  At
+    ``rho = h/r <= 1/4`` their ratio is at most
+    ``(1 + rho)^2 sum_{j>=J} j rho^(j-1)
+    = (1 + rho)^2 rho^(J-1) (J - (J-1) rho) / (1 - rho)^2``,
+    which is ``(25/9)(3J + 1)/4^J`` at ``rho = 1/4``: 3.3e-15 at ``J = 28``
+    and ``TRUNCATION_BOUND`` = 8.5e-16 at ``J = 29``.  Every share is
+    nonnegative, so this bounds the relative truncation error of the sum.
+
+    A node stores ``N_j = Im M_j / h^(j-1)`` for ``j = 1..J-1``; each
+    ``|N_j| <= j sum y_k`` at any scale of the zeros.  Leaves take theirs
+    from their zeros, parents from their children by the binomial shift
+    ``N'_j = sum_m C(j, m) (d/H)^(j-m) (h/H)^(m-1) N_m`` (``d`` the child's
+    centre less the parent's, ``h`` and ``H`` the radii), one step per
+    power of ``d/H`` over a whole level.  The build costs ``O(n J)``.  A
+    point then costs ``O(J log n)`` where the zeros spread along the axis:
+    on the a45 set at ``n = 1e5`` it visits about six nodes a level, takes
+    33 clusters through their moments and sums four leaves term by term.
+    Zeros that share a real part and spread up the imaginary axis are
+    never far from a point between them, and are summed term by term.
+    A point's value does not depend on the other points evaluated with it.
+    """
+
+    def __init__(self, zeros: np.ndarray):
+        rank = np.argsort(zeros.real, kind="stable")
+        x, y = zeros.real[rank], np.abs(zeros.imag[rank])
+        n = x.size
+        depth = 0
+        while n > _LEAF << depth:
+            depth += 1
+        self.levels = []
+        if n == 0:
+            return
+        bounds = [np.arange(2 ** l + 1) * n // 2 ** l for l in range(depth + 1)]
+        lo, hi = bounds[-1][:-1], bounds[-1][1:]
+        sizes = hi - lo
+        inside = np.arange(sizes.max()) < sizes[:, None]
+        # the leaves' zeros by rows, padded with zero terms (x = inf, y = 0)
+        self.x = np.full(inside.shape, np.inf)
+        self.y = np.zeros(inside.shape)
+        self.x[inside], self.y[inside] = x, y
+        c = 0.5 * (x[lo] + x[hi - 1])
+        w = np.zeros(inside.shape, dtype=complex)
+        w.real[inside] = x - np.repeat(c, sizes)
+        w.imag[:] = self.y
+        h = np.max(np.abs(w), axis=1)
+        scale = np.where(h > 0, h, 1.0)
+        w.real /= scale[:, None]     # a complex division overflows at subnormal radii
+        w.imag /= scale[:, None]
+        q = w.copy()
+        moments = np.empty((_ORDER - 1, c.size))
+        for j in range(_ORDER - 1):
+            moments[j] = np.sum(q.imag, axis=1) * scale
+            q *= w
+        self.levels.append((c, h, moments))
+        powers = np.arange(_ORDER - 1)[:, None]
+        binom = [np.array([math.comb(a + 1, k) for a in range(k, _ORDER - 1)])[:, None]
+                 for k in range(_ORDER - 1)]
+        for b in bounds[-2::-1]:
+            lo, hi = b[:-1], b[1:]
+            c_up = 0.5 * (x[lo] + x[hi - 1])
+            d = c - np.repeat(c_up, 2)
+            h_up = np.max((np.abs(d) + h).reshape(-1, 2), axis=1)
+            scale = np.repeat(np.where(h_up > 0, h_up, 1.0), 2)
+            d /= scale
+            shifted = moments * (h / scale) ** powers
+            acc = shifted.copy()
+            dk = np.ones_like(d)
+            for k in range(1, _ORDER - 1):
+                dk *= d
+                acc[k:] += (binom[k] * dk) * shifted[:_ORDER - 1 - k]
+            c, h, moments = c_up, h_up, acc[:, 0::2] + acc[:, 1::2]
+            self.levels.append((c, h, moments))
+        self.levels.reverse()
+
+    def phase(self, t: np.ndarray) -> np.ndarray:
+        """``sum y_k / |t - w_k|**2`` at the real points ``t`` (1-D)."""
+        out = np.zeros(t.size)
+        if self.levels:
+            for i in range(0, t.size, _POINTS):
+                out[i:i + _POINTS] = self._phase(t[i:i + _POINTS])
+        return out
+
+    def _phase(self, t):
+        m = t.size
+        out = np.zeros(m)
+        p, node = np.arange(m), np.zeros(m, dtype=int)
+        for level, (c, h, moments) in enumerate(self.levels):
+            if level:
+                p, node = np.repeat(p, 2), (2 * node[:, None] + (0, 1)).ravel()
+            r = t[p] - c[node]
+            far = (_RATIO * np.abs(r) >= h[node]) & (r != 0)
+            if far.any():
+                out += np.bincount(p[far], self._far(moments[:, node[far]],
+                                                     h[node[far]], r[far]), minlength=m)
+            p, node = p[~far], node[~far]
+        near = np.empty(p.size)
+        for a in range(0, p.size, _PAIRS):
+            pp, leaf = p[a:a + _PAIRS], node[a:a + _PAIRS]
+            y = self.y[leaf]
+            dist = np.hypot(t[pp, None] - self.x[leaf], y)
+            if not dist.all():
+                raise ZeroOnAxis(f"a declared zero lies on the real axis at "
+                                 f"t={t[pp[np.nonzero(dist == 0)[0][0]]]}; "
+                                 "phase derivative undefined there")
+            with np.errstate(over="ignore"):
+                near[a:a + _PAIRS] = np.sum(y / dist / dist, axis=1)
+        return out + np.bincount(p, near, minlength=m)
+
+    @staticmethod
+    def _far(moments, h, r):
+        """``sum_j N_j (h/r)^(j-1) / r^2`` per far (point, node) pair."""
+        rho = h / r
+        acc = moments[-1].copy()
+        for row in moments[-2::-1]:
+            acc *= rho
+            acc += row
+        return acc / r / r
+
+
+def zero_sum_phase(seq: ZeroSequence, t, constant: float = 0.0):
+    """``constant + sum |Im z_n| / |t - z_n|**2`` over the zeros of ``seq``
+    at real ``t`` (vectorized; a scalar ``t`` gives a float).
+
+    The sum runs through the cluster tree of ``_PhaseTree``, built at the
+    first call and cached on ``seq``; its relative error is at most
+    ``TRUNCATION_BOUND`` plus rounding.  Raises ``ZeroOnAxis`` where ``t``
+    is a real zero and ``Overflow`` where the sum is not finite.
+    """
+    tt = np.asarray(t, dtype=float)
+    flat = tt.ravel()
+    tree = cached(seq, "_phase_tree", lambda: _PhaseTree(seq.zeros))
+    out = float(constant) + tree.phase(flat)
+    bad = ~np.isfinite(out)
+    if np.any(bad):
+        raise Overflow(f"the zero-sum phase at t={flat[bad][0]} is not finite "
+                       "in double precision")
+    return out.reshape(tt.shape) if tt.shape else float(out[0])
 
 
 def phase_constant(space: DbSpace) -> float:
@@ -294,7 +454,7 @@ def phase_derivative(space: DbSpace, t: float, route: str = "kernel") -> float:
     if route == "zero-sum":
         if space.zeros is None:
             raise MissingZeroData("zero-sum route requires a declared zero sequence")
-        return float(zero_sum_phase(space.zeros.zeros, t, phase_constant(space)))
+        return zero_sum_phase(space.zeros, t, phase_constant(space))
     raise ConfigError(f"unknown phase-derivative route {route!r}")
 
 

@@ -331,6 +331,29 @@ def test_overflowing_kernel_is_a_computation_error():
     assert err == ""
 
 
+def _one_zero_space(zero):
+    return json.dumps({"E": {"kind": "poly", "coeffs": [[1, 0], [-1, 0]]},
+                       "zeros": {"kind": "list", "genus": 0, "zeros": [zero]}})
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("zero, kind", [([1, 0], "zero-of-E-on-axis"),
+                                        ([1, -5e-324], "overflow")])
+def test_zero_sum_phase_at_a_zero_is_a_computation_error(capsys, zero, kind):
+    # a real zero at t is 0/0; a subnormal height gives 1/5e-324, past double range
+    rc, doc = _main_json(capsys, ["phase", "--space", _one_zero_space(zero),
+                                  "--t", "1", "--route", "zero-sum"])
+    assert rc == 1 and doc["error"]["kind"] == kind
+
+
+@pytest.mark.filterwarnings("error")
+def test_zero_sum_phase_next_to_a_zero_does_not_underflow(capsys):
+    # |t - z|^2 = 1e-400 underflows; (|y|/|t - z|)/|t - z| is 1e200
+    rc, doc = _main_json(capsys, ["phase", "--space", _one_zero_space([1, -1e-200]),
+                                  "--t", "1", "--route", "zero-sum"])
+    assert rc == 0 and math.isclose(doc["result"]["value"], 1e200, rel_tol=1e-12)
+
+
 def test_jsonable_flags_non_finite_floats_and_complex_parts():
     assert _jsonable(float("nan")) == "nan"
     assert _jsonable(-math.inf) == "-inf"

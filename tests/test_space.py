@@ -1,21 +1,26 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dblab.space as space_module
 from dblab import domains as dom
 from dblab.errors import (ConfigError, MissingZeroData, NegativeRadicand,
                           Overflow, ZeroOnAxis)
 from dblab.examples import (a20_structure_function, a45_truncated_space,
-                            pw_kernel_closed, pw_kernel_expr, pw_space)
+                            a45_zero_sequence, pw_kernel_closed, pw_kernel_expr,
+                            pw_space)
 from dblab.expressions import (Affine, Const, Cos, ExpCZ, Poly, Product,
                                Quotient, Sinc, ZeroSequence, expr_from_json)
 from dblab.majorization import nabla_majorant
 from dblab.quadrature import integrate_real_line
 from dblab.space import (DbSpace, default_hb_grid, hb_check, inner_product,
                          kernel, kernel_diagonal, mean_type, membership,
-                         nabla, nabla_values, norm_squared, phase_derivative)
+                         nabla, nabla_values, norm_squared, phase_derivative,
+                         zero_sum_phase)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -222,6 +227,77 @@ def test_phase_kernel_flags_underflowed_modulus():
     sp = a45_truncated_space(200)
     with pytest.raises(ZeroOnAxis):
         phase_derivative(sp, 5.0, "kernel")
+
+
+# the tree's truncation bound plus the rounding of both sums (a few ulps a
+# term, log2 n for the summation)
+TREE_TOL = space_module.TRUNCATION_BOUND + 64 * np.finfo(float).eps
+
+
+@st.composite
+def zero_sets(draw):
+    """A zero set, real points (on the zeros' real parts, between them and
+    outside their range, none at a real zero) and its real zeros."""
+    kind = draw(st.sampled_from(["empty", "one", "under-leaf", "many", "a45"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "a45":
+        zeros = a45_zero_sequence(draw(st.integers(2, 1500))).zeros
+        zeros = np.where(rng.random(zeros.size) < 0.5, zeros, np.conj(zeros))
+    else:
+        n = {"empty": 0, "one": 1, "under-leaf": draw(st.integers(2, 63)),
+             "many": draw(st.integers(65, 3000))}[kind]
+        x = rng.uniform(-10.0, 10.0, n)
+        if draw(st.booleans()):
+            x = np.round(x, 1)          # shared real parts
+        y = rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(math.log(1e-9), math.log(10.0), n))
+        y[(rng.random(n) < 0.1) & (x != 0)] = 0.0       # real zeros, none at 0
+        zeros = x + 1j * y
+    xs = np.sort(zeros.real)
+    edge = [xs[0] - 0.5, xs[-1] + 0.5] if xs.size else [0.0]
+    t = np.concatenate([zeros.real[:8], (xs[:-1] + xs[1:])[:8] / 2, edge, [-1e3, 1e3]])
+    real = zeros.real[zeros.imag == 0]
+    return zeros, t[~np.isin(t, real)], real
+
+
+@settings(max_examples=40, deadline=None)
+@given(zero_sets())
+def test_zero_sum_phase_tree_matches_the_direct_sum(case):
+    zeros, t, real = case
+    seq = ZeroSequence("z", zeros)
+    cold = zero_sum_phase(seq, t)
+    assert np.array_equal(cold, zero_sum_phase(seq, t))        # the tree is cached
+    assert np.array_equal(cold, zero_sum_phase(ZeroSequence("z#", np.conj(zeros)), t))
+    ref = np.array([np.sum(np.abs(zeros.imag) / np.abs(x - zeros) ** 2) for x in t])
+    assert np.all(np.abs(cold - ref) <= TREE_TOL * ref)
+    one = zero_sum_phase(seq, t[0])
+    assert type(one) is float and one == cold[0]
+    if real.size:
+        with pytest.raises(ZeroOnAxis):
+            zero_sum_phase(seq, real[0])
+
+
+@pytest.mark.parametrize("y", [0.5, -0.5, 3e-7])
+def test_zero_sum_phase_at_and_inside_the_far_ratio(y):
+    # one zero is a leaf with centre Re z and radius |Im z|: at |t - Re z| =
+    # 4|Im z| it is summed through its moments, nearer term by term
+    k = np.array([1.0, 2.0, 3.9, 4.0, 4.1, 8.0])
+    t = 3.0 + np.concatenate([k, -k]) * abs(y)
+    got = zero_sum_phase(ZeroSequence("one", [3.0 + 1j * y]), t)
+    exact = 1.0 / (abs(y) * (((t - 3.0) / y) ** 2 + 1.0))      # t - 3 is exact
+    assert np.all(np.abs(got - exact) <= TREE_TOL * exact)
+    assert space_module.TRUNCATION_BOUND <= 1e-15
+
+
+def test_zero_sum_phase_tree_matches_mpmath():
+    zeros = a45_zero_sequence(1001).zeros
+    t = np.array([zeros[5].real, 0.5 * (zeros[5].real + zeros[6].real), 0.1, 7.5, -9.0])
+    got = zero_sum_phase(ZeroSequence("a45", zeros), t)
+    with mpmath.workdps(40):
+        for g, x in zip(got, t):
+            ref = mpmath.fsum(abs(mpmath.mpf(z.imag)) / ((x - mpmath.mpf(z.real)) ** 2
+                                                          + mpmath.mpf(z.imag) ** 2)
+                              for z in zeros)
+            assert abs(g - ref) <= TREE_TOL * ref
 
 
 # ---------------------------------------------------------------------------
