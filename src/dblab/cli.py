@@ -17,6 +17,7 @@ Complex numbers serialize as ``[re, im]`` pairs; flags accept the
 from __future__ import annotations
 
 import argparse
+import cmath
 import contextlib
 import csv
 import datetime
@@ -52,16 +53,25 @@ def _decoding(what: str):
         raise ConfigError(f"malformed {what}: {exc!r}") from exc
 
 
+def _finite(x, what: str):
+    """``x``; NaN, infinity and a literal that overflows to it (1e400) are
+    malformed configuration."""
+    if not cmath.isfinite(x):
+        raise ConfigError(f"{what} must be finite, got {x!r}")
+    return x
+
+
 def _num(cfg: dict, key: str, default=None, kind=float):
     """A numeric config entry, or ``default`` when it is absent."""
     if cfg.get(key) is None:
         return default
     with _decoding(repr(key)):
-        return kind(cfg[key])
+        x = kind(cfg[key])
+    return _finite(x, repr(key)) if kind is float else x
 
 
 def parse_complex(text: str) -> complex:
-    """Accept '1.5', '2i', '0+1i', '-3.2-4e-1j'."""
+    """Accept '1.5', '2i', '0+1i', '-3.2-4e-1j'; reject non-finite values."""
     t = str(text).strip().replace(" ", "")
     with _decoding(f"complex number {text!r}"):
         if t.endswith(("i", "j")):
@@ -72,11 +82,14 @@ def parse_complex(text: str) -> complex:
                 imtxt = m.group("im")
                 if imtxt in ("+", "-"):
                     imtxt += "1"
-                return complex(float(m.group("re")), float(imtxt))
-            if body in ("", "+", "-"):
-                body += "1"
-            return complex(0.0, float(body))
-        return complex(float(t), 0.0)
+                c = complex(float(m.group("re")), float(imtxt))
+            else:
+                if body in ("", "+", "-"):
+                    body += "1"
+                c = complex(0.0, float(body))
+        else:
+            c = complex(float(t), 0.0)
+    return _finite(c, f"complex number {text!r}")
 
 
 def _load_json_arg(text: str) -> dict:

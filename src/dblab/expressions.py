@@ -5,15 +5,15 @@ The node set covers closed forms (constants, the identity, ``exp(c*z)``,
 composition, integer powers, truncated canonical products over a declared
 zero sequence, and partial-fraction series over a pole sequence.  Every
 node evaluates vectorized over numpy arrays of complex points.
-``eval_array`` returns the values together with an absolute-error estimate
-(truncation + bounded roundoff); ``values`` returns the same values only,
-through ``_value``, which skips the error propagation of every node but
-the canonical products and partial-fraction series.  On the value path a
-subtree that does not depend on ``z`` (a constant, or arithmetic of
-constants) stays a 0-d value, and ``eval_array`` broadcasts a 0-d result
-to the shape of ``z``.  Nodes combine values through numpy ufunc calls,
-never numpy-scalar arithmetic, whose complex products round differently
-from the array loops, so both paths give the same values bit for bit.
+Each node has one evaluation method, ``_eval(z, ctx, error)``, which
+returns its values and, when ``error`` is true, an absolute-error
+estimate (truncation + bounded roundoff), else ``None``: ``eval_array``
+asks for both, ``values`` for the values only.  A subtree that does not
+depend on ``z`` (a constant, or arithmetic of constants) gives a 0-d
+value and error, and ``eval_array`` broadcasts them to the shape of
+``z``.  Nodes combine values through numpy ufunc calls, never
+numpy-scalar arithmetic, whose complex products round differently from
+the array loops, so a 0-d subtree gives the bits of a broadcast one.
 
 Expressions are immutable after construction and evaluation is pure, so
 values are safe to share across threads.  Canonical products and
@@ -464,17 +464,15 @@ class _Shells:
 # ---------------------------------------------------------------------------
 
 class FunctionExpr:
-    """Base class. Subclasses implement ``_eval`` and ``to_json``, and may
-    override ``_value`` with a path that skips the error estimate."""
+    """Base class. Subclasses implement ``to_json`` and ``_eval(z, ctx,
+    error)``, which returns the values at the points ``z`` and their
+    absolute-error estimates, or ``None`` for the estimates when ``error``
+    is false; each is 0-d when it does not depend on ``z``."""
 
     kind = "?"
 
-    def _eval(self, z: np.ndarray, ctx: dict):
+    def _eval(self, z: np.ndarray, ctx: dict, error: bool):
         raise NotImplementedError
-
-    def _value(self, z: np.ndarray, ctx: dict):
-        """The values of ``_eval``, bit for bit; 0-d when they do not depend on ``z``."""
-        return self._eval(z, ctx)[0]
 
     def sharp(self) -> "FunctionExpr":
         """``F#(z) = conj(F(conj z))``."""
@@ -496,13 +494,10 @@ class FunctionExpr:
         zz = np.asarray(z, dtype=complex)
         z1 = np.atleast_1d(zz)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            vals, errs = self._eval(z1, ctx) if error else (self._value(z1, ctx), None)
-        vals = np.asarray(vals, dtype=complex)
-        if vals.ndim == 0:
-            vals = np.full(z1.shape, vals)
-        vals = vals.reshape(z1.shape)
+            vals, errs = self._eval(z1, ctx, error)
+        vals = _spread(vals, complex, z1.shape)
         if errs is not None:
-            errs = np.asarray(errs, dtype=float).reshape(z1.shape)
+            errs = _spread(errs, float, z1.shape)
         if zz.shape == ():
             return vals[0], None if errs is None else errs[0]
         return vals, errs
@@ -541,11 +536,17 @@ class FunctionExpr:
         return Quotient(as_expr(other), self)
 
 
-def _at(fn, w, z, ctx):
-    """``fn(w, ctx)`` at the images ``w`` of the caller's points ``z``; a
+def _spread(x, dtype, shape) -> np.ndarray:
+    """``x`` as an array of ``shape``; a 0-d ``x`` fills it."""
+    x = np.asarray(x, dtype=dtype)
+    return np.full(shape, x) if x.ndim == 0 else x.reshape(shape)
+
+
+def _at(node, w, z, ctx, error):
+    """``node._eval`` at the images ``w`` of the caller's points ``z``; a
     PoleHit names the caller's point, not its image."""
     try:
-        return fn(w, ctx)
+        return node._eval(w, ctx, error)
     except PoleHit as exc:
         hit = np.flatnonzero(w == exc.z)
         if hit.size == 0:
@@ -567,12 +568,8 @@ class Const(FunctionExpr):
     def __init__(self, value):
         self.value = complex(value)
 
-    def _value(self, z, ctx):
-        return np.complex128(self.value)
-
-    def _eval(self, z, ctx):
-        return (np.full(z.shape, self.value, dtype=complex),
-                np.full(z.shape, abs(self.value) * EPS))
+    def _eval(self, z, ctx, error):
+        return np.complex128(self.value), (np.float64(abs(self.value) * EPS) if error else None)
 
     def to_json(self):
         return {"kind": "const", "value": _c2pair(self.value)}
@@ -581,11 +578,8 @@ class Const(FunctionExpr):
 class Z(FunctionExpr):
     kind = "z"
 
-    def _value(self, z, ctx):
-        return z.copy()
-
-    def _eval(self, z, ctx):
-        return self._value(z, ctx), np.abs(z) * EPS
+    def _eval(self, z, ctx, error):
+        return z.copy(), (np.abs(z) * EPS if error else None)
 
     def to_json(self):
         return {"kind": "z"}
@@ -599,12 +593,9 @@ class ExpCZ(FunctionExpr):
     def __init__(self, coeff):
         self.coeff = complex(coeff)
 
-    def _value(self, z, ctx):
-        return np.exp(self.coeff * z)
-
-    def _eval(self, z, ctx):
-        v = self._value(z, ctx)
-        return v, 4.0 * EPS * np.abs(v) * (1.0 + np.abs(self.coeff * z))
+    def _eval(self, z, ctx, error):
+        v = np.exp(self.coeff * z)
+        return v, (4.0 * EPS * np.abs(v) * (1.0 + np.abs(self.coeff * z)) if error else None)
 
     def to_json(self):
         return {"kind": "exp", "coeff": _c2pair(self.coeff)}
@@ -613,12 +604,9 @@ class ExpCZ(FunctionExpr):
 class Sin(FunctionExpr):
     kind = "sin"
 
-    def _value(self, z, ctx):
-        return np.sin(z)
-
-    def _eval(self, z, ctx):
-        v = self._value(z, ctx)
-        return v, 4.0 * EPS * (np.abs(v) + np.abs(z))
+    def _eval(self, z, ctx, error):
+        v = np.sin(z)
+        return v, (4.0 * EPS * (np.abs(v) + np.abs(z)) if error else None)
 
     def to_json(self):
         return {"kind": "sin"}
@@ -627,12 +615,9 @@ class Sin(FunctionExpr):
 class Cos(FunctionExpr):
     kind = "cos"
 
-    def _value(self, z, ctx):
-        return np.cos(z)
-
-    def _eval(self, z, ctx):
-        v = self._value(z, ctx)
-        return v, 4.0 * EPS * (np.abs(v) + np.abs(z))
+    def _eval(self, z, ctx, error):
+        v = np.cos(z)
+        return v, (4.0 * EPS * (np.abs(v) + np.abs(z)) if error else None)
 
     def to_json(self):
         return {"kind": "cos"}
@@ -657,12 +642,9 @@ class Sinc(FunctionExpr):
 
     kind = "sinc"
 
-    def _value(self, z, ctx):
-        return csinc(z)
-
-    def _eval(self, z, ctx):
-        v = self._value(z, ctx)
-        return v, 4.0 * EPS * (np.abs(v) + 1.0)
+    def _eval(self, z, ctx, error):
+        v = csinc(z)
+        return v, (4.0 * EPS * (np.abs(v) + 1.0) if error else None)
 
     def to_json(self):
         return {"kind": "sinc"}
@@ -690,11 +672,10 @@ class Poly(FunctionExpr):
         if self.coeffs.size == 0:
             self.coeffs = np.zeros(1, dtype=complex)
 
-    def _value(self, z, ctx):
-        return _polyval(z, self.coeffs)
-
-    def _eval(self, z, ctx):
-        v = self._value(z, ctx)
+    def _eval(self, z, ctx, error):
+        v = _polyval(z, self.coeffs)
+        if not error:
+            return v, None
         cond = _polyval(np.abs(z), np.abs(self.coeffs))
         return v, EPS * (self.coeffs.size + 1) * cond
 
@@ -718,11 +699,8 @@ class Affine(FunctionExpr):
         self.scale = complex(scale)
         self.shift = complex(shift)
 
-    def _eval(self, z, ctx):
-        return _at(self.child._eval, self.scale * z + self.shift, z, ctx)
-
-    def _value(self, z, ctx):
-        return _at(self.child._value, self.scale * z + self.shift, z, ctx)
+    def _eval(self, z, ctx, error):
+        return _at(self.child, self.scale * z + self.shift, z, ctx, error)
 
     def to_json(self):
         return {"kind": "affine", "child": self.child.to_json(),
@@ -735,20 +713,16 @@ class Sum(FunctionExpr):
     def __init__(self, children: Sequence[FunctionExpr]):
         self.children = list(children)
 
-    def _eval(self, z, ctx):
-        v = np.zeros(z.shape, dtype=complex)
-        e = np.zeros(z.shape)
+    def _eval(self, z, ctx, error):
+        v, e = np.complex128(0), 0      # complex: the conjugate of an empty sum is -0j
         for c in self.children:
-            cv, ce = c._eval(z, ctx)
-            v = v + cv
-            e = e + ce + EPS * np.abs(v)
-        return v, e
-
-    def _value(self, z, ctx):
-        v = 0
-        for c in self.children:
-            v = np.add(v, c._value(z, ctx))
-        return v
+            cv, ce = c._eval(z, ctx, error)
+            v = np.add(v, cv)
+            if error:
+                e = e + ce + EPS * np.abs(v)
+            # the child's arrays die before the next child evaluates
+            del cv, ce
+        return v, (e if error else None)
 
     def to_json(self):
         return {"kind": "sum", "children": [c.to_json() for c in self.children]}
@@ -760,23 +734,19 @@ class Product(FunctionExpr):
     def __init__(self, children: Sequence[FunctionExpr]):
         self.children = list(children)
 
-    def _eval(self, z, ctx):
-        v = np.ones(z.shape, dtype=complex)
-        e = np.zeros(z.shape)
+    def _eval(self, z, ctx, error):
+        v, e = np.complex128(1), 0
         for c in self.children:
-            cv, ce = c._eval(z, ctx)
-            e = e * np.abs(cv) + ce * np.abs(v) + EPS * np.abs(v * cv)
-            v = v * cv
-        return v, e
-
-    def _value(self, z, ctx):
-        # a ufunc call, not ``v * c._value(...)``: the operator may multiply
-        # into a temporary in place, and two numpy scalars multiply outside
-        # the array loop; both round differently
-        v = 1
-        for c in self.children:
-            v = np.multiply(v, c._value(z, ctx))
-        return v
+            cv, ce = c._eval(z, ctx, error)
+            # a ufunc call, not ``v * cv``: the operator may multiply into a
+            # temporary in place, and two numpy scalars multiply outside the
+            # array loop; both round differently
+            pv = np.multiply(v, cv)
+            if error:
+                e = e * np.abs(cv) + ce * np.abs(v) + EPS * np.abs(pv)
+            v = pv
+            del cv, ce
+        return v, (e if error else None)
 
     def to_json(self):
         return {"kind": "product", "children": [c.to_json() for c in self.children]}
@@ -807,19 +777,14 @@ class Quotient(FunctionExpr):
         if np.any(bad):
             raise PoleHit(z[bad][0], what)
 
-    def _eval(self, z, ctx):
-        nv, ne = self.num._eval(z, ctx)
-        dv, de = self.den._eval(z, ctx)
+    def _eval(self, z, ctx, error):
+        nv, ne = self.num._eval(z, ctx, error)
+        dv, de = self.den._eval(z, ctx, error)
         self._check_poles(z, dv)
-        v = nv / dv
-        e = (ne + np.abs(v) * de) / np.abs(dv) + EPS * np.abs(v)
-        return v, e
-
-    def _value(self, z, ctx):
-        nv = self.num._value(z, ctx)
-        dv = self.den._value(z, ctx)
-        self._check_poles(z, dv)
-        return np.divide(nv, dv)
+        v = np.divide(nv, dv)
+        if not error:
+            return v, None
+        return v, (ne + np.abs(v) * de) / np.abs(dv) + EPS * np.abs(v)
 
     def to_json(self):
         return {"kind": "quotient", "num": self.num.to_json(), "den": self.den.to_json()}
@@ -834,17 +799,15 @@ class Power(FunctionExpr):
         self.child = child
         self.exponent = int(exponent)
 
-    def _eval(self, z, ctx):
-        cv, ce = self.child._eval(z, ctx)
+    def _eval(self, z, ctx, error):
+        cv, ce = self.child._eval(z, ctx, error)
         k = self.exponent
-        v = cv ** k
-        e = k * np.abs(cv) ** max(k - 1, 0) * ce + EPS * np.abs(v)
-        return v, e
-
-    def _value(self, z, ctx):
-        # the array operator, which squares through np.square as _eval does;
-        # a numpy scalar's ``**`` rounds differently
-        return np.asarray(self.child._value(z, ctx)) ** self.exponent
+        # the array operator, which squares through np.square; a numpy
+        # scalar's ``**`` rounds differently
+        v = np.asarray(cv) ** k
+        if not error:
+            return v, None
+        return v, k * np.asarray(np.abs(cv)) ** max(k - 1, 0) * ce + EPS * np.abs(v)
 
     def to_json(self):
         return {"kind": "power", "child": self.child.to_json(), "exponent": self.exponent}
@@ -864,7 +827,7 @@ class CanonicalProduct(FunctionExpr):
     def __init__(self, seq: ZeroSequence):
         self.seq = seq
 
-    def _eval(self, z, ctx):
+    def _eval(self, z, ctx, error):
         seq = self.seq
         n = len(seq)
         if n > ctx["max_terms"]:
@@ -883,7 +846,7 @@ class CanonicalProduct(FunctionExpr):
         # an exactly cancelled factor: the value is 0, its modulus bound is |v|
         e[hit] += np.abs(v[hit])
         v[hit] = 0.0
-        return v.reshape(z.shape), e.reshape(z.shape)
+        return v.reshape(z.shape), (e.reshape(z.shape) if error else None)
 
     def to_json(self):
         return {"kind": "canonical-product", "zeros": self.seq.to_spec()}
@@ -897,7 +860,7 @@ class PartialFractions(FunctionExpr):
     def __init__(self, seq: PoleSequence):
         self.seq = seq
 
-    def _eval(self, z, ctx):
+    def _eval(self, z, ctx, error):
         n = len(self.seq)
         if n > ctx["max_terms"]:
             raise TruncationBudgetExceeded(
@@ -907,7 +870,7 @@ class PartialFractions(FunctionExpr):
         v, e = self.seq.shells().series(flat, excl)
         if self.seq.tail_abs_bound is not None:
             e = e + np.asarray(self.seq.tail_abs_bound(np.abs(flat)), dtype=float)
-        return v.reshape(z.shape), e.reshape(z.shape)
+        return v.reshape(z.shape), (e.reshape(z.shape) if error else None)
 
     def to_json(self):
         return {"kind": "partial-fractions", "poles": self.seq.to_spec()}
@@ -921,12 +884,9 @@ class Sharp(FunctionExpr):
     def __init__(self, child: FunctionExpr):
         self.child = child
 
-    def _eval(self, z, ctx):
-        v, e = _at(self.child._eval, np.conj(z), z, ctx)
+    def _eval(self, z, ctx, error):
+        v, e = _at(self.child, np.conj(z), z, ctx, error)
         return np.conj(v), e
-
-    def _value(self, z, ctx):
-        return np.conj(_at(self.child._value, np.conj(z), z, ctx))
 
     def sharp(self):
         return self.child

@@ -354,6 +354,20 @@ def test_zero_sum_phase_next_to_a_zero_does_not_underflow(capsys):
     assert rc == 0 and math.isclose(doc["result"]["value"], 1e200, rel_tol=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args", [
+    ["phase", "--space", _one_zero_space([0, -1]), "--t", "nan", "--route", "kernel"],
+    ["phase", "--space", _one_zero_space([0, -1]), "--t", "nan", "--route", "zero-sum"],
+    ["phase", "--space", _one_zero_space([0, -1]), "--t", "1e400"],
+    ["eval", "--f", '{"kind":"z"}', "--z", "nan"],
+    ["eval", "--f", '{"kind":"z"}', "--z", "1+1e400i"],
+])
+def test_non_finite_numeric_input_is_a_config_error(capsys, args):
+    rc, doc = _main_json(capsys, args)
+    assert rc == 2 and doc["error"]["kind"] == "config-error"
+    assert "must be finite" in doc["error"]["detail"]
+
+
 def test_jsonable_flags_non_finite_floats_and_complex_parts():
     assert _jsonable(float("nan")) == "nan"
     assert _jsonable(-math.inf) == "-inf"

@@ -3,6 +3,7 @@ import functools
 import json
 import math
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
@@ -571,7 +572,7 @@ CONSTANT_TREES = (
     Affine(Const(0.5 - 0.5j), 2.0, 1j), Sharp(Const(0.5 - 0.5j)),
     Sharp(Product([Const(0.3 + 1.1j), Const(-1.7 + 0.9j)])),
     Product([Sum([Const(0.1 + 0.2j), Const(0.3)]), Power(Sharp(Const(0.7 - 0.2j)), 2)]),
-    Sum([]), Product([]),
+    Sum([]), Product([]), Sharp(Sum([])), Sharp(Product([])),
 )
 EVERY_KIND = CONSTANT_TREES + (
     Z(), ExpCZ(0.3 - 1.7j), Sin(), Cos(), Sinc(), Poly([1j, 2.0, -0.0, 3.0]),
@@ -592,7 +593,41 @@ def test_values_have_the_shape_and_bits_of_eval_array(f, shape, rng):
     z = _points(rng, shape)
     v = f.values(z)
     assert np.shape(v) == shape and np.asarray(v).dtype == np.complex128
-    assert _same_bits(v, f.eval_array(z)[0])
+    ev, e = f.eval_array(z)
+    assert _same_bits(v, ev)
+    assert np.shape(e) == shape and np.asarray(e).dtype == np.float64
+
+
+def test_empty_sum_and_product_are_complex_constants():
+    z = np.array([0.5, 1j])
+    for empty, const in ((Sum([]), Const(0.0)), (Product([]), Const(1.0))):
+        assert _same_bits(Sharp(empty).values(z), Sharp(const).values(z))
+        assert _same_bits(Sharp(empty).eval_array(z)[0], Sharp(const).eval_array(z)[0])
+
+
+class _Recorder(FunctionExpr):
+    """Returns fresh arrays, keeps weak references to them in ``refs`` and
+    notes in ``alive`` how many earlier arrays were alive when it began."""
+
+    def __init__(self, refs, alive):
+        self.refs, self.alive = refs, alive
+
+    def _eval(self, z, ctx, error):
+        self.alive.append(sum(r() is not None for r in self.refs))
+        v = np.full(z.shape, 1.5 - 0.5j)
+        e = np.full(z.shape, 1e-16) if error else None
+        self.refs.extend(weakref.ref(a) for a in (v, e) if a is not None)
+        return v, e
+
+
+@pytest.mark.parametrize("error", [False, True])
+@pytest.mark.parametrize("node", [Sum, Product])
+def test_sum_and_product_drop_each_child_before_the_next(node, error):
+    # a child's value and error held across the next child's evaluation
+    # add one array each to the peak memory of every level of a tree
+    refs, alive = [], []
+    node([_Recorder(refs, alive) for _ in range(3)]).eval_array(np.arange(4.0), error=error)
+    assert alive == [0, 0, 0] and len(refs) == (6 if error else 3)
 
 
 @pytest.mark.parametrize("shape", [(), (5,), (3, 4)])
