@@ -8,10 +8,12 @@ node evaluates vectorized over numpy arrays of complex points.
 Each node has one evaluation method, ``_eval(z, ctx, error)``, which
 returns its values and, when ``error`` is true, an absolute-error
 estimate (truncation + bounded roundoff), else ``None``: ``eval_array``
-asks for both, ``values`` for the values only.  A subtree that does not
-depend on ``z`` (a constant, or arithmetic of constants) gives a 0-d
-value and error, and ``eval_array`` broadcasts them to the shape of
-``z``.  Nodes combine values through numpy ufunc calls, never
+asks for both, ``values`` for the values only.  ``eval_array`` hands
+``_eval`` the flattened points in order, ``_POINTS`` at a time, and
+writes each block into preallocated outputs; nodes are pointwise, so
+blocks change no bit.  A subtree that does not depend on ``z`` (a
+constant, or arithmetic of constants) gives a 0-d value and error, which
+fill their block.  Nodes combine values through numpy ufunc calls, never
 numpy-scalar arithmetic, whose complex products round differently from
 the array loops, so a 0-d subtree gives the bits of a broadcast one.
 
@@ -51,10 +53,10 @@ EPS = float(np.finfo(float).eps)
 _LOG_EPS = math.log(EPS)
 
 # sequence terms per block when building moments or summing terms directly,
-# the largest (points x terms) temporary of a direct sum, and the points
-# evaluated together against every shell
+# and the largest (points x terms) temporary of a direct sum
 _CHUNK = 2 ** 16
 _BLOCK = 2 ** 18
+# points per block: eval_array, Cauchy rings and majorants take one at a time
 _POINTS = 2 ** 13
 # the highest expansion order: a shell is expanded only at ratios <= 1/2
 _MAX_ORDER = math.ceil(_LOG_EPS / math.log(0.5))
@@ -291,13 +293,6 @@ def _accumulate(acc, err, p, val, e):
         _by_point(p, np.abs(val), n) + np.abs(acc))
 
 
-def _blockwise(fn, *arrays):
-    """``fn`` over aligned blocks of at most ``_POINTS`` points, outputs concatenated."""
-    n = arrays[0].size
-    parts = [fn(*(a[i:i + _POINTS] for a in arrays)) for i in range(0, max(n, 1), _POINTS)]
-    return tuple(np.concatenate(out) for out in zip(*parts))
-
-
 class _Shells:
     """A zero or pole sequence split into modulus shells ``[2^s, 2^(s+1))``.
 
@@ -395,9 +390,6 @@ class _Shells:
     def log_product(self, z: np.ndarray, genus: int):
         """``sum log(1 - z/t_k)`` (plus ``z/t_k`` at genus 1) modulo 2 pi i,
         a bound on its error, and the points where a factor cancelled exactly."""
-        return _blockwise(lambda zb: self._log_product(zb, genus), z)
-
-    def _log_product(self, z, genus):
         az = np.abs(z)
         far = 2.0 * az[:, None] <= self.lo
         logv = np.zeros(z.shape, dtype=complex)
@@ -434,9 +426,6 @@ class _Shells:
         shells summed term by term can hold a pole inside the exclusion
         radius.
         """
-        return _blockwise(self._series, z, excl)
-
-    def _series(self, z, excl):
         az = np.abs(z)
         far = 2.0 * az[:, None] + excl[:, None] <= self.lo
         v = np.zeros(z.shape, dtype=complex)
@@ -492,15 +481,18 @@ class FunctionExpr:
         """
         ctx = {"max_terms": DEFAULTS["max_series_terms"] if max_terms is None else max_terms}
         zz = np.asarray(z, dtype=complex)
-        z1 = np.atleast_1d(zz)
+        flat = zz.ravel()
+        vals = np.empty(flat.shape, dtype=complex)
+        errs = np.empty(flat.shape) if error else None
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            vals, errs = self._eval(z1, ctx, error)
-        vals = _spread(vals, complex, z1.shape)
-        if errs is not None:
-            errs = _spread(errs, float, z1.shape)
+            for i in range(0, max(flat.size, 1), _POINTS):
+                block = slice(i, i + _POINTS)
+                vals[block], e = self._eval(flat[block], ctx, error)
+                if error:
+                    errs[block] = e
         if zz.shape == ():
             return vals[0], None if errs is None else errs[0]
-        return vals, errs
+        return vals.reshape(zz.shape), None if errs is None else errs.reshape(zz.shape)
 
     def values(self, z) -> np.ndarray:
         """The values of ``eval_array``, without the error estimates."""
@@ -534,12 +526,6 @@ class FunctionExpr:
 
     def __rtruediv__(self, other):
         return Quotient(as_expr(other), self)
-
-
-def _spread(x, dtype, shape) -> np.ndarray:
-    """``x`` as an array of ``shape``; a 0-d ``x`` fills it."""
-    x = np.asarray(x, dtype=dtype)
-    return np.full(shape, x) if x.ndim == 0 else x.reshape(shape)
 
 
 def _at(node, w, z, ctx, error):
@@ -833,20 +819,19 @@ class CanonicalProduct(FunctionExpr):
         if n > ctx["max_terms"]:
             raise TruncationBudgetExceeded(
                 f"{n} product terms exceed the budget of {ctx['max_terms']}")
-        flat = z.ravel()
-        logv, err, hit = seq.shells().log_product(flat, seq.genus)
+        logv, err, hit = seq.shells().log_product(z, seq.genus)
         if seq.genus == 0 and seq.tail_inv_sum is not None:
-            corr = flat * seq.tail_inv_sum
+            corr = z * seq.tail_inv_sum
             logv = logv - corr
             err = err + EPS * (np.abs(corr) + np.abs(logv))
         v = np.exp(logv)
-        tail = seq.tail_bound_at(np.abs(flat))
+        tail = seq.tail_bound_at(np.abs(z))
         # expm1 keeps the estimate faithful when the bounds are not small
         e = np.abs(v) * (np.expm1(err + tail) + 4.0 * EPS)
         # an exactly cancelled factor: the value is 0, its modulus bound is |v|
         e[hit] += np.abs(v[hit])
         v[hit] = 0.0
-        return v.reshape(z.shape), (e.reshape(z.shape) if error else None)
+        return v, (e if error else None)
 
     def to_json(self):
         return {"kind": "canonical-product", "zeros": self.seq.to_spec()}
@@ -865,12 +850,11 @@ class PartialFractions(FunctionExpr):
         if n > ctx["max_terms"]:
             raise TruncationBudgetExceeded(
                 f"{n} series terms exceed the budget of {ctx['max_terms']}")
-        flat = z.ravel()
-        excl = DEFAULTS["pole_exclusion_scale"] * (1.0 + np.abs(flat))
-        v, e = self.seq.shells().series(flat, excl)
+        excl = DEFAULTS["pole_exclusion_scale"] * (1.0 + np.abs(z))
+        v, e = self.seq.shells().series(z, excl)
         if self.seq.tail_abs_bound is not None:
-            e = e + np.asarray(self.seq.tail_abs_bound(np.abs(flat)), dtype=float)
-        return v.reshape(z.shape), (e.reshape(z.shape) if error else None)
+            e = e + np.asarray(self.seq.tail_abs_bound(np.abs(z)), dtype=float)
+        return v, (e if error else None)
 
     def to_json(self):
         return {"kind": "partial-fractions", "poles": self.seq.to_spec()}

@@ -27,8 +27,8 @@ import numpy as np
 from .defaults import DEFAULTS
 from .domains import SampledDomain
 from .errors import AllPointsExcluded, ConfigError
-from .expressions import FunctionExpr
-from .space import DbSpace, _ls_slope, membership, nabla_values
+from .expressions import _POINTS, FunctionExpr
+from .space import DbSpace, _blocks, _ls_slope, membership, nabla_values
 
 ZeroDivisor = Union[str, Sequence[Tuple[float, int]]]
 
@@ -45,7 +45,15 @@ class Majorant:
     zero_divisor: ZeroDivisor = ()
 
     def values(self, z: np.ndarray) -> np.ndarray:
-        v = np.asarray(self.fn(np.asarray(z, dtype=complex)), dtype=float)
+        """The majorant at ``z``, of its shape: ``fn`` gets the flattened
+        points in order, in blocks of at most ``_POINTS`` tiled as by the
+        kernel diagonal, so its working memory is O(block)."""
+        z = np.asarray(z, dtype=complex)
+        flat = z.ravel()
+        v = np.empty(flat.shape)
+        for block in _blocks(flat.size, _POINTS):
+            v[block] = self.fn(flat[block])
+        v = v.reshape(z.shape)
         if np.any(v < -1e-300):
             raise ConfigError(f"majorant {self.label} negative on the grid")
         return v

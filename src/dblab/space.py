@@ -30,6 +30,7 @@ import numpy as np
 from .defaults import DEFAULTS
 from .errors import (AllPointsDiscarded, ConfigError, MissingZeroData,
                      NegativeRadicand, NonConvergentTail, Overflow, ZeroOnAxis)
+from .expressions import _POINTS as _RING_POINTS
 from .expressions import (Const, EvalResult, FunctionExpr, Product, Quotient,
                           ZeroSequence, cached, expr_from_json, expr_to_json,
                           zero_sequence_from_spec)
@@ -143,26 +144,43 @@ def kernel_diagonal(space: DbSpace, z) -> complex:
     return complex(kernel_diagonal_values(space, complex(z))[0])
 
 
-def kernel_diagonal_values(space: DbSpace, zs) -> np.ndarray:
-    """Vectorized diagonal kernel; one Cauchy ring shared per batch.
+def _blocks(n: int, size: int) -> list:
+    """Slices of at most ``size >= 2`` tiling ``range(n)`` in order (one if
+    ``n`` is 0), none of one point unless ``n`` is 1: numpy ring-sums a lone
+    centre by its dot routine, which rounds otherwise than for two or more."""
+    starts = list(range(0, max(n, 1), size))
+    if n > 1 and n - starts[-1] == 1:
+        starts[-1] -= 1
+    return [slice(i, j) for i, j in zip(starts, starts[1:] + [n])]
 
-    E# on the ring is ``conj(E(conj ring))``, with the ring and the values
-    conjugated in place, so the batch holds one ring of points.
+
+def kernel_diagonal_values(space: DbSpace, zs) -> np.ndarray:
+    """Vectorized diagonal kernel, of the shape of ``zs`` (at least 1-d).
+
+    Cauchy rings of ``derivative_nodes`` points about each centre are built
+    for ``_RING_POINTS // derivative_nodes`` centres at a time, so they hold
+    one expression block whatever the batch.  E# on the ring is
+    ``conj(E(conj ring))``, with the ring and the values conjugated in place.
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+    flat = zs.ravel()
     m = DEFAULTS["derivative_nodes"]
-    r = DEFAULTS["derivative_radius_scale"] * (1.0 + np.abs(zs))
     theta = 2.0 * np.pi * np.arange(m) / m
-    ring = zs[:, None] + r[:, None] * np.exp(1j * theta)[None, :]
-    ev = space.e.values(ring)
-    esv = space.e.values(np.conj(ring, out=ring))
-    np.conj(esv, out=esv)
-    phase = np.exp(-1j * theta)
-    ed = (ev @ phase) / (m * r)
-    esd = (esv @ phase) / (m * r)
-    e0 = space.e.values(zs)
-    es0 = np.conj(space.e.values(np.conj(zs)))
-    return (e0 * esd - ed * es0) / TWO_PI_I
+    nodes, phase = np.exp(1j * theta), np.exp(-1j * theta)
+    out = np.empty(flat.shape, dtype=complex)
+    for block in _blocks(flat.size, max(2, _RING_POINTS // m)):
+        z = flat[block]
+        r = DEFAULTS["derivative_radius_scale"] * (1.0 + np.abs(z))
+        ring = z[:, None] + r[:, None] * nodes[None, :]
+        ev = space.e.values(ring)
+        esv = space.e.values(np.conj(ring, out=ring))
+        np.conj(esv, out=esv)
+        ed = (ev @ phase) / (m * r)
+        esd = (esv @ phase) / (m * r)
+        e0 = space.e.values(z)
+        es0 = np.conj(space.e.values(np.conj(z)))
+        out[block] = (e0 * esd - ed * es0) / TWO_PI_I
+    return out.reshape(zs.shape)
 
 
 def kernel(space: DbSpace, w, z):

@@ -9,15 +9,15 @@ from concurrent.futures import ThreadPoolExecutor
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from dblab.errors import ConfigError, PoleHit, RadiusTooLarge, TruncationBudgetExceeded
 from dblab.examples import (a38_g_sequence, a38_gtilde_sequence, a38_g_closed,
                             a41_pole_sequence)
 from dblab.defaults import DEFAULTS
-from dblab.expressions import (EPS, Affine, CanonicalProduct, Const, Cos, ExpCZ,
-                               FunctionExpr, PartialFractions, Poly,
+from dblab.expressions import (_POINTS, EPS, Affine, CanonicalProduct, Const, Cos,
+                               ExpCZ, FunctionExpr, PartialFractions, Poly,
                                PoleSequence, Power, Product, Quotient, Sharp,
                                Sin, Sinc, Sum, Z, ZeroSequence, csinc,
                                derivative, evaluate, expr_from_json,
@@ -557,7 +557,10 @@ def test_values_and_at_enter_through_eval_array(monkeypatch):
     f = Sum([Cos(), Z()])
     f.values(np.array([0.5, 1j, 2.0]))
     f.at(0.25)
-    assert seen == [(f, 3, {"error": False}), (f, 1, {"error": False})]
+    # a batch of several blocks is still one call
+    f.values(np.zeros(2 * _POINTS + 1))
+    assert seen == [(f, 3, {"error": False}), (f, 1, {"error": False}),
+                    (f, 2 * _POINTS + 1, {"error": False})]
 
 
 CONSTANT_TREES = (
@@ -643,6 +646,85 @@ def test_a_constant_quotient_by_zero_names_the_first_point(shape, rng):
     # a NaN image matches no point, so the PoleHit keeps the image
     with pytest.raises(PoleHit, match="nan"):
         Affine(Quotient(Const(1.0), Const(0.0)), 2.0).values(np.array([np.nan]))
+
+
+# ---------------------------------------------------------------------------
+# block evaluation: eval_array hands a node at most _POINTS points at a time
+# ---------------------------------------------------------------------------
+
+class _Blocks(FunctionExpr):
+    """Doubles its points and keeps a copy of every array it is given."""
+
+    def __init__(self):
+        self.seen = []
+
+    def _eval(self, z, ctx, error):
+        self.seen.append(z.copy())
+        return 2.0 * z, (np.abs(z) if error else None)
+
+
+@pytest.mark.parametrize("shape", [(0,), (_POINTS,), (3 * _POINTS + 7,), (5, _POINTS // 2 + 3)])
+def test_eval_array_tiles_the_points_in_order_in_blocks(shape, rng):
+    z = _points(rng, shape)
+    node = _Blocks()
+    v, e = node.eval_array(z)
+    assert len(node.seen) == max(1, -(-z.size // _POINTS))
+    assert all(b.ndim == 1 and b.size <= _POINTS for b in node.seen)
+    assert _same_bits(np.concatenate(node.seen), z.ravel())
+    assert _same_bits(v, 2.0 * z) and _same_bits(e, np.abs(z))
+
+
+BLOCK_SHAPES = ((_POINTS - 1,), (_POINTS,), (_POINTS + 1,), (3 * _POINTS + 7,), (3, _POINTS - 5))
+
+
+def _each_block(f, z):
+    """``eval_array`` on each block of the flattened points alone, joined."""
+    flat = z.ravel()
+    parts = [f.eval_array(flat[i:i + _POINTS]) for i in range(0, flat.size, _POINTS)]
+    return tuple(np.concatenate(p).reshape(z.shape) for p in zip(*parts))
+
+
+@seed(20261019)
+@settings(max_examples=25, deadline=None)
+@given(any_kind())
+def test_a_batch_evaluates_as_its_blocks_alone(f):
+    rng = np.random.default_rng(14)
+    for shape in BLOCK_SHAPES:
+        z = _points(rng, shape)
+        got = _values_or_pole(lambda: f.eval_array(z))
+        ref = _values_or_pole(lambda: _each_block(f, z))
+        if isinstance(ref[0], str):
+            assert got == ref
+        else:
+            assert _same_bits(got[0], ref[0]) and _same_bits(got[1], ref[1])
+
+
+def test_a_constant_tree_fills_every_block():
+    z = np.zeros((3, _POINTS - 1), dtype=complex)
+    for f in CONSTANT_TREES:
+        v0, e0 = f.eval_array(0.0)
+        v, e = f.eval_array(z)
+        assert _same_bits(v, np.full(z.shape, v0)) and _same_bits(e, np.full(z.shape, e0))
+        assert _same_bits(f.values(z), v)
+
+
+@pytest.mark.parametrize("shape", [(3 * _POINTS,), (3, _POINTS)])
+def test_a_pole_in_the_second_block_names_the_first_pole_point(shape, rng):
+    near_root = Quotient(Const(1.0), Poly([-(1 + 1j), 1.0]))
+    fractions = PartialFractions(a41_pole_sequence(2.0, 300))
+    # (tree, a point inside its exclusion radius)
+    cases = [(near_root, 1 + 1j), (Quotient(Cos(), Z()), 0.0),
+             (Sharp(Affine(near_root, 1.0, 2.0)), -1 - 1j),
+             (fractions, 9.0), (Sum([Z(), Sharp(fractions)]), 16.0)]
+    for f, pole in cases:
+        z = _points(rng, shape) + 10.0j
+        # the first pole point in the second block, a second one in the third
+        z.flat[_POINTS + 5] = pole
+        z.flat[2 * _POINTS + 1] = pole + 1e-11
+        for run in (f.values, lambda z: f.eval_array(z)[0]):
+            with pytest.raises(PoleHit) as hit:
+                run(z)
+            assert complex(hit.value.z) == pole
 
 
 @pytest.mark.parametrize("degree", range(7))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from dblab.expressions import Const, Cos, ExpCZ, Product, Sinc
 from dblab.majorization import (Majorant, admissibility_check, expr_majorant,
                                 mS_majorant, nabla_majorant)
 from dblab.majorization import test_majorization as run_majorization
-from dblab.space import mean_type, norm_squared
+from dblab.space import mean_type, nabla_values, norm_squared
 from dblab.expressions import Quotient
 
 SINC = pw_kernel_expr(1.0, 0.0)
@@ -74,6 +75,29 @@ def test_nabla_majorant_of_a_space_too_large_to_serialize():
     m = nabla_majorant(sp, dom.ray(0.5, 1.0, rmax=100.0))
     assert m.label == "nabla[a45-trunc-5002]"
     assert np.all(m.values(np.array([1j, 0.5 + 2j])) > 0)
+
+
+def test_majorant_values_have_the_bits_of_one_batch(pw1):
+    # 8,193 axis points: blocks of 8,192 would leave the last point alone,
+    # and its kernel norm would be ring-summed otherwise than in the batch
+    x = np.linspace(-50.0, 50.0, 8_193) + 0j
+    m = Majorant("nabla", lambda z: nabla_values(pw1, z), dom.axis())
+    assert np.array_equal(m.values(x).view(np.uint64), nabla_values(pw1, x).view(np.uint64))
+
+
+def test_majorization_on_a_long_line_samples_the_majorant_by_blocks(pw1):
+    # 184,221 points: the kernel norm of the whole sample at once lifted
+    # the traced peak to about 18.6 MiB; by blocks it is about 11.8 MiB,
+    # the test's own arrays
+    m = nabla_majorant(pw1, dom.line(1.0, ratio=1.0001))
+    tracemalloc.start()
+    try:
+        rep = run_majorization(Cos(), m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.z.size > 180_000 and rep.verdict == "majorized"
+    assert peak < 15 * 2 ** 20
 
 
 def test_nabla_majorant_on_axis(pw1):
