@@ -26,7 +26,7 @@ import numpy as np
 
 from .defaults import DEFAULTS
 from .domains import SampledDomain
-from .errors import AllPointsExcluded, ConfigError
+from .errors import AllPointsExcluded, ConfigError, Overflow
 from .expressions import _POINTS, FunctionExpr
 from .space import DbSpace, _blocks, _ls_slope, membership, nabla_values
 
@@ -112,15 +112,15 @@ class MajorizationReport:
 
 
 def tail_slope(z_abs: np.ndarray, values: np.ndarray) -> float:
-    """Log-log growth slope of bin maxima over the top octaves of |z|."""
+    """Log-log growth slope of bin maxima over the top octaves of |z|, from
+    the finite positive values; only the top-octave samples are copied."""
     keep = np.isfinite(values) & (values > 0)
-    z_abs, values = z_abs[keep], values[keep]
-    if z_abs.size < 2:
+    if np.count_nonzero(keep) < 2:
         return math.inf
-    top = z_abs.max()
+    top = float(np.max(z_abs, where=keep, initial=-math.inf))
     lo = top / 2.0 ** _TAIL_OCTAVES
-    sel = z_abs >= lo
-    za, va = np.log(z_abs[sel]), np.log(values[sel])
+    keep &= z_abs >= lo
+    za, va = np.log(z_abs[keep]), np.log(values[keep])
     edges = np.linspace(math.log(lo) - 1e-12, math.log(top) + 1e-12, _TAIL_BINS + 1)
     xs, ys = [], []
     for i in range(_TAIL_BINS):
@@ -134,7 +134,15 @@ def tail_slope(z_abs: np.ndarray, values: np.ndarray) -> float:
 
 
 def test_majorization(f: FunctionExpr, m: Majorant) -> MajorizationReport:
-    """Decide whether ``|F|, |F#| <= C m`` plausibly holds on the domain."""
+    """Decide whether ``|F|, |F#| <= C m`` plausibly holds on the domain.
+
+    The ratio is built block by block over the samples left outside the
+    zero-divisor balls, in the majorant's blocks, so its working memory
+    beyond the sample and the ratio is O(block).  A sample where ``|F|``,
+    ``|F#|`` or ``m`` is not finite raises ``Overflow`` naming the first
+    such point; a zero of ``m`` under a finite ``F`` gives an infinite
+    ratio.
+    """
     s_maj = DEFAULTS["slope_majorized"]
     s_not = DEFAULTS["slope_not_majorized"]
     cap = DEFAULTS["sup_ratio_cap"]
@@ -149,21 +157,29 @@ def test_majorization(f: FunctionExpr, m: Majorant) -> MajorizationReport:
         mask &= np.abs(z - x0) >= excl
     if not np.any(mask):
         raise AllPointsExcluded("every sample lies in a zero-divisor exclusion ball")
-    z = z[mask]
+    if not np.all(mask):
+        z = z[mask]
+    del mask
 
     fsharp = f.sharp()
-    fv = np.maximum(np.abs(f.values(z)), np.abs(fsharp.values(z)))
-    mv = m.values(z)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(mv > 0, fv / mv, np.inf)
-    finite = np.isfinite(ratio)
-    sup = float(np.max(ratio)) if np.all(finite) else math.inf
-    if sup == 0.0:
+    ratio = np.empty(z.shape)
+    for block in _blocks(z.size, _POINTS):
+        zb = z[block]
+        fv = np.maximum(np.abs(f.values(zb)), np.abs(fsharp.values(zb)))
+        mv = m.values(zb)
+        bad = ~(np.isfinite(fv) & np.isfinite(mv))
+        if np.any(bad):
+            raise Overflow(f"max(|F|, |F#|) or the majorant at z={zb[bad][0]} "
+                           "is not finite in double precision")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio[block] = np.where(mv > 0, fv / mv, np.inf)
+    sup = float(np.max(ratio))
+    if not math.isfinite(sup):
+        slope = math.inf  # unbounded ratio: keep verdict and slope consistent
+    elif sup == 0.0:
         slope = 0.0  # F vanishes on the whole grid: trivially majorized
     else:
         slope = tail_slope(np.abs(z), ratio)
-    if not math.isfinite(sup):
-        slope = math.inf  # unbounded ratio: keep verdict and slope consistent
 
     if not math.isfinite(sup) or slope >= s_not:
         verdict = "not-majorized"

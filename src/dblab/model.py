@@ -10,8 +10,9 @@ explicit variant tag that is never defaulted silently:
 Herglotz data of a function with nonnegative real part on the upper
 half-plane: the linear coefficient ``p`` from the growth of
 ``Re q(iy)``, boundary density samples ``Re q(t + i delta)``, point
-masses located where ``delta |q(t + i delta)|`` stabilizes to a positive
-limit, and the total mass ``pi * lim y q(iy)`` when that limit exists.
+masses where ``delta |q(t + i delta)|`` stabilizes to a positive limit
+(each located by a bounded Brent search for the peak of ``|q|``), and the
+total mass ``pi * lim y q(iy)`` when that limit exists.
 
 Weak-type reports integrate the superlevel indicator
 ``|q(x + i y0)| > a`` with bisection-refined boundaries against either
@@ -191,6 +192,81 @@ def y_limit(q: FunctionExpr) -> float:
 _MASS_FLOOR = 5e-3
 
 
+def _fminbound(func: Callable[[float], float], a: float, b: float,
+               xatol: float) -> float:
+    """Local minimizer of ``func`` on ``[a, b]`` by Brent's bounded search
+    (golden sections with parabolic steps; Brent 1973, ch. 5).
+
+    A step-for-step port of scipy's ``minimize_scalar(method="bounded")``
+    with its 500-evaluation cap, so it returns the same bits.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # try a parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+
+        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf
+
+
 def herglotz_extract(q: FunctionExpr, density_grid: np.ndarray | None = None,
                      delta: float | None = None) -> HerglotzData:
     """Numeric Herglotz-representation summary of a nonnegative-real-part
@@ -217,19 +293,15 @@ def herglotz_extract(q: FunctionExpr, density_grid: np.ndarray | None = None,
     density = q.values(grid + 1j * dlt).real
 
     # coarse scan at delta ~ grid spacing so masses between nodes still show,
-    # then locate with a bounded minimizer and confirm delta-stabilization
+    # then locate with the bounded Brent search and confirm delta-stabilization
     masses = []
     spacing = float(np.min(np.diff(grid))) if grid.size > 1 else dlt
     d_scan = max(dlt, spacing)
     cand = d_scan * np.abs(q.values(grid + 1j * d_scan))
     for i in range(1, grid.size - 1):
         if cand[i] > _MASS_FLOOR and cand[i] > cand[i - 1] and cand[i] >= cand[i + 1]:
-            from scipy.optimize import minimize_scalar   # deferred: slow to import
-            lo, hi = grid[i - 1], grid[i + 1]
-            res = minimize_scalar(lambda x: -abs(q.at(x + 1j * dlt)),
-                                  bounds=(lo, hi), method="bounded",
-                                  options={"xatol": 1e-12})
-            t0 = float(res.x)
+            t0 = float(_fminbound(lambda x: -abs(q.at(x + 1j * dlt)),
+                                  grid[i - 1], grid[i + 1], 1e-12))
             probes_d = DEFAULTS["herglotz_delta_probes"]
             ws = np.array([d * abs(q.at(t0 + 1j * d)) for d in probes_d])
             if np.max(np.abs(ws - ws.mean())) < DEFAULTS["herglotz_mass_stability"] * ws.mean():

@@ -1,12 +1,15 @@
+import ast
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dblab
 from dblab.cli import _jsonable, main, parse_complex
 from dblab.examples import build_a20, pw_space
 from dblab.expressions import expr_from_json
@@ -331,6 +334,16 @@ def test_overflowing_kernel_is_a_computation_error():
     assert err == ""
 
 
+def test_overflowing_majorization_sample_is_a_computation_error():
+    # |cos| / |cos| is 1 on the ray, but cosh overflows past y ~ 710
+    rc, out, err = run_cli(["majorize", "--f", '{"kind":"cos"}',
+                            "--majorant", '{"type":"expr","f":{"kind":"cos"}}',
+                            "--domain", '{"kind":"ray","beta":0.5,"h":1,"rmax":1000}'])
+    doc = json.loads(out)
+    assert rc == 1 and doc["error"]["kind"] == "overflow"
+    assert "+725.36" in doc["error"]["detail"] and "Traceback" not in err
+
+
 def _one_zero_space(zero):
     return json.dumps({"E": {"kind": "poly", "coeffs": [[1, 0], [-1, 0]]},
                        "zeros": {"kind": "list", "genus": 0, "zeros": [zero]}})
@@ -374,3 +387,31 @@ def test_jsonable_flags_non_finite_floats_and_complex_parts():
     assert _jsonable(complex(math.inf, 0.0)) == ["inf", 0.0]
     assert _jsonable(complex(0.5, -2.0)) == [0.5, -2.0]
     assert json.dumps(_jsonable({"v": complex(math.nan, math.inf)}), allow_nan=False)
+
+
+def test_herglotz_finds_a_mass_without_importing_scipy():
+    q = {"kind": "quotient", "num": {"kind": "const", "value": [0, 1]},
+         "den": {"kind": "z"}}
+    code = ("import json, sys; from dblab.cli import main; "
+            "rc = main(['herglotz', '--q', sys.argv[1]]); "
+            "print(json.dumps([rc, sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy')]))")
+    r = subprocess.run([sys.executable, "-c", code, json.dumps(q)],
+                       capture_output=True, text=True, check=True)
+    result, last = r.stdout.strip().splitlines()
+    assert len(json.loads(result)["result"]["point-masses"]) == 1
+    assert json.loads(last) == [0, []]
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    for path in sorted(Path(dblab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name} imports {name}"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dblab import domains as dom
-from dblab.errors import AllPointsExcluded, ConfigError
+from dblab.errors import AllPointsExcluded, ConfigError, Overflow
 from dblab.examples import a45_truncated_space, pw_kernel_expr, pw_space
 from dblab.expressions import Const, Cos, ExpCZ, Product, Sinc
 from dblab.majorization import (Majorant, admissibility_check, expr_majorant,
@@ -87,8 +87,9 @@ def test_majorant_values_have_the_bits_of_one_batch(pw1):
 
 def test_majorization_on_a_long_line_samples_the_majorant_by_blocks(pw1):
     # 184,221 points: the kernel norm of the whole sample at once lifted
-    # the traced peak to about 18.6 MiB; by blocks it is about 11.8 MiB,
-    # the test's own arrays
+    # the traced peak to about 18.6 MiB, and whole-sample |F|, |F#|, m and
+    # ratio arrays to about 11.8 MiB; with the ratio built a block at a
+    # time it is about 6.5 MiB
     m = nabla_majorant(pw1, dom.line(1.0, ratio=1.0001))
     tracemalloc.start()
     try:
@@ -97,7 +98,27 @@ def test_majorization_on_a_long_line_samples_the_majorant_by_blocks(pw1):
     finally:
         tracemalloc.stop()
     assert rep.z.size > 180_000 and rep.verdict == "majorized"
-    assert peak < 15 * 2 ** 20
+    assert peak < 9 * 2 ** 20
+
+
+def test_overflowing_sample_is_an_overflow_not_an_infinite_ratio():
+    # |cos| / |cos| is 1, but cosh overflows past y ~ 710 and inf/inf is NaN
+    m = expr_majorant(Cos(), dom.ray(0.5, 1.0, rmax=1000.0))
+    with pytest.raises(Overflow) as err:
+        run_majorization(Cos(), m)
+    pts = m.domain.points()
+    with np.errstate(over="ignore"):
+        first = pts[np.isinf(np.cosh(pts.imag))][0]
+    assert abs(first - 725.36j) < 0.01 and f"z={first}" in str(err.value)
+
+
+def test_finite_f_over_a_zero_of_the_majorant_keeps_an_infinite_ratio():
+    d = dom.axis(rmax=100.0)
+    m = Majorant("vanishing", lambda z: np.where(np.abs(z.real) < 1.0, 0.0, 1.0), d)
+    rep = run_majorization(Const(1.0), m)
+    assert rep.sup_ratio == math.inf and rep.tail_slope == math.inf
+    assert rep.verdict == "not-majorized"
+    assert np.array_equal(np.isinf(rep.ratio), np.abs(rep.z.real) < 1.0)
 
 
 def test_nabla_majorant_on_axis(pw1):

@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
+from dblab import model
 from dblab.errors import (ConfigError, DegenerateInner, EnvelopeNotDecaying,
                           NegativeRealPart)
 from dblab.examples import build_a41
@@ -93,13 +97,71 @@ def test_herglotz_lebesgue_density():
 
 def test_herglotz_plateau_yields_no_mass_candidates(monkeypatch):
     # a flat delta*|q| profile has no strict local maximum to refine
-    import scipy.optimize
     calls = []
-    real = scipy.optimize.minimize_scalar
-    monkeypatch.setattr(scipy.optimize, "minimize_scalar",
-                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    real = model._fminbound
+    monkeypatch.setattr(model, "_fminbound",
+                        lambda *a: calls.append(a) or real(*a))
     assert not herglotz_extract(Const(1.0)).point_masses
     assert not calls
+
+
+def _counted(func):
+    def f(x):
+        f.calls += 1
+        return func(x)
+    f.calls = 0
+    return f
+
+
+def _scipy_bounded(func, lo, hi, xatol):
+    res = minimize_scalar(func, bounds=(lo, hi), method="bounded",
+                          options={"xatol": xatol})
+    return float(res.x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-10.0, 10.0), st.one_of(st.just(0.0), st.floats(1e-9, 20.0)),
+       st.floats(-15.0, 15.0), st.sampled_from([0.0, 0.05, 0.3, 2.0]),
+       st.floats(0.5, 40.0), st.floats(-3.0, 3.0), st.sampled_from([1e-12, 1e-8, 1e-5]))
+@example(0.0, 1.0, 0.3, 0.0, 1.0, 0.0, 1e-12)      # unimodal, interior minimum
+@example(0.0, 1.0, -5.0, 0.0, 1.0, 0.0, 1e-12)     # minimum at the left end
+@example(0.0, 1.0, 5.0, 0.0, 1.0, 0.0, 1e-12)      # minimum at the right end
+@example(-3.0, 6.0, 0.0, 2.0, 7.0, 0.1, 1e-12)     # many local minima
+@example(2.5, 0.0, 0.0, 0.3, 3.0, 1.0, 1e-12)      # lo == hi
+def test_fminbound_is_scipy_bounded_bit_for_bit(lo, width, x0, amp, k, slope, xatol):
+    def f(x):
+        return (x - x0) ** 2 + amp * math.sin(k * x) + slope * x
+
+    ours, theirs = _counted(f), _counted(f)
+    t = model._fminbound(ours, lo, lo + width, xatol)
+    assert float(t).hex() == _scipy_bounded(theirs, lo, lo + width, xatol).hex()
+    assert ours.calls == theirs.calls <= 500
+
+
+def test_fminbound_stops_at_500_evaluations_like_scipy():
+    # |x| with xatol = 0 never meets the tolerance test
+    ours, theirs = _counted(abs), _counted(abs)
+    t = model._fminbound(ours, -1.0, 1.0, 0.0)
+    assert float(t).hex() == _scipy_bounded(theirs, -1.0, 1.0, 0.0).hex()
+    assert ours.calls == theirs.calls == 500
+
+
+def test_herglotz_point_masses_are_located_as_by_scipy(monkeypatch):
+    # i/z and the Cayley transform of -B for a two-zero Blaschke product
+    real, pairs = model._fminbound, []
+
+    def both(func, a, b, xatol):
+        t = real(func, a, b, xatol)
+        pairs.append((float(t).hex(), _scipy_bounded(func, a, b, xatol).hex()))
+        return t
+
+    monkeypatch.setattr(model, "_fminbound", both)
+    blaschke = InnerFunction.blaschke([1j, -2 + 0.5j])
+    neg = InnerFunction("expr", Product([Const(-1.0), blaschke.expr]))
+    masses = [herglotz_extract(q).point_masses
+              for q in (Q_POLE, cayley_q_from_theta(neg, "plus"))]
+    assert len(masses[0]) == 1 and len(masses[1]) == 2
+    assert len(pairs) >= 3 and all(ours == theirs for ours, theirs in pairs)
 
 
 def test_herglotz_rejects_negative_real_part():
