@@ -477,7 +477,9 @@ class FunctionExpr:
         (values, None) when ``error`` is false.
 
         ``max_terms`` caps the terms of each product or series node
-        (default ``max_series_terms``).
+        (default ``max_series_terms``).  When several points fail, the
+        error raised is that of the first failing block of ``_POINTS``
+        points, in tree order within that block.
         """
         ctx = {"max_terms": DEFAULTS["max_series_terms"] if max_terms is None else max_terms}
         zz = np.asarray(z, dtype=complex)

@@ -12,6 +12,16 @@ for the integrand (octave-sum ratio >= 2**-0.05) raises
 Everything evaluates vectorized; panels are split where the 15/31 point
 results disagree, so narrow spikes riding on a smooth background get
 refined while smooth oscillatory stretches stay cheap.
+
+Integrand contract: ``fn`` maps a 1-d array of real nodes to an array of
+values of the same size and dtype on every call, and must be pointwise
+(a value depends on its own node only).  It is called on consecutive slices of whole panels of
+at most ``_POINTS`` nodes, in order; its values are copied into one
+contiguous matrix per Gauss rule and reduced once, so neither the blocks
+nor the memory layout of the values change a bit.  An integrand that
+raises does so at its first failing block.  A running total or error
+that is not finite raises :class:`Overflow`, naming the halfwidth
+reached.
 """
 
 from __future__ import annotations
@@ -23,7 +33,8 @@ from functools import lru_cache
 import numpy as np
 
 from .defaults import DEFAULTS
-from .errors import NonConvergentTail
+from .errors import NonConvergentTail, Overflow
+from .expressions import _POINTS
 
 # refinement rounds and panel count at which an interval stops splitting
 _MAX_ROUNDS = 18
@@ -46,20 +57,38 @@ class QuadResult:
     octave_sums: list
 
 
+def _gauss(fn, mid: np.ndarray, rad: np.ndarray, n: int) -> np.ndarray:
+    """n-point Gauss values of a batch of panels.  ``fn`` is called on
+    whole panels, in order, at most ``_POINTS`` nodes at a time; the values
+    fill one (panels, n) matrix of the first block's dtype, reduced once."""
+    x, w = _gl(n)
+    step = max(1, _POINTS // n)
+    for i in range(0, mid.size, step):
+        block = slice(i, i + step)
+        pts = mid[block, None] + rad[block, None] * x[None, :]
+        v = np.asarray(fn(pts.ravel())).reshape(pts.shape)
+        if i == 0:
+            vals = np.empty((mid.size, n), dtype=v.dtype)
+        vals[block] = v
+    return rad * (vals @ w)
+
+
 def _panel_batch(fn, lo: np.ndarray, hi: np.ndarray):
-    """15/31-point Gauss values for a batch of panels, one fn call each."""
+    """15/31-point Gauss values for a batch of panels; each rule's value
+    matrix is freed before the next is built."""
     mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    out = []
-    for n in (15, 31):
-        x, w = _gl(n)
-        pts = mid[:, None] + rad[:, None] * x[None, :]
-        vals = np.asarray(fn(pts.ravel())).reshape(pts.shape)
-        out.append(rad * (vals @ w))
-    return out[0], out[1]
+    return _gauss(fn, mid, rad, 15), _gauss(fn, mid, rad, 31)
 
 
 def integrate_interval(fn, a: float, b: float, tol: float):
-    """Adaptive integral of ``fn`` over [a, b]; returns (value, error)."""
+    """Adaptive integral of ``fn`` over [a, b]; returns (value, error).
+
+    ``fn`` must be pointwise.  It is called on consecutive slices of whole
+    panels, at most ``_POINTS`` nodes a call, and raises, if it raises, at
+    its first failing block.  A non-finite value at a node is not an
+    error here, since refinement may split it away; if it reaches the
+    sums, :func:`integrate_real_line` raises :class:`Overflow`.
+    """
     if b <= a:
         return 0.0 + 0.0j, 0.0
     n0 = max(4, int(math.ceil((b - a) / DEFAULTS["quad_panel_length"])))
@@ -103,11 +132,19 @@ def _ar_ratio(sums: np.ndarray):
     return r, (resid / scale if scale > 0 else 0.0)
 
 
+def _check_finite(total: complex, err: float, halfwidth: float):
+    """Raise :class:`Overflow` unless ``|total|`` and ``err`` are finite."""
+    if not (math.isfinite(math.hypot(total.real, total.imag)) and math.isfinite(err)):
+        raise Overflow(f"the integral up to halfwidth {halfwidth:g} is {total} with "
+                       f"error {err}, not finite in double precision")
+
+
 def integrate_real_line(fn, *, rel_tol: float | None = None) -> QuadResult:
     """Integrate ``fn`` over all of R with a certified-decay tail estimate.
 
     Raises :class:`NonConvergentTail` when the fitted octave decay is too
-    slow (integrand envelope worse than ``1/t**1.05``).
+    slow (integrand envelope worse than ``1/t**1.05``), and
+    :class:`Overflow` as soon as the running total or error is not finite.
     """
     rel = DEFAULTS["quad_rel_tol"] if rel_tol is None else rel_tol
     abst = DEFAULTS["quad_abs_tol"]
@@ -120,14 +157,17 @@ def integrate_real_line(fn, *, rel_tol: float | None = None) -> QuadResult:
         return max(abst, rel * abs(current)) / 8.0
 
     total, toterr = integrate_interval(fn, -t0, t0, tol_now(1.0))
+    _check_finite(total, toterr, t0)
     sums, t = [], t0
     tail, tail_exp = 0.0 + 0.0j, -np.inf
     while t < tmax:
         vp, ep = integrate_interval(fn, t, 2 * t, tol_now(total))
+        _check_finite(total + vp, toterr + ep, 2 * t)
         vm, em = integrate_interval(fn, -2 * t, -t, tol_now(total))
         s = vp + vm
         total += s
         toterr += ep + em
+        _check_finite(total, toterr, 2 * t)
         sums.append(s)
         t *= 2.0
         if len(sums) < fit_k:
