@@ -7,6 +7,8 @@ to a structured ``{kind, detail}`` error object and exit code 1.  The
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class DblabError(Exception):
     """Base class for all computation errors."""
@@ -98,6 +100,13 @@ class Overflow(DblabError):
     """A value or its error estimate is not finite in double precision."""
 
     kind = "overflow"
+
+
+def require_finite(ok: np.ndarray, points: np.ndarray, what: str):
+    """Raise :class:`Overflow` at the first of ``points`` where ``ok`` is
+    false; ``what`` names the value up to the point, e.g. ``"q at z"``."""
+    if not np.all(ok):
+        raise Overflow(f"{what}={points[~ok][0]} is not finite in double precision")
 
 
 class UnknownInstance(DblabError):

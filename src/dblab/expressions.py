@@ -920,7 +920,7 @@ def derivative(f: FunctionExpr, z, order: int = 1, *,
     phase = np.exp(-1j * order * theta)
     d_full = fact / (m * r ** order) * np.sum(vals * phase)
     d_half = fact / ((m // 2) * r ** order) * np.sum(vals[::2] * phase[::2])
-    err = abs(d_full - d_half) + fact / r ** order * float(np.mean(errs))
+    err = np.abs(d_full - d_half) + fact / r ** order * float(np.mean(errs))
     return EvalResult(complex(d_full), float(err))
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .defaults import DEFAULTS
 from .domains import SampledDomain
-from .errors import AllPointsExcluded, ConfigError, Overflow
+from .errors import AllPointsExcluded, ConfigError, require_finite
 from .expressions import _POINTS, FunctionExpr
 from .space import DbSpace, _blocks, _ls_slope, membership, nabla_values
 
@@ -167,10 +167,8 @@ def test_majorization(f: FunctionExpr, m: Majorant) -> MajorizationReport:
         zb = z[block]
         fv = np.maximum(np.abs(f.values(zb)), np.abs(fsharp.values(zb)))
         mv = m.values(zb)
-        bad = ~(np.isfinite(fv) & np.isfinite(mv))
-        if np.any(bad):
-            raise Overflow(f"max(|F|, |F#|) or the majorant at z={zb[bad][0]} "
-                           "is not finite in double precision")
+        require_finite(np.isfinite(fv) & np.isfinite(mv), zb,
+                       "max(|F|, |F#|) or the majorant at z")
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio[block] = np.where(mv > 0, fv / mv, np.inf)
     sup = float(np.max(ratio))

@@ -11,8 +11,8 @@ Herglotz data of a function with nonnegative real part on the upper
 half-plane: the linear coefficient ``p`` from the growth of
 ``Re q(iy)``, boundary density samples ``Re q(t + i delta)``, point
 masses where ``delta |q(t + i delta)|`` stabilizes to a positive limit
-(each located by a bounded Brent search for the peak of ``|q|``), and the
-total mass ``pi * lim y q(iy)`` when that limit exists.
+(each located by a 9-point zoom on the peak of ``|q|``), and the total
+mass ``pi * lim y q(iy)`` when that limit exists.
 
 Weak-type reports integrate the superlevel indicator
 ``|q(x + i y0)| > a`` with bisection-refined boundaries against either
@@ -30,7 +30,7 @@ import numpy as np
 
 from .defaults import DEFAULTS
 from .errors import (ConfigError, DegenerateInner, EnvelopeNotDecaying,
-                     NegativeRealPart)
+                     NegativeRealPart, require_finite)
 from .expressions import (Const, FunctionExpr, Poly, Product, Quotient,
                           expr_from_json, expr_to_json)
 from .space import DbSpace, _ls_slope
@@ -183,7 +183,8 @@ def y_limit(q: FunctionExpr) -> float:
     tailvals = w[-8:]
     spread = float(np.max(np.abs(tailvals - np.mean(tailvals))))
     mean = complex(np.mean(tailvals))
-    if spread <= 1e-3 * max(abs(mean), 1e-12) and abs(mean.imag) <= 1e-3 * max(abs(mean), 1e-9):
+    size = np.hypot(mean.real, mean.imag)
+    if spread <= 1e-3 * max(size, 1e-12) and abs(mean.imag) <= 1e-3 * max(size, 1e-9):
         return float(mean.real)
     return math.inf
 
@@ -192,123 +193,60 @@ def y_limit(q: FunctionExpr) -> float:
 _MASS_FLOOR = 5e-3
 
 
-def _fminbound(func: Callable[[float], float], a: float, b: float,
-               xatol: float) -> float:
-    """Local minimizer of ``func`` on ``[a, b]`` by Brent's bounded search
-    (golden sections with parabolic steps; Brent 1973, ch. 5).
-
-    A step-for-step port of scipy's ``minimize_scalar(method="bounded")``
-    with its 500-evaluation cap, so it returns the same bits.
-    """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:
-            # try a parabola through the three best points
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
-            else:
-                golden = True
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = golden_mean * e
-
-        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= 500:
-            break
-    return xf
+def _peak(q: FunctionExpr, a: float, b: float, delta: float) -> float:
+    """Abscissa of the largest ``|q(x + i delta)|`` on ``[a, b]``: keep the
+    argmax of 9 even samples and its neighbours, a bracket 4x narrower,
+    until it is under 1e-13 wide or stops shrinking (a few ulps of x)."""
+    while True:
+        x = np.linspace(a, b, 9)
+        k = int(np.argmax(np.abs(q.values(x + 1j * delta))))
+        lo, hi = x[max(k - 1, 0)], x[min(k + 1, 8)]
+        if hi - lo < 1e-13 or hi - lo >= b - a:
+            return float(x[k])
+        a, b = lo, hi
 
 
 def herglotz_extract(q: FunctionExpr, density_grid: np.ndarray | None = None,
                      delta: float | None = None) -> HerglotzData:
     """Numeric Herglotz-representation summary of a nonnegative-real-part
-    function."""
-    probes_x = np.linspace(-10.0, 10.0, 9)
-    probes_y = np.geomspace(0.1, 10.0, 5)
-    probes = (probes_x[:, None] + 1j * probes_y[None, :]).ravel()
+    function.  ``delta`` sets the density height only; point masses are
+    located and read at the smallest of ``herglotz_delta_probes``.  Raises
+    :class:`Overflow` when a probe, fit or density sample is not finite."""
+    probes = (np.linspace(-10.0, 10.0, 9)[:, None] + 1j * np.geomspace(0.1, 10.0, 5)).ravel()
     pv = q.values(probes)
+    require_finite(np.isfinite(pv), probes, "q at the probe z")
     if float(np.min(pv.real)) < -1e-9 * (1.0 + float(np.max(np.abs(pv)))):
         raise NegativeRealPart("Re q dips below -1e-9 on the upper half-plane probes")
 
     y0, y1, n = DEFAULTS["herglotz_fit_y"]
     y = np.geomspace(y0, y1, int(n))
-    p = _ls_slope(y, q.values(1j * y).real)
+    fit = q.values(1j * y).real
+    require_finite(np.isfinite(fit), 1j * y, "Re q at the p-fit point z")
+    p = _ls_slope(y, fit)
     # bounded-measure contributions leak O(1/y^2) into the fit; snap those
     # to the exact p = 0 so the representation invariant p >= 0 holds
-    if abs(p) < 1e-6:
-        p = 0.0
-    p = max(p, 0.0)
+    p = 0.0 if abs(p) < 1e-6 else max(p, 0.0)
 
     im_at_i = float(q.at(1j).imag)
     dlt = DEFAULTS["herglotz_delta"] if delta is None else delta
     grid = np.linspace(-10.0, 10.0, 401) if density_grid is None else np.asarray(density_grid)
     density = q.values(grid + 1j * dlt).real
+    require_finite(np.isfinite(density), grid + 1j * dlt, "Re q at the density point z")
 
     # coarse scan at delta ~ grid spacing so masses between nodes still show,
-    # then locate with the bounded Brent search and confirm delta-stabilization
+    # then zoom on |q| at the smallest probe delta; keep delta*|q| if stable
     masses = []
-    spacing = float(np.min(np.diff(grid))) if grid.size > 1 else dlt
-    d_scan = max(dlt, spacing)
+    probes_d = np.array(DEFAULTS["herglotz_delta_probes"])
+    d_scan = max(dlt, float(np.min(np.diff(grid)))) if grid.size > 1 else dlt
     cand = d_scan * np.abs(q.values(grid + 1j * d_scan))
     for i in range(1, grid.size - 1):
         if cand[i] > _MASS_FLOOR and cand[i] > cand[i - 1] and cand[i] >= cand[i + 1]:
-            t0 = float(_fminbound(lambda x: -abs(q.at(x + 1j * dlt)),
-                                  grid[i - 1], grid[i + 1], 1e-12))
-            probes_d = DEFAULTS["herglotz_delta_probes"]
-            ws = np.array([d * abs(q.at(t0 + 1j * d)) for d in probes_d])
+            t0 = _peak(q, grid[i - 1], grid[i + 1], probes_d[-1])
+            ws = probes_d * np.abs(q.values(t0 + 1j * probes_d))
             if np.max(np.abs(ws - ws.mean())) < DEFAULTS["herglotz_mass_stability"] * ws.mean():
                 masses.append((t0, float(math.pi * ws[-1])))
 
-    ylim = y_limit(q) if p == 0.0 else math.inf
-    total = math.pi * ylim if math.isfinite(ylim) else math.inf
+    total = math.pi * y_limit(q) if p == 0.0 else math.inf
     return HerglotzData(p, im_at_i, grid, density, masses, total,
                         class_c0=math.isfinite(total), class_c1=(p == 0.0))
 

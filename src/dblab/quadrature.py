@@ -60,17 +60,19 @@ class QuadResult:
 def _gauss(fn, mid: np.ndarray, rad: np.ndarray, n: int) -> np.ndarray:
     """n-point Gauss values of a batch of panels.  ``fn`` is called on
     whole panels, in order, at most ``_POINTS`` nodes at a time; the values
-    fill one (panels, n) matrix of the first block's dtype, reduced once."""
+    fill one (panels, n) matrix of the first block's dtype, reduced once,
+    all with numpy's overflow, NaN and division warnings off."""
     x, w = _gl(n)
     step = max(1, _POINTS // n)
-    for i in range(0, mid.size, step):
-        block = slice(i, i + step)
-        pts = mid[block, None] + rad[block, None] * x[None, :]
-        v = np.asarray(fn(pts.ravel())).reshape(pts.shape)
-        if i == 0:
-            vals = np.empty((mid.size, n), dtype=v.dtype)
-        vals[block] = v
-    return rad * (vals @ w)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i in range(0, mid.size, step):
+            block = slice(i, i + step)
+            pts = mid[block, None] + rad[block, None] * x[None, :]
+            v = np.asarray(fn(pts.ravel())).reshape(pts.shape)
+            if i == 0:
+                vals = np.empty((mid.size, n), dtype=v.dtype)
+            vals[block] = v
+        return rad * (vals @ w)
 
 
 def _panel_batch(fn, lo: np.ndarray, hi: np.ndarray):

@@ -29,7 +29,8 @@ import numpy as np
 
 from .defaults import DEFAULTS
 from .errors import (AllPointsDiscarded, ConfigError, MissingZeroData,
-                     NegativeRadicand, NonConvergentTail, Overflow, ZeroOnAxis)
+                     NegativeRadicand, NonConvergentTail, Overflow, ZeroOnAxis,
+                     require_finite)
 from .expressions import _POINTS as _RING_POINTS
 from .expressions import (Const, EvalResult, FunctionExpr, Product, Quotient,
                           ZeroSequence, cached, expr_from_json, expr_to_json,
@@ -125,9 +126,7 @@ def hb_check(space: DbSpace, grid: np.ndarray | None = None):
         raise ConfigError("hb_check grid must be nonempty with Im z > 0")
     ev = np.abs(space.e.values(grid))
     es = np.abs(space.e_sharp.values(grid))
-    bad = ~(np.isfinite(ev) & np.isfinite(es))
-    if np.any(bad):
-        raise Overflow(f"|E| or |E#| at z={grid[bad][0]} is not finite in double precision")
+    require_finite(np.isfinite(ev) & np.isfinite(es), grid, "|E| or |E#| at z")
     margin = float(np.min(ev - es))
     ok = bool(margin > 0.0)
     if ok:
@@ -205,10 +204,7 @@ def kernel(space: DbSpace, w, z):
         near = ~far
         if np.any(near):
             out[near] = kernel_diagonal_values(space, 0.5 * (np.conj(w) + zz[near]))
-    bad = ~np.isfinite(out)
-    if np.any(bad):
-        raise Overflow(f"the kernel K(w, z) at w={w}, z={zz[bad][0]} is not "
-                       "finite in double precision")
+    require_finite(np.isfinite(out), zz, f"the kernel K(w, z) at w={w}, z")
     if np.asarray(z).shape == ():
         return complex(out[0])
     return out
@@ -421,10 +417,7 @@ def zero_sum_phase(seq: ZeroSequence, t, constant: float = 0.0):
     flat = tt.ravel()
     tree = cached(seq, "_phase_tree", lambda: _PhaseTree(seq.zeros))
     out = float(constant) + tree.phase(flat)
-    bad = ~np.isfinite(out)
-    if np.any(bad):
-        raise Overflow(f"the zero-sum phase at t={flat[bad][0]} is not finite "
-                       "in double precision")
+    require_finite(np.isfinite(out), flat, "the zero-sum phase at t")
     return out.reshape(tt.shape) if tt.shape else float(out[0])
 
 
@@ -465,10 +458,15 @@ def phase_derivative(space: DbSpace, t: float, route: str = "kernel") -> float:
     if route == "kernel":
         # |E| may be exponentially small between near-axis zeros and the
         # K/|E|^2 ratio is still fine; only an underflow-level modulus is fatal
-        e_abs = abs(space.e.at(t))
+        e = space.e.at(t)
+        e_abs = np.hypot(e.real, e.imag)
         if e_abs <= 1e-140 * (1.0 + abs(t)):
             raise ZeroOnAxis(f"E vanishes at t={t}; phase derivative undefined there")
-        return math.pi * kernel_diagonal(space, t).real / e_abs ** 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = float(math.pi * kernel_diagonal(space, t).real / e_abs ** 2)
+        if not math.isfinite(value):
+            raise Overflow(f"the phase derivative at t={t} is not finite in double precision")
+        return value
     if route == "zero-sum":
         if space.zeros is None:
             raise MissingZeroData("zero-sum route requires a declared zero sequence")

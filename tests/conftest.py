@@ -1,3 +1,6 @@
+import ctypes
+import ctypes.util
+
 import numpy as np
 import pytest
 
@@ -21,3 +24,13 @@ def zpi() -> DbSpace:
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260810)
+
+
+@pytest.fixture()
+def erange():
+    """A function leaving ``errno`` at ERANGE, as an overflowing libm call
+    does: Python 3.11's ``abs()`` of a complex with a NaN part then raises
+    ``OverflowError`` instead of returning NaN."""
+    libm = ctypes.CDLL(ctypes.util.find_library("m"))
+    libm.exp.restype, libm.exp.argtypes = ctypes.c_double, [ctypes.c_double]
+    return lambda: libm.exp(1000.0)

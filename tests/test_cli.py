@@ -344,6 +344,23 @@ def test_overflowing_majorization_sample_is_a_computation_error():
     assert "+725.36" in doc["error"]["detail"] and "Traceback" not in err
 
 
+@pytest.mark.parametrize("args", [
+    # probe and p-fit samples overflow, so the linear coefficient was NaN
+    ["herglotz", "--q", '{"kind":"exp","coeff":[0,-800]}'],
+    # |E(1)| overflows, and K(1, 1)/|E(1)|^2 was NaN
+    ["phase", "--space", '{"E":{"kind":"exp","coeff":[800,-1]}}', "--t", "1"],
+    # |E(1)| ~ 1e200 is finite but its square is not
+    ["phase", "--space", '{"E":{"kind":"exp","coeff":[460,-1]}}', "--t", "1"],
+    # the norm integrand overflows
+    ["member", "--space", '{"E":{"kind":"exp","coeff":[0,-1]}}',
+     "--f", '{"kind":"exp","coeff":[800,0]}'],
+])
+def test_non_finite_result_is_an_overflow_with_nothing_on_stderr(args):
+    rc, out, err = run_cli(args)
+    assert rc == 1 and json.loads(out)["error"]["kind"] == "overflow"
+    assert len(out.splitlines()) == 1 and err == ""
+
+
 def _one_zero_space(zero):
     return json.dumps({"E": {"kind": "poly", "coeffs": [[1, 0], [-1, 0]]},
                        "zeros": {"kind": "list", "genus": 0, "zeros": [zero]}})

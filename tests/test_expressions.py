@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from dblab.errors import ConfigError, PoleHit, RadiusTooLarge, TruncationBudgetExceeded
+from dblab.errors import (ConfigError, Overflow, PoleHit, RadiusTooLarge,
+                          TruncationBudgetExceeded)
 from dblab.examples import (a38_g_sequence, a38_gtilde_sequence, a38_g_closed,
                             a41_pole_sequence)
 from dblab.defaults import DEFAULTS
@@ -158,6 +159,13 @@ def test_derivative_matches_central_difference_on_gtilde():
 def test_derivative_order_validation():
     with pytest.raises(ConfigError):
         derivative(Cos(), 0.0, 3)
+
+
+def test_derivative_of_a_nan_function_is_an_overflow(erange):
+    # e^{800z} e^{-800z} is inf * 0 = NaN on the whole ring about 1
+    erange()
+    with pytest.raises(Overflow):
+        derivative(Product([ExpCZ(800.0), ExpCZ(-800.0)]), 1.0, 1)
 
 
 def test_truncation_error_monotonicity():

@@ -1,16 +1,14 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
-from scipy.optimize import minimize_scalar
 
 from dblab import model
 from dblab.errors import (ConfigError, DegenerateInner, EnvelopeNotDecaying,
-                          NegativeRealPart)
+                          NegativeRealPart, Overflow)
 from dblab.examples import build_a41
-from dblab.expressions import Const, Product, Quotient, Z, derivative
+from dblab.expressions import Const, ExpCZ, Product, Quotient, Z, derivative
 from dblab.model import (InnerFunction, cayley_q_from_theta, clark_kernel,
                          clark_kernel_diag, herglotz_extract, theorem_a60_scan,
                          theta_from_q, weak_type_test, y_limit)
@@ -98,75 +96,84 @@ def test_herglotz_lebesgue_density():
 def test_herglotz_plateau_yields_no_mass_candidates(monkeypatch):
     # a flat delta*|q| profile has no strict local maximum to refine
     calls = []
-    real = model._fminbound
-    monkeypatch.setattr(model, "_fminbound",
-                        lambda *a: calls.append(a) or real(*a))
+    real = model._peak
+    monkeypatch.setattr(model, "_peak", lambda *a: calls.append(a) or real(*a))
     assert not herglotz_extract(Const(1.0)).point_masses
     assert not calls
 
 
-def _counted(func):
-    def f(x):
-        f.calls += 1
-        return func(x)
-    f.calls = 0
-    return f
+def _assert_masses(h, expected):
+    """Every expected (t0, w0) is found, and nothing else: t0 within
+    1e-9 + 4 ulp(t0), w0 within 1e-8 relative."""
+    assert len(h.point_masses) == len(expected)
+    for (t, w), (t0, w0) in zip(sorted(h.point_masses), sorted(expected)):
+        assert abs(t - t0) <= 1e-9 + 4 * math.ulp(t0), (t, t0)
+        assert abs(w - w0) <= 1e-8 * w0, (t0, w, w0)
 
 
-def _scipy_bounded(func, lo, hi, xatol):
-    res = minimize_scalar(func, bounds=(lo, hi), method="bounded",
-                          options={"xatol": xatol})
-    return float(res.x)
+def test_herglotz_masses_of_exponential_inner_functions():
+    # q = (1 + e^{iaz}) / (1 - e^{iaz}) has mass 2 pi / a at each 2 pi k / a
+    for a in (0.5, 1.0, 3.0, 7.0):
+        h = herglotz_extract(cayley_q_from_theta(InnerFunction.exponential(a), "plus"))
+        ks = range(-int(10 * a / (2 * math.pi)), int(10 * a / (2 * math.pi)) + 1)
+        _assert_masses(h, [(2 * math.pi * k / a, 2 * math.pi / a) for k in ks])
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.floats(-10.0, 10.0), st.one_of(st.just(0.0), st.floats(1e-9, 20.0)),
-       st.floats(-15.0, 15.0), st.sampled_from([0.0, 0.05, 0.3, 2.0]),
-       st.floats(0.5, 40.0), st.floats(-3.0, 3.0), st.sampled_from([1e-12, 1e-8, 1e-5]))
-@example(0.0, 1.0, 0.3, 0.0, 1.0, 0.0, 1e-12)      # unimodal, interior minimum
-@example(0.0, 1.0, -5.0, 0.0, 1.0, 0.0, 1e-12)     # minimum at the left end
-@example(0.0, 1.0, 5.0, 0.0, 1.0, 0.0, 1e-12)      # minimum at the right end
-@example(-3.0, 6.0, 0.0, 2.0, 7.0, 0.1, 1e-12)     # many local minima
-@example(2.5, 0.0, 0.0, 0.3, 3.0, 1.0, 1e-12)      # lo == hi
-def test_fminbound_is_scipy_bounded_bit_for_bit(lo, width, x0, amp, k, slope, xatol):
-    def f(x):
-        return (x - x0) ** 2 + amp * math.sin(k * x) + slope * x
+def _blaschke_masses(zeros, c):
+    """Real t in [-10, 10] with B(t) = c, as mpmath roots of
+    prod(t - a) - c prod(t - conj a), each with its mass 2 pi / phi'(t),
+    phi'(t) = sum 2 Im a / |t - a|^2."""
+    def monic(roots):
+        coeffs = [mp.mpc(1)]
+        for r in roots:
+            coeffs = [u - r * v for u, v in zip(coeffs + [0], [0] + coeffs)]
+        return coeffs
 
-    ours, theirs = _counted(f), _counted(f)
-    t = model._fminbound(ours, lo, lo + width, xatol)
-    assert float(t).hex() == _scipy_bounded(theirs, lo, lo + width, xatol).hex()
-    assert ours.calls == theirs.calls <= 500
-
-
-def test_fminbound_stops_at_500_evaluations_like_scipy():
-    # |x| with xatol = 0 never meets the tolerance test
-    ours, theirs = _counted(abs), _counted(abs)
-    t = model._fminbound(ours, -1.0, 1.0, 0.0)
-    assert float(t).hex() == _scipy_bounded(theirs, -1.0, 1.0, 0.0).hex()
-    assert ours.calls == theirs.calls == 500
+    with mp.workdps(40):
+        zs = [mp.mpc(z.real, z.imag) for z in zeros]
+        p = [u - c * v for u, v in zip(monic(zs), monic([mp.conj(z) for z in zs]))]
+        while p[0] == 0:
+            p.pop(0)
+        ts = [mp.re(r) for r in mp.polyroots(p, maxsteps=200, extraprec=100)
+              if abs(mp.im(r)) < 1e-25 and abs(mp.re(r)) <= 10]
+        return [(float(t), float(2 * mp.pi / mp.fsum(2 * z.imag / abs(t - z) ** 2
+                                                      for z in zs)))
+                for t in ts]
 
 
-def test_herglotz_point_masses_are_located_as_by_scipy(monkeypatch):
-    # i/z and the Cayley transform of -B for a two-zero Blaschke product
-    real, pairs = model._fminbound, []
+@pytest.mark.parametrize("zeros, sign", [([1 + 1j, -2 + 0.5j, 0.3 + 2j], 1.0),
+                                         ([1j, -2 + 0.5j], -1.0)])
+def test_herglotz_masses_of_blaschke_products(zeros, sign):
+    # the plus-Cayley q of sign*B has its masses where B = sign
+    th = InnerFunction.blaschke(zeros)
+    th = InnerFunction("expr", Product([Const(sign), th.expr]))
+    expected = _blaschke_masses(zeros, sign)
+    assert len(expected) == 2
+    _assert_masses(herglotz_extract(cayley_q_from_theta(th, "plus")), expected)
 
-    def both(func, a, b, xatol):
-        t = real(func, a, b, xatol)
-        pairs.append((float(t).hex(), _scipy_bounded(func, a, b, xatol).hex()))
-        return t
 
-    monkeypatch.setattr(model, "_fminbound", both)
-    blaschke = InnerFunction.blaschke([1j, -2 + 0.5j])
-    neg = InnerFunction("expr", Product([Const(-1.0), blaschke.expr]))
-    masses = [herglotz_extract(q).point_masses
-              for q in (Q_POLE, cayley_q_from_theta(neg, "plus"))]
-    assert len(masses[0]) == 1 and len(masses[1]) == 2
-    assert len(pairs) >= 3 and all(ours == theirs for ours, theirs in pairs)
+def test_herglotz_mass_near_a_million():
+    # 2 pi k ~ 1e6, where a bracket cannot shrink below a few ulps of t
+    with mp.workdps(30):
+        t0 = float(2 * mp.pi * 159_155)
+    q = cayley_q_from_theta(InnerFunction.exponential(1.0), "plus")
+    h = herglotz_extract(q, density_grid=np.linspace(t0 - 1.0, t0 + 1.0, 41))
+    _assert_masses(h, [(t0, 2 * math.pi)])
 
 
 def test_herglotz_rejects_negative_real_part():
     with pytest.raises(NegativeRealPart):
         herglotz_extract(Product([Const(-1.0), Q_ONE]))
+
+
+def test_herglotz_of_a_nan_q_is_an_overflow(erange):
+    # e^{-iz} e^{iz} is inf * 0 = NaN high up the imaginary axis
+    q = Product([ExpCZ(-1j), ExpCZ(1j)])
+    erange()
+    with pytest.raises(Overflow, match="p-fit point"):
+        herglotz_extract(q)
+    erange()
+    assert y_limit(q) == math.inf
 
 
 def test_blaschke_linear_coefficient_matches_zero_sum():

@@ -274,6 +274,15 @@ def test_phase_kernel_flags_underflowed_modulus():
         phase_derivative(sp, 5.0, "kernel")
 
 
+def test_phase_kernel_of_a_nan_modulus_is_an_overflow(erange):
+    # e^{800t} e^{-800t} is inf * 0 = NaN on the axis; abs() of that NaN
+    # raised OverflowError under a stale ERANGE
+    sp = DbSpace(Product([ExpCZ(800.0), ExpCZ(-800.0)]), None, 0.0, 0.0, "nan-E")
+    erange()
+    with pytest.raises(Overflow, match="phase derivative at t=1.0"):
+        phase_derivative(sp, 1.0, "kernel")
+
+
 # the tree's truncation bound plus the rounding of both sums (a few ulps a
 # term, log2 n for the summation)
 TREE_TOL = space_module.TRUNCATION_BOUND + 64 * np.finfo(float).eps
