@@ -109,7 +109,7 @@ def _jsonable(obj):
     if isinstance(obj, complex):
         return [_jsonable(obj.real), _jsonable(obj.imag)]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        return _jsonable(obj.item())
     if isinstance(obj, float) and not math.isfinite(obj):
         return "nan" if math.isnan(obj) else "inf" if obj > 0 else "-inf"
     if isinstance(obj, np.ndarray):

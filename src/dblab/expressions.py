@@ -8,14 +8,20 @@ node evaluates vectorized over numpy arrays of complex points.
 Each node has one evaluation method, ``_eval(z, ctx, error)``, which
 returns its values and, when ``error`` is true, an absolute-error
 estimate (truncation + bounded roundoff), else ``None``: ``eval_array``
-asks for both, ``values`` for the values only.  ``eval_array`` hands
-``_eval`` the flattened points in order, ``_POINTS`` at a time, and
-writes each block into preallocated outputs; nodes are pointwise, so
-blocks change no bit.  A subtree that does not depend on ``z`` (a
-constant, or arithmetic of constants) gives a 0-d value and error, which
-fill their block.  Nodes combine values through numpy ufunc calls, never
-numpy-scalar arithmetic, whose complex products round differently from
-the array loops, so a 0-d subtree gives the bits of a broadcast one.
+asks for both, ``values`` for the values only.  ``moduli`` asks each node
+for ``|F|`` alone through ``_abs(z, ctx)``: constants, ``z``, ``exp``,
+``sin`` and ``cos`` compute it from real parts (``|exp(cz)| = exp(Re
+cz)``, ``|cos z|^2 = cos^2 x + sinh^2 y``), products, quotients, powers,
+affine and sharp nodes from their children's moduli, and every other
+node takes ``np.abs`` of its values.  Both entry
+points hand the nodes the flattened points in order, ``_POINTS`` at a
+time, and write each block into preallocated outputs; nodes are
+pointwise, so blocks change no bit.  A subtree that does not depend on
+``z`` (a constant, or arithmetic of constants) gives a 0-d value and
+error, which fill their block.  Nodes combine values through numpy ufunc
+calls, never numpy-scalar arithmetic, whose complex products round
+differently from the array loops, so a 0-d subtree gives the bits of a
+broadcast one.
 
 Expressions are immutable after construction and evaluation is pure, so
 values are safe to share across threads.  Canonical products and
@@ -456,12 +462,17 @@ class FunctionExpr:
     """Base class. Subclasses implement ``to_json`` and ``_eval(z, ctx,
     error)``, which returns the values at the points ``z`` and their
     absolute-error estimates, or ``None`` for the estimates when ``error``
-    is false; each is 0-d when it does not depend on ``z``."""
+    is false; each is 0-d when it does not depend on ``z``.  A subclass
+    may override ``_abs(z, ctx)``, the moduli alone, when it has them
+    more cheaply than its complex values."""
 
     kind = "?"
 
     def _eval(self, z: np.ndarray, ctx: dict, error: bool):
         raise NotImplementedError
+
+    def _abs(self, z: np.ndarray, ctx: dict):
+        return np.abs(self._eval(z, ctx, False)[0])
 
     def sharp(self) -> "FunctionExpr":
         """``F#(z) = conj(F(conj z))``."""
@@ -472,6 +483,23 @@ class FunctionExpr:
 
     # -- evaluation entry points ------------------------------------------
 
+    def _blockwise(self, z, max_terms, dtypes, run):
+        """``run(block, ctx)`` over the flattened points, ``_POINTS`` at a
+        time, into one output per dtype of ``dtypes``, each of the shape
+        of ``z`` (a scalar for a scalar ``z``)."""
+        ctx = {"max_terms": DEFAULTS["max_series_terms"] if max_terms is None else max_terms}
+        zz = np.asarray(z, dtype=complex)
+        flat = zz.ravel()
+        outs = [np.empty(flat.shape, dtype=t) for t in dtypes]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for i in range(0, max(flat.size, 1), _POINTS):
+                block = slice(i, i + _POINTS)
+                for out, r in zip(outs, run(flat[block], ctx)):
+                    out[block] = r
+        if zz.shape == ():
+            return [out[0] for out in outs]
+        return [out.reshape(zz.shape) for out in outs]
+
     def eval_array(self, z, max_terms: int | None = None, *, error: bool = True):
         """Vectorized evaluation; returns (values, abs_error_estimates), or
         (values, None) when ``error`` is false.
@@ -481,20 +509,18 @@ class FunctionExpr:
         error raised is that of the first failing block of ``_POINTS``
         points, in tree order within that block.
         """
-        ctx = {"max_terms": DEFAULTS["max_series_terms"] if max_terms is None else max_terms}
-        zz = np.asarray(z, dtype=complex)
-        flat = zz.ravel()
-        vals = np.empty(flat.shape, dtype=complex)
-        errs = np.empty(flat.shape) if error else None
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for i in range(0, max(flat.size, 1), _POINTS):
-                block = slice(i, i + _POINTS)
-                vals[block], e = self._eval(flat[block], ctx, error)
-                if error:
-                    errs[block] = e
-        if zz.shape == ():
-            return vals[0], None if errs is None else errs[0]
-        return vals.reshape(zz.shape), None if errs is None else errs.reshape(zz.shape)
+        if not error:
+            return self._blockwise(z, max_terms, (complex,),
+                                   lambda w, ctx: self._eval(w, ctx, False)[:1])[0], None
+        v, e = self._blockwise(z, max_terms, (complex, float),
+                               lambda w, ctx: self._eval(w, ctx, True))
+        return v, e
+
+    def moduli(self, z) -> np.ndarray:
+        """``|F(z)|``, real, of the shape of ``z``; raises what ``values``
+        raises, at the same point.  Nodes with a direct rule may differ
+        from ``np.abs(values(z))`` in the last bits."""
+        return self._blockwise(z, None, (float,), lambda w, ctx: (self._abs(w, ctx),))[0]
 
     def values(self, z) -> np.ndarray:
         """The values of ``eval_array``, without the error estimates."""
@@ -530,11 +556,12 @@ class FunctionExpr:
         return Quotient(as_expr(other), self)
 
 
-def _at(node, w, z, ctx, error):
-    """``node._eval`` at the images ``w`` of the caller's points ``z``; a
-    PoleHit names the caller's point, not its image."""
+def _at(method, w, z, *args):
+    """``method(w, *args)``, a node's ``_eval`` or ``_abs``, at the images
+    ``w`` of the caller's points ``z``; a PoleHit names the caller's point,
+    not its image."""
     try:
-        return node._eval(w, ctx, error)
+        return method(w, *args)
     except PoleHit as exc:
         hit = np.flatnonzero(w == exc.z)
         if hit.size == 0:
@@ -559,6 +586,9 @@ class Const(FunctionExpr):
     def _eval(self, z, ctx, error):
         return np.complex128(self.value), (np.float64(abs(self.value) * EPS) if error else None)
 
+    def _abs(self, z, ctx):
+        return np.abs(np.complex128(self.value))
+
     def to_json(self):
         return {"kind": "const", "value": _c2pair(self.value)}
 
@@ -568,6 +598,9 @@ class Z(FunctionExpr):
 
     def _eval(self, z, ctx, error):
         return z.copy(), (np.abs(z) * EPS if error else None)
+
+    def _abs(self, z, ctx):
+        return np.abs(z)
 
     def to_json(self):
         return {"kind": "z"}
@@ -585,8 +618,26 @@ class ExpCZ(FunctionExpr):
         v = np.exp(self.coeff * z)
         return v, (4.0 * EPS * np.abs(v) * (1.0 + np.abs(self.coeff * z)) if error else None)
 
+    def _abs(self, z, ctx):
+        c = self.coeff
+        return np.exp(c.real * z.real - c.imag * z.imag)
+
     def to_json(self):
         return {"kind": "exp", "coeff": _c2pair(self.coeff)}
+
+
+def _trig_moduli(part: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``sqrt(part^2 + sinh^2 y)``: ``|sin z|`` from ``sin x``, ``|cos z|``
+    from ``cos x``.  The squares overflow once ``|y|`` passes about 355,
+    and underflow below about 1e-154; those entries take ``np.hypot``,
+    which is finite and nonzero wherever ``np.abs`` of the complex value
+    is, but costs as much as the rest together."""
+    sh = np.sinh(y)
+    v = np.sqrt(part * part + sh * sh)
+    redo = ~((v > 1e-150) & (v < np.inf))
+    if redo.any():
+        v[redo] = np.hypot(part[redo], sh[redo])
+    return v
 
 
 class Sin(FunctionExpr):
@@ -595,6 +646,9 @@ class Sin(FunctionExpr):
     def _eval(self, z, ctx, error):
         v = np.sin(z)
         return v, (4.0 * EPS * (np.abs(v) + np.abs(z)) if error else None)
+
+    def _abs(self, z, ctx):
+        return _trig_moduli(np.sin(z.real), z.imag)
 
     def to_json(self):
         return {"kind": "sin"}
@@ -606,6 +660,9 @@ class Cos(FunctionExpr):
     def _eval(self, z, ctx, error):
         v = np.cos(z)
         return v, (4.0 * EPS * (np.abs(v) + np.abs(z)) if error else None)
+
+    def _abs(self, z, ctx):
+        return _trig_moduli(np.cos(z.real), z.imag)
 
     def to_json(self):
         return {"kind": "cos"}
@@ -688,7 +745,10 @@ class Affine(FunctionExpr):
         self.shift = complex(shift)
 
     def _eval(self, z, ctx, error):
-        return _at(self.child, self.scale * z + self.shift, z, ctx, error)
+        return _at(self.child._eval, self.scale * z + self.shift, z, ctx, error)
+
+    def _abs(self, z, ctx):
+        return _at(self.child._abs, self.scale * z + self.shift, z, ctx)
 
     def to_json(self):
         return {"kind": "affine", "child": self.child.to_json(),
@@ -736,6 +796,12 @@ class Product(FunctionExpr):
             del cv, ce
         return v, (e if error else None)
 
+    def _abs(self, z, ctx):
+        v = np.float64(1)
+        for c in self.children:
+            v = np.multiply(v, c._abs(z, ctx))
+        return v
+
     def to_json(self):
         return {"kind": "product", "children": [c.to_json() for c in self.children]}
 
@@ -774,6 +840,12 @@ class Quotient(FunctionExpr):
             return v, None
         return v, (ne + np.abs(v) * de) / np.abs(dv) + EPS * np.abs(v)
 
+    def _abs(self, z, ctx):
+        nv = self.num._abs(z, ctx)
+        dv = self.den._abs(z, ctx)
+        self._check_poles(z, dv)
+        return np.divide(nv, dv)
+
     def to_json(self):
         return {"kind": "quotient", "num": self.num.to_json(), "den": self.den.to_json()}
 
@@ -796,6 +868,9 @@ class Power(FunctionExpr):
         if not error:
             return v, None
         return v, k * np.asarray(np.abs(cv)) ** max(k - 1, 0) * ce + EPS * np.abs(v)
+
+    def _abs(self, z, ctx):
+        return np.asarray(self.child._abs(z, ctx)) ** self.exponent
 
     def to_json(self):
         return {"kind": "power", "child": self.child.to_json(), "exponent": self.exponent}
@@ -871,8 +946,11 @@ class Sharp(FunctionExpr):
         self.child = child
 
     def _eval(self, z, ctx, error):
-        v, e = _at(self.child, np.conj(z), z, ctx, error)
+        v, e = _at(self.child._eval, np.conj(z), z, ctx, error)
         return np.conj(v), e
+
+    def _abs(self, z, ctx):
+        return _at(self.child._abs, np.conj(z), z, ctx)
 
     def sharp(self):
         return self.child

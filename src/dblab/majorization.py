@@ -81,7 +81,7 @@ def mS_majorant(s: FunctionExpr, domain: SampledDomain,
     ssharp = s.sharp()
 
     def fn(z):
-        return np.maximum(np.abs(s.values(z)), np.abs(ssharp.values(z))) / np.abs(z + 1j)
+        return np.maximum(s.moduli(z), ssharp.moduli(z)) / np.abs(z + 1j)
 
     return Majorant("mS", fn, domain, zero_divisor)
 
@@ -89,7 +89,7 @@ def mS_majorant(s: FunctionExpr, domain: SampledDomain,
 def expr_majorant(f: FunctionExpr, domain: SampledDomain,
                   zero_divisor: ZeroDivisor = ()) -> Majorant:
     """User expression taken in modulus."""
-    return Majorant("expr", lambda z: np.abs(f.values(z)), domain, zero_divisor)
+    return Majorant("expr", f.moduli, domain, zero_divisor)
 
 
 @dataclass
@@ -165,7 +165,7 @@ def test_majorization(f: FunctionExpr, m: Majorant) -> MajorizationReport:
     ratio = np.empty(z.shape)
     for block in _blocks(z.size, _POINTS):
         zb = z[block]
-        fv = np.maximum(np.abs(f.values(zb)), np.abs(fsharp.values(zb)))
+        fv = np.maximum(f.moduli(zb), fsharp.moduli(zb))
         mv = m.values(zb)
         require_finite(np.isfinite(fv) & np.isfinite(mv), zb,
                        "max(|F|, |F#|) or the majorant at z")

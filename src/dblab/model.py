@@ -55,14 +55,17 @@ class InnerFunction:
 
     def validate(self) -> dict:
         """Contraction margin on a half-plane grid and boundary-modulus
-        deviation on a real grid."""
+        deviation on a real grid; raises :class:`Overflow` when |theta| is
+        not finite at a grid point."""
         x = np.linspace(-10, 10, 9)
         y = np.geomspace(0.05, 20.0, 7)
-        grid_upper = (x[:, None] + 1j * y[None, :]).ravel()
-        grid_real = np.linspace(-30.0, 30.0, 61)
-        up = np.abs(self.values(grid_upper))
+        grid = np.concatenate([(x[:, None] + 1j * y[None, :]).ravel(),
+                               np.linspace(-30.0, 30.0, 61) + 0j])
+        mod = self.expr.moduli(grid)
+        require_finite(np.isfinite(mod), grid, "|theta| at z")
+        up, real = np.split(mod, [x.size * y.size])
         margin = float(np.min(1.0 - up))
-        boundary = float(np.max(np.abs(np.abs(self.values(grid_real + 0j)) - 1.0)))
+        boundary = float(np.max(np.abs(real - 1.0)))
         return {"contraction-margin": margin, "boundary-deviation": boundary}
 
     @classmethod

@@ -124,8 +124,8 @@ def hb_check(space: DbSpace, grid: np.ndarray | None = None):
     grid = default_hb_grid() if grid is None else np.asarray(grid, dtype=complex)
     if grid.size == 0 or np.any(np.imag(grid) <= 0):
         raise ConfigError("hb_check grid must be nonempty with Im z > 0")
-    ev = np.abs(space.e.values(grid))
-    es = np.abs(space.e_sharp.values(grid))
+    ev = space.e.moduli(grid)
+    es = space.e_sharp.moduli(grid)
     require_finite(np.isfinite(ev) & np.isfinite(es), grid, "|E| or |E#| at z")
     margin = float(np.min(ev - es))
     ok = bool(margin > 0.0)
@@ -228,8 +228,8 @@ def nabla_values(space: DbSpace, zs: np.ndarray) -> np.ndarray:
     if np.any(off):
         # factor |E(z)|^2 - |E(conj z)|^2 so moduli up to ~1e300 stay in range
         zo = zs[off]
-        d = np.abs(space.e.values(zo))
-        s = np.abs(space.e.values(np.conj(zo)))
+        d = space.e.moduli(zo)
+        s = space.e.moduli(np.conj(zo))
         bad = d - s < -1e-12 * np.maximum(1.0, d)
         if np.any(bad):
             raise NegativeRadicand(f"|E#| exceeds |E| at z={zo[bad][0]}: not Hermite-Biehler")
@@ -529,7 +529,7 @@ def mean_type(f: FunctionExpr, theta: float,
     if radii.size < 20:
         raise ConfigError("mean-type grid needs at least 20 radii")
     pts = radii * np.exp(1j * theta)
-    vals = np.abs(f.values(pts))
+    vals = f.moduli(pts)
     keep = np.isfinite(vals) & (vals > DEFAULTS["meantype_tiny"])
     radii_kept, vals = radii[keep], vals[keep]
     if radii_kept.size < 4:

@@ -354,6 +354,10 @@ def test_overflowing_majorization_sample_is_a_computation_error():
     # the norm integrand overflows
     ["member", "--space", '{"E":{"kind":"exp","coeff":[0,-1]}}',
      "--f", '{"kind":"exp","coeff":[800,0]}'],
+    # theta = e^{1000z} e^{-1000z} is inf * 0 on the check grid, whose
+    # contraction margin and boundary deviation were NaN
+    ["clark", "--theta", '{"inner":{"kind":"product","children":[{"kind":"exp","coeff":[1000,0]},'
+     '{"kind":"exp","coeff":[-1000,0]}]}}', "--z", "0.5+0.8i"],
 ])
 def test_non_finite_result_is_an_overflow_with_nothing_on_stderr(args):
     rc, out, err = run_cli(args)
@@ -404,6 +408,13 @@ def test_jsonable_flags_non_finite_floats_and_complex_parts():
     assert _jsonable(complex(math.inf, 0.0)) == ["inf", 0.0]
     assert _jsonable(complex(0.5, -2.0)) == [0.5, -2.0]
     assert json.dumps(_jsonable({"v": complex(math.nan, math.inf)}), allow_nan=False)
+
+
+def test_jsonable_flags_non_finite_numpy_scalars():
+    doc = {"a": np.float64("nan"), "b": np.float32(-np.inf), "c": [np.float64(np.inf)],
+           "d": np.float64(0.25), "e": np.int64(3)}
+    text = json.dumps(_jsonable(doc), allow_nan=False)
+    assert json.loads(text) == {"a": "nan", "b": "-inf", "c": ["inf"], "d": 0.25, "e": 3}
 
 
 def test_herglotz_finds_a_mass_without_importing_scipy():

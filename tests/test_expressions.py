@@ -749,3 +749,141 @@ def test_poly_values_equal_polyval_byte_for_byte(degree, rng):
         with np.errstate(over="ignore", invalid="ignore"):
             ref = np.polynomial.polynomial.polyval(z, c)
         assert _same_bits(Poly(c).values(z), ref)
+
+
+# ---------------------------------------------------------------------------
+# moduli: |F| without the complex values
+# ---------------------------------------------------------------------------
+
+def _a41_deep(z):
+    # 1 - pi w cot(pi w) ~ |z| cancels about log10(1/|z|) digits
+    with mpmath.extradps(max(0, int(-mpmath.log10(abs(z)))) if z else 0):
+        return +_a41_ref(z)
+
+
+_SEQUENCE_REFS = {id(SEQUENCE_NODES[0]): _g_ref,
+                  id(SEQUENCE_NODES[1]): _product_ref(SEQUENCE_NODES[1].seq),
+                  id(SEQUENCE_NODES[2]): _a41_deep}
+
+
+def _mp_value(f, z):
+    """``F(z)`` in mpmath, node by node; the sequence nodes give the
+    functions their truncations approximate, within their ``abs_error``."""
+    k = f.kind
+    if k in ("canonical-product", "partial-fractions"):
+        return _SEQUENCE_REFS[id(f)](z)
+    if k == "const":
+        return _mpc(f.value)
+    if k == "z":
+        return z
+    if k == "exp":
+        return mpmath.exp(_mpc(f.coeff) * z)
+    if k in ("sin", "cos"):
+        return getattr(mpmath, k)(z)
+    if k == "sinc":
+        return mpmath.sin(z) / z if z else mpmath.mpf(1)
+    if k == "poly":
+        return mpmath.polyval([_mpc(c) for c in f.coeffs[::-1]], z)
+    if k == "affine":
+        return _mp_value(f.child, _mpc(f.scale) * z + _mpc(f.shift))
+    if k == "sharp":
+        return mpmath.conj(_mp_value(f.child, mpmath.conj(z)))
+    if k == "power":
+        return _mp_value(f.child, z) ** f.exponent
+    if k == "quotient":
+        return _mp_value(f.num, z) / _mp_value(f.den, z)
+    parts = [_mp_value(c, z) for c in f.children]
+    return sum(parts, mpmath.mpf(0)) if k == "sum" else mpmath.fprod(parts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_kind(), st.lists(st.complex_numbers(max_magnitude=10.0, allow_nan=False,
+                                               allow_infinity=False),
+                            min_size=1, max_size=6))
+@example(Affine(Cos(), 2.5, 0.3 - 0.1j), [9.0 + 3.0j, -7.5 - 0.2j])
+@example(Power(Product([Sinc(), ExpCZ(-2.0 + 1.5j), Sharp(Sin())]), 3), [1e-5j, 4.0 - 6.0j])
+@example(Quotient(Sharp(Cos()), Sum([Z(), Const(-1.0)])), [1.0, 2.0j])
+@example(Product([Sin(), Sharp(Cos()), Quotient(Z(), SEQUENCE_NODES[2])]), [2.3e-240, 1.4e-95])
+def test_moduli_bound_their_error_against_mpmath(f, z):
+    z = np.array(z)
+    got = _values_or_pole(lambda: f.moduli(z))
+    ref = _values_or_pole(lambda: f.eval_array(z))
+    if isinstance(ref[0], str):
+        assert got == ref
+        return
+    v, e = ref
+    assert got.dtype == np.float64 and got.shape == z.shape
+    finite = np.isfinite(np.abs(v))
+    with mpmath.workdps(40):
+        exact = np.array([float(abs(_mp_value(f, _mpc(w)))) for w in z[finite]])
+    dev = np.abs(np.abs(v[finite]) - exact)
+    tol = np.maximum(e[finite], dev) + 4.0 * EPS * exact
+    assert np.all(np.abs(got[finite] - exact) <= tol), (got[finite], exact, tol)
+
+
+@pytest.mark.parametrize("node", [Cos(), Sin(), Product([Cos(), Sharp(Sin())]),
+                                  Quotient(Affine(Cos(), 1.0, 1.0), ExpCZ(-0.5j))])
+@pytest.mark.parametrize("y", [300.0, 400.0, 700.0])
+def test_moduli_stay_finite_where_the_complex_modulus_is(node, y):
+    # cos^2 x + sinh^2 y overflows past |y| ~ 355; the complex modulus
+    # stays finite to ~710
+    x = np.linspace(-20.0, 20.0, 41)
+    for z in (x + 1j * y, x - 1j * y):
+        ref = np.abs(node.values(z))
+        got = node.moduli(z)
+        assert np.array_equal(np.isfinite(got), np.isfinite(ref))
+        finite = np.isfinite(ref)
+        assert np.allclose(got[finite], ref[finite], rtol=8 * EPS, atol=0.0)
+
+
+@pytest.mark.parametrize("shape", [(3 * _POINTS,), (3, _POINTS)])
+def test_moduli_raise_what_values_raise_at_the_same_point(shape, rng, monkeypatch):
+    near_root = Quotient(Const(1.0), Poly([-(1 + 1j), 1.0]))
+    fractions = PartialFractions(a41_pole_sequence(2.0, 300))
+    cases = [(near_root, 1 + 1j), (Quotient(Cos(), Z()), 0.0),
+             (Quotient(ExpCZ(1j), Product([Sin(), Sharp(ExpCZ(0.5))])), 0.0),
+             (Sharp(Affine(near_root, 1.0, 2.0)), -1 - 1j),
+             (Affine(Quotient(Sinc(), Affine(Z(), 1.0, -2.0)), 2.0, 0.0), 1.0),
+             (fractions, 9.0), (Sum([Z(), Sharp(fractions)]), 16.0)]
+    for f, pole in cases:
+        z = _points(rng, shape) + 10.0j
+        z.flat[_POINTS + 5] = pole
+        z.flat[2 * _POINTS + 1] = pole + 1e-11
+        with pytest.raises(PoleHit) as on_values:
+            f.values(z)
+        with pytest.raises(PoleHit) as on_moduli:
+            f.moduli(z)
+        assert complex(on_moduli.value.z) == complex(on_values.value.z) == pole
+        assert str(on_moduli.value) == str(on_values.value)
+    g = CanonicalProduct(a38_g_sequence(2000))
+    monkeypatch.setitem(DEFAULTS, "max_series_terms", 1000)
+    for f in (g, Product([Cos(), Sharp(g)]), Quotient(ExpCZ(1.0), g)):
+        with pytest.raises(TruncationBudgetExceeded) as on_values:
+            f.values(np.array([1.0, 2.0j]))
+        with pytest.raises(TruncationBudgetExceeded) as on_moduli:
+            f.moduli(np.array([1.0, 2.0j]))
+        assert str(on_moduli.value) == str(on_values.value)
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (_POINTS - 1,), (_POINTS,), (_POINTS + 1,),
+                                   (3, _POINTS - 5)])
+def test_moduli_tile_the_points_in_blocks_as_eval_array(shape, rng):
+    z = _points(rng, shape)
+    node = _Blocks()
+    got = node.moduli(z)
+    assert np.shape(got) == shape and np.asarray(got).dtype == np.float64
+    assert len(node.seen) == max(1, -(-z.size // _POINTS))
+    assert _same_bits(np.concatenate(node.seen), z.ravel())
+    assert _same_bits(got, np.abs(2.0 * z))
+    f = Sum([Product([Cos(), Sharp(ExpCZ(0.3 - 1.7j))]), Quotient(Sinc(), Poly([3j, 1.0]))])
+    flat = z.ravel()
+    parts = [f.moduli(flat[i:i + _POINTS]) for i in range(0, flat.size, _POINTS)]
+    if z.size:
+        assert _same_bits(f.moduli(z), np.concatenate(parts).reshape(shape))
+
+
+def test_moduli_of_a_constant_tree_fill_every_block():
+    z = np.zeros((3, _POINTS - 1), dtype=complex)
+    for f in CONSTANT_TREES:
+        m = f.moduli(z)
+        assert m.shape == z.shape and _same_bits(m, np.full(z.shape, f.moduli(0.0)))

@@ -11,7 +11,8 @@ from dblab.expressions import Const, Cos, ExpCZ, Product, Sinc
 from dblab.majorization import (Majorant, admissibility_check, expr_majorant,
                                 mS_majorant, nabla_majorant)
 from dblab.majorization import test_majorization as run_majorization
-from dblab.space import mean_type, nabla_values, norm_squared
+from dblab.model import InnerFunction
+from dblab.space import hb_check, mean_type, nabla_values, norm_squared
 from dblab.expressions import Quotient
 
 SINC = pw_kernel_expr(1.0, 0.0)
@@ -163,6 +164,36 @@ def test_cos_majorized_on_line_with_exact_sup(pw1):
     expect = math.cosh(h) / math.sqrt(math.sinh(2 * h) / (2 * math.pi * h))
     assert rep.verdict == "majorized"
     assert abs(rep.sup_ratio - expect) < 1e-6 * expect
+
+
+def test_moduli_callers_never_evaluate_cos_or_exp_as_complex(monkeypatch):
+    # the sampled moduli come from real parts; a silent fallback to the
+    # complex values would raise here
+    def refuse(self, z, ctx, error):
+        raise AssertionError(f"complex {self.kind} evaluated")
+
+    monkeypatch.setattr(Cos, "_eval", refuse)
+    monkeypatch.setattr(ExpCZ, "_eval", refuse)
+    h, a = 1.0, 2.5
+    rep = run_majorization(Cos(), nabla_majorant(pw_space(1.0), dom.line(h)))
+    nabla_h = math.sqrt(math.sinh(2 * h) / (2 * math.pi * h))
+    x = rep.z.real
+    assert rep.verdict == "majorized"
+    assert np.allclose(rep.ratio, np.sqrt(np.cos(x) ** 2 + math.sinh(h) ** 2) / nabla_h,
+                       rtol=1e-14, atol=0.0)
+    z = np.linspace(-30.0, 30.0, 61) + 1j * np.geomspace(0.01, 20.0, 61)
+    got = nabla_values(pw_space(a), z)
+    y = z.imag
+    assert np.allclose(got, np.sqrt(np.sinh(2 * a * y) / (2 * math.pi * y)), rtol=1e-12, atol=0.0)
+    assert hb_check(pw_space(a))[0]
+    assert abs(mean_type(ExpCZ(-1j * a), 0.5 * math.pi).value - a) < 1e-9
+    # |cos| against max(|S|, |S#|)/|z + i| = cosh(h)/|z + i| grows like |x|
+    assert run_majorization(Cos(), mS_majorant(ExpCZ(-1j), dom.line(h))).verdict == "not-majorized"
+    # max(|e^{iz}|, |e^{-iz}|)/|cos z| = e^h/|cos z| <= e^h/sinh(h)
+    rep = run_majorization(ExpCZ(1j), expr_majorant(Cos(), dom.line(h)))
+    assert math.exp(h) / math.cosh(h) <= rep.sup_ratio <= math.exp(h) / math.sinh(h)
+    checks = InnerFunction.exponential(a).validate()
+    assert checks["contraction-margin"] > 0.0 and checks["boundary-deviation"] < 1e-15
 
 
 def test_cos_not_majorized_on_vertical_ray(pw1):
