@@ -13,7 +13,11 @@ for ``|F|`` alone through ``_abs(z, ctx)``: constants, ``z``, ``exp``,
 ``sin`` and ``cos`` compute it from real parts (``|exp(cz)| = exp(Re
 cz)``, ``|cos z|^2 = cos^2 x + sinh^2 y``), products, quotients, powers,
 affine and sharp nodes from their children's moduli, and every other
-node takes ``np.abs`` of its values.  Both entry
+node takes ``np.abs`` of its values.  ``jets`` asks a closed-form tree
+(one without a canonical-product or partial-fraction node) for ``(F,
+F')`` through ``_jet(z, ctx)``: each node returns its values, by the
+ufunc calls of ``_eval`` in their order, and its derivative by the
+forward-mode rule of its kind.  All three entry
 points hand the nodes the flattened points in order, ``_POINTS`` at a
 time, and write each block into preallocated outputs; nodes are
 pointwise, so blocks change no bit.  A subtree that does not depend on
@@ -464,7 +468,9 @@ class FunctionExpr:
     absolute-error estimates, or ``None`` for the estimates when ``error``
     is false; each is 0-d when it does not depend on ``z``.  A subclass
     may override ``_abs(z, ctx)``, the moduli alone, when it has them
-    more cheaply than its complex values."""
+    more cheaply than its complex values.  Every closed-form kind has
+    ``_jet(z, ctx)``, its values and derivative; a node with children
+    lists them in ``_parts``."""
 
     kind = "?"
 
@@ -473,6 +479,19 @@ class FunctionExpr:
 
     def _abs(self, z: np.ndarray, ctx: dict):
         return np.abs(self._eval(z, ctx, False)[0])
+
+    def _jet(self, z: np.ndarray, ctx: dict):
+        raise NotImplementedError
+
+    def _parts(self) -> tuple:
+        return ()
+
+    def closed_form(self) -> bool:
+        """Whether every node of the tree has a ``_jet``, so that ``jets``
+        can evaluate it: false when it holds a canonical-product or
+        partial-fraction node."""
+        return (type(self)._jet is not FunctionExpr._jet
+                and all(c.closed_form() for c in self._parts()))
 
     def sharp(self) -> "FunctionExpr":
         """``F#(z) = conj(F(conj z))``."""
@@ -521,6 +540,15 @@ class FunctionExpr:
         raises, at the same point.  Nodes with a direct rule may differ
         from ``np.abs(values(z))`` in the last bits."""
         return self._blockwise(z, None, (float,), lambda w, ctx: (self._abs(w, ctx),))[0]
+
+    def jets(self, z):
+        """``(F(z), F'(z))`` of a closed-form tree, each of the shape of
+        ``z``, from one pass: the values have the bits of ``values`` and
+        raise what it raises, at the same point.  A tree that is not
+        ``closed_form`` raises ConfigError before anything is evaluated."""
+        if not self.closed_form():
+            raise ConfigError(f"no jets for a {self.kind!r} tree with a series node")
+        return tuple(self._blockwise(z, None, (complex, complex), self._jet))
 
     def values(self, z) -> np.ndarray:
         """The values of ``eval_array``, without the error estimates."""
@@ -589,6 +617,9 @@ class Const(FunctionExpr):
     def _abs(self, z, ctx):
         return np.abs(np.complex128(self.value))
 
+    def _jet(self, z, ctx):
+        return np.complex128(self.value), np.complex128(0)
+
     def to_json(self):
         return {"kind": "const", "value": _c2pair(self.value)}
 
@@ -601,6 +632,9 @@ class Z(FunctionExpr):
 
     def _abs(self, z, ctx):
         return np.abs(z)
+
+    def _jet(self, z, ctx):
+        return z.copy(), np.complex128(1)
 
     def to_json(self):
         return {"kind": "z"}
@@ -621,6 +655,10 @@ class ExpCZ(FunctionExpr):
     def _abs(self, z, ctx):
         c = self.coeff
         return np.exp(c.real * z.real - c.imag * z.imag)
+
+    def _jet(self, z, ctx):
+        v = np.exp(self.coeff * z)
+        return v, self.coeff * v
 
     def to_json(self):
         return {"kind": "exp", "coeff": _c2pair(self.coeff)}
@@ -650,6 +688,9 @@ class Sin(FunctionExpr):
     def _abs(self, z, ctx):
         return _trig_moduli(np.sin(z.real), z.imag)
 
+    def _jet(self, z, ctx):
+        return np.sin(z), np.cos(z)
+
     def to_json(self):
         return {"kind": "sin"}
 
@@ -663,6 +704,9 @@ class Cos(FunctionExpr):
 
     def _abs(self, z, ctx):
         return _trig_moduli(np.cos(z.real), z.imag)
+
+    def _jet(self, z, ctx):
+        return np.cos(z), np.negative(np.sin(z))
 
     def to_json(self):
         return {"kind": "cos"}
@@ -681,6 +725,13 @@ def csinc(w: np.ndarray) -> np.ndarray:
     return np.where(small, 1.0 - w2 / 6.0 + w2 * w2 / 120.0, big)
 
 
+# sinc'(z) = z sum_{k>=1} (-1)^k 2k z^(2k-2) / (2k+1)!, to k = 10: the last
+# term is below 1.2e-18 of the first on |z| < 1, where (cos z - sinc z)/z
+# would cancel up to 2 log10(1/|z|) digits
+_SINC_SLOPE = np.array([(-1) ** k * 2 * k / math.factorial(2 * k + 1) for k in range(1, 11)],
+                       dtype=complex)
+
+
 class Sinc(FunctionExpr):
     """Entire sin(z)/z; keeps Paley-Wiener kernels evaluable at their
     removable singularity."""
@@ -690,6 +741,10 @@ class Sinc(FunctionExpr):
     def _eval(self, z, ctx, error):
         v = csinc(z)
         return v, (4.0 * EPS * (np.abs(v) + 1.0) if error else None)
+
+    def _jet(self, z, ctx):
+        v = csinc(z)
+        return v, np.where(np.abs(z) < 1.0, z * _polyval(z * z, _SINC_SLOPE), (np.cos(z) - v) / z)
 
     def to_json(self):
         return {"kind": "sinc"}
@@ -707,6 +762,17 @@ def _polyval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     return v
 
 
+def _monic_roots(c: np.ndarray):
+    """The roots of the polynomial ``c`` (ascending, last entry nonzero), or
+    None when ``c[:-1] / c[-1]`` is not finite."""
+    if c.size <= 1:
+        return np.empty(0, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.all(np.isfinite(c[:-1] / c[-1])):
+            return None
+    return np.polynomial.polynomial.polyroots(c)
+
+
 class Poly(FunctionExpr):
     """Polynomial with complex coefficients, ascending degree order."""
 
@@ -716,6 +782,8 @@ class Poly(FunctionExpr):
         self.coeffs = np.asarray(list(coeffs), dtype=complex)
         if self.coeffs.size == 0:
             self.coeffs = np.zeros(1, dtype=complex)
+        n = self.coeffs.size
+        self._slope = self.coeffs[1:] * np.arange(1, n) if n > 1 else np.zeros(1, dtype=complex)
 
     def _eval(self, z, ctx, error):
         v = _polyval(z, self.coeffs)
@@ -724,11 +792,35 @@ class Poly(FunctionExpr):
         cond = _polyval(np.abs(z), np.abs(self.coeffs))
         return v, EPS * (self.coeffs.size + 1) * cond
 
+    def _jet(self, z, ctx):
+        return _polyval(z, self.coeffs), _polyval(z, self._slope)
+
     def roots(self) -> np.ndarray:
-        c = np.trim_zeros(self.coeffs, "b")
-        if c.size <= 1:
-            return np.empty(0, dtype=complex)
-        return np.polynomial.polynomial.polyroots(c)
+        """The roots within double range.  The coefficients are scaled by a
+        power of two, which moves no root, so that the largest part is
+        below 1 and no division sees two subnormals.  Where a leading
+        coefficient is so small that the monic form still overflows, the
+        roots are the finite reciprocals of the roots of the reversed
+        polynomial (past a zero constant term: those roots are 0); if that
+        form overflows too, the leading coefficient is dropped first.  A
+        root beyond double range lies within the pole exclusion of no
+        finite point."""
+        c = self.coeffs
+        if np.any(c):
+            parts = c.view(float)
+            c = np.ldexp(parts, -math.frexp(float(np.max(np.abs(parts))))[1]).view(complex)
+        c = np.trim_zeros(c, "b")
+        while True:
+            r = _monic_roots(c)
+            if r is not None:
+                return r
+            at0 = c.size - np.trim_zeros(c, "f").size
+            u = _monic_roots(c[at0:][::-1])
+            if u is not None:
+                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                    r = 1.0 / u
+                return np.concatenate([np.zeros(at0, dtype=complex), r[np.isfinite(r)]])
+            c = np.trim_zeros(c[:-1], "b")
 
     def to_json(self):
         return {"kind": "poly", "coeffs": [_c2pair(c) for c in self.coeffs]}
@@ -749,6 +841,13 @@ class Affine(FunctionExpr):
 
     def _abs(self, z, ctx):
         return _at(self.child._abs, self.scale * z + self.shift, z, ctx)
+
+    def _jet(self, z, ctx):
+        v, d = _at(self.child._jet, self.scale * z + self.shift, z, ctx)
+        return v, np.multiply(self.scale, d)
+
+    def _parts(self):
+        return (self.child,)
 
     def to_json(self):
         return {"kind": "affine", "child": self.child.to_json(),
@@ -771,6 +870,17 @@ class Sum(FunctionExpr):
             # the child's arrays die before the next child evaluates
             del cv, ce
         return v, (e if error else None)
+
+    def _jet(self, z, ctx):
+        v, d = np.complex128(0), np.complex128(0)
+        for c in self.children:
+            cv, cd = c._jet(z, ctx)
+            v, d = np.add(v, cv), np.add(d, cd)
+            del cv, cd
+        return v, d
+
+    def _parts(self):
+        return tuple(self.children)
 
     def to_json(self):
         return {"kind": "sum", "children": [c.to_json() for c in self.children]}
@@ -801,6 +911,18 @@ class Product(FunctionExpr):
         for c in self.children:
             v = np.multiply(v, c._abs(z, ctx))
         return v
+
+    def _jet(self, z, ctx):
+        v, d = np.complex128(1), np.complex128(0)
+        for c in self.children:
+            cv, cd = c._jet(z, ctx)
+            # Leibniz: (v cv)' = d cv + v cd, with v the product so far
+            v, d = np.multiply(v, cv), np.add(np.multiply(d, cv), np.multiply(v, cd))
+            del cv, cd
+        return v, d
+
+    def _parts(self):
+        return tuple(self.children)
 
     def to_json(self):
         return {"kind": "product", "children": [c.to_json() for c in self.children]}
@@ -846,6 +968,16 @@ class Quotient(FunctionExpr):
         self._check_poles(z, dv)
         return np.divide(nv, dv)
 
+    def _jet(self, z, ctx):
+        nv, nd = self.num._jet(z, ctx)
+        dv, dd = self.den._jet(z, ctx)
+        self._check_poles(z, dv)
+        v = np.divide(nv, dv)
+        return v, np.divide(np.subtract(nd, np.multiply(v, dd)), dv)
+
+    def _parts(self):
+        return (self.num, self.den)
+
     def to_json(self):
         return {"kind": "quotient", "num": self.num.to_json(), "den": self.den.to_json()}
 
@@ -871,6 +1003,16 @@ class Power(FunctionExpr):
 
     def _abs(self, z, ctx):
         return np.asarray(self.child._abs(z, ctx)) ** self.exponent
+
+    def _jet(self, z, ctx):
+        cv, cd = self.child._jet(z, ctx)
+        k, cv = self.exponent, np.asarray(cv)
+        if k == 0:
+            return cv ** 0, np.complex128(0)
+        return cv ** k, np.multiply(k * cv ** (k - 1), cd)
+
+    def _parts(self):
+        return (self.child,)
 
     def to_json(self):
         return {"kind": "power", "child": self.child.to_json(), "exponent": self.exponent}
@@ -951,6 +1093,13 @@ class Sharp(FunctionExpr):
 
     def _abs(self, z, ctx):
         return _at(self.child._abs, np.conj(z), z, ctx)
+
+    def _jet(self, z, ctx):
+        v, d = _at(self.child._jet, np.conj(z), z, ctx)
+        return np.conj(v), np.conj(d)
+
+    def _parts(self):
+        return (self.child,)
 
     def sharp(self):
         return self.child

@@ -7,7 +7,9 @@ here reduces to four primitives:
 * the reproducing kernel
   ``K(w, z) = (E(z) E#(conj w) - E(conj w) E#(z)) / (2 pi i (conj w - z))``,
   with a first-order Taylor form through the removable diagonal
-  singularity,
+  singularity, whose ``E'`` comes from order-1 jets for a closed-form E
+  and from Cauchy rings (``_blocks`` of centres) only for an E with a
+  series node,
 * the kernel norm ``nabla(z) = K(z, z)**0.5`` computed off the real axis
   from the half-plane modulus difference quotient,
 * the weighted inner product ``(F, G) = int F conj(G) / |E|**2`` over the
@@ -154,30 +156,38 @@ def _blocks(n: int, size: int) -> list:
 
 
 def kernel_diagonal_values(space: DbSpace, zs) -> np.ndarray:
-    """Vectorized diagonal kernel, of the shape of ``zs`` (at least 1-d).
+    """Vectorized diagonal kernel, of the shape of ``zs`` (at least 1-d),
+    one expression block at a time whatever the batch.
 
-    Cauchy rings of ``derivative_nodes`` points about each centre are built
-    for ``_RING_POINTS // derivative_nodes`` centres at a time, so they hold
-    one expression block whatever the batch.  E# on the ring is
-    ``conj(E(conj ring))``, with the ring and the values conjugated in place.
+    A closed-form E (see ``FunctionExpr.closed_form``) gives E, E', E# and
+    E#' from ``jets``, ``_RING_POINTS`` centres at a time.  An E with a
+    series node takes E' and E#' from Cauchy rings of ``derivative_nodes``
+    points about each centre, built for ``_RING_POINTS // derivative_nodes``
+    centres at a time.  E# on the ring is ``conj(E(conj ring))``, with the
+    ring and the values conjugated in place.
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     flat = zs.ravel()
+    jets = space.e.closed_form()
     m = DEFAULTS["derivative_nodes"]
     theta = 2.0 * np.pi * np.arange(m) / m
     nodes, phase = np.exp(1j * theta), np.exp(-1j * theta)
     out = np.empty(flat.shape, dtype=complex)
-    for block in _blocks(flat.size, max(2, _RING_POINTS // m)):
+    for block in _blocks(flat.size, _RING_POINTS if jets else max(2, _RING_POINTS // m)):
         z = flat[block]
-        r = DEFAULTS["derivative_radius_scale"] * (1.0 + np.abs(z))
-        ring = z[:, None] + r[:, None] * nodes[None, :]
-        ev = space.e.values(ring)
-        esv = space.e.values(np.conj(ring, out=ring))
-        np.conj(esv, out=esv)
-        ed = (ev @ phase) / (m * r)
-        esd = (esv @ phase) / (m * r)
-        e0 = space.e.values(z)
-        es0 = np.conj(space.e.values(np.conj(z)))
+        if jets:
+            e0, ed = space.e.jets(z)
+            es0, esd = space.e_sharp.jets(z)
+        else:
+            r = DEFAULTS["derivative_radius_scale"] * (1.0 + np.abs(z))
+            ring = z[:, None] + r[:, None] * nodes[None, :]
+            ev = space.e.values(ring)
+            esv = space.e.values(np.conj(ring, out=ring))
+            np.conj(esv, out=esv)
+            ed = (ev @ phase) / (m * r)
+            esd = (esv @ phase) / (m * r)
+            e0 = space.e.values(z)
+            es0 = np.conj(space.e.values(np.conj(z)))
         out[block] = (e0 * esd - ed * es0) / TWO_PI_I
     return out.reshape(zs.shape)
 

@@ -365,6 +365,27 @@ def test_non_finite_result_is_an_overflow_with_nothing_on_stderr(args):
     assert len(out.splitlines()) == 1 and err == ""
 
 
+def _over_poly(coeffs):
+    return json.dumps({"kind": "quotient", "num": {"kind": "const", "value": [1, 0]},
+                       "den": {"kind": "poly", "coeffs": coeffs}})
+
+
+@pytest.mark.parametrize("coeffs, z, rc, expect", [
+    # the root -1e320 is past double range: it is dropped, and -1 is kept
+    ([[1, 0], [1e-320, 0]], "1+1i", 0, [1.0, -1e-320]),
+    ([[1, 0], [1, 0], [1e-320, 0]], "1+1i", 0, [0.4, -0.2]),
+    ([[1, 0], [1, 0], [1e-320, 0]], "-1", 1, "pole-hit"),
+])
+def test_a_subnormal_leading_coefficient_keeps_the_finite_roots(coeffs, z, rc, expect):
+    code, out, err = run_cli(["eval", "--f", _over_poly(coeffs), "--z", z])
+    doc = json.loads(out)
+    assert code == rc and err == ""
+    if rc:
+        assert doc["error"]["kind"] == expect
+    else:
+        assert np.allclose(doc["result"]["value"], expect, rtol=1e-15, atol=0.0)
+
+
 def _one_zero_space(zero):
     return json.dumps({"E": {"kind": "poly", "coeffs": [[1, 0], [-1, 0]]},
                        "zeros": {"kind": "list", "genus": 0, "zeros": [zero]}})

@@ -437,19 +437,20 @@ SEQUENCE_NODES = (
 
 
 @st.composite
-def any_kind(draw, depth=2):
-    """Trees over all 15 node kinds; coefficients and points are wide
-    enough that values overflow to inf and NaN."""
+def any_kind(draw, depth=2, series=True):
+    """Trees over all 15 node kinds, or over the 13 closed-form ones when
+    ``series`` is false; coefficients and points are wide enough that
+    values overflow to inf and NaN."""
     c = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
     atoms = st.one_of(
         st.builds(Const, c), st.just(Z()), st.builds(ExpCZ, c),
         st.just(Sin()), st.just(Cos()), st.just(Sinc()),
         st.builds(Poly, st.lists(c, max_size=4)),
-        st.sampled_from(SEQUENCE_NODES),
+        *([st.sampled_from(SEQUENCE_NODES)] if series else []),
     )
     if depth == 0:
         return draw(atoms)
-    sub = any_kind(depth=depth - 1)
+    sub = any_kind(depth=depth - 1, series=series)
     return draw(st.one_of(
         atoms,
         st.builds(Affine, sub, c, c),
@@ -887,3 +888,212 @@ def test_moduli_of_a_constant_tree_fill_every_block():
     for f in CONSTANT_TREES:
         m = f.moduli(z)
         assert m.shape == z.shape and _same_bits(m, np.full(z.shape, f.moduli(0.0)))
+
+
+# ---------------------------------------------------------------------------
+# jets: values and first derivatives of closed-form trees in one pass
+# ---------------------------------------------------------------------------
+
+def _mp_slope(f, z):
+    """``F'(z)`` by ``mpmath.diff`` of ``_mp_value``.  Near 0 the step
+    shrinks with ``|z|``, so that it does not reach a pole at 0, and the
+    precision grows to pay for the smaller step."""
+    bits = max(0, -int(mpmath.mag(z))) if z else 0
+    with mpmath.extraprec(bits):
+        h = mpmath.ldexp(1, -mpmath.mp.prec - 10) * min(1, abs(z) or 1)
+        return mpmath.diff(lambda w: _mp_value(f, w), z, h=h)
+
+
+def _trig_parts(z: complex):
+    """``|sin x| cosh y + |cos x| |sinh y|`` and ``|cos x| cosh y + |sin x| |sinh y|``:
+    the component moduli of ``sin z`` and ``cos z``, which bound their rounding."""
+    with np.errstate(over="ignore"):
+        sx, cx = abs(math.sin(z.real)), abs(math.cos(z.real))
+        ch, sh = np.cosh(z.imag), abs(np.sinh(z.imag))
+    return sx * ch + cx * sh, cx * ch + sx * sh
+
+
+def _rounding_scales(f, z: complex):
+    """``(A, S, T)`` at ``z``: the rounding of ``jets`` is at most a few
+    ``EPS * A`` in the value and ``EPS * S`` in the derivative, and ``T``
+    bounds ``|F''|``.  Each rule is the jet rule run on moduli, so no term
+    cancels, plus the error its inputs carry: an affine image rounds its
+    point by ``EPS (|scale z| + |shift|)``, which moves the value by ``S``
+    and the derivative by ``T`` times that, and a quotient divides its
+    inputs' errors by ``|D|`` (``z/sin z`` at ``z ~ 1e-7``: the quotient
+    rule cancels about 9 digits)."""
+    k = f.kind
+    if k in ("affine", "sharp"):
+        scale = f.scale if k == "affine" else 1.0
+        w = scale * z + f.shift if k == "affine" else z.conjugate()
+        a, s, t = _rounding_scales(f.child, w)
+        moved = abs(scale * z) + abs(f.shift) if k == "affine" else 0.0
+        return a + s * moved, abs(scale) * (s + t * moved), abs(scale) ** 2 * t
+    if k in ("sum", "product"):
+        a, s, t = (0.0, 0.0, 0.0) if k == "sum" else (1.0, 0.0, 0.0)
+        for c in f.children:
+            ca, cs, ct = _rounding_scales(c, z)
+            if k == "sum":
+                a, s, t = a + ca, s + cs, t + ct
+            else:
+                a, s, t = a * ca, s * ca + a * cs, t * ca + 2.0 * s * cs + a * ct
+        return a, s, t
+    if k == "quotient":
+        (na, ns, nt), (da, ds, dt) = _rounding_scales(f.num, z), _rounding_scales(f.den, z)
+        den = np.abs(f.den.values(z))
+        a = (na + na / den * da) / den
+        s = (ns + 2.0 * a * ds) / den * (1.0 + da / den)
+        return a, s, (nt + 2.0 * s * ds + a * dt) / den
+    if k == "power":
+        n = f.exponent
+        if n == 0:
+            return 1.0, 0.0, 0.0
+        a, s, t = _rounding_scales(f.child, z)
+        a1 = a ** (n - 1)
+        return n * a * a1, n * n * a1 * s, n * (n - 1) * a ** max(n - 2, 0) * s * s + n * a1 * t
+    if k == "poly":
+        c, r = np.abs(f.coeffs), abs(z)
+        rows = [c, np.r_[c[1:] * np.arange(1, c.size), 0.0],
+                np.r_[c[2:] * np.arange(2, c.size) * np.arange(1, c.size - 1), 0.0]]
+        a, s, t = (float(np.polynomial.polynomial.polyval(r, q)) for q in rows)
+        return (c.size + 1) * a, (c.size + 1) * s, t
+    if k == "const":
+        return abs(f.value), 0.0, 0.0
+    if k == "z":
+        return abs(z), 1.0, 0.0
+    if k == "exp":
+        v = abs(complex(f.values(z)))
+        a = v * (2.0 + abs(f.coeff * z))
+        return a, abs(f.coeff) * a, abs(f.coeff) ** 2 * v
+    ts, tc = _trig_parts(z)
+    if k == "sin":
+        return ts, tc, ts
+    if k == "cos":
+        return tc, ts, tc
+    r = abs(z)
+    if r < 1.0:
+        return 2.0, 1.0, 1.0
+    a = (ts + tc) / r
+    s = (tc + 2.0 * a) / r
+    return a, s, a + 2.0 * s / r
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_kind(series=False),
+       st.lists(st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=4))
+@example(Sinc(), [1e-5, 2e-4 + 1e-4j, 3e-3j, 0.5, 0.99 - 0.1j, 7.0])
+@example(Affine(Sinc(), 2.0, -2.0), [1.0 + 1e-4j, 1.002])
+@example(Quotient(Sharp(Cos()), Sum([Z(), Const(-1.0)])), [1.0, 2.0j])
+@example(Power(Product([Sinc(), ExpCZ(-2.0 + 1.5j), Sharp(Sin())]), 3), [1e-5j, 4.0 - 6.0j])
+@example(Quotient(Const(1.0), Poly([1.0, 1.0, 1e-320])), [1.0 + 1.0j, -1.0])
+def test_jets_match_mpmath_derivatives(f, z):
+    z = np.array(z)
+    got = _values_or_pole(lambda: f.jets(z))
+    ref = _values_or_pole(lambda: f.values(z))
+    if isinstance(ref, tuple):
+        assert got == ref
+        return
+    v, d = got
+    assert _same_bits(v, ref) and d.shape == z.shape and d.dtype == np.complex128
+    for w, vw, dw in zip(z, v, d):
+        try:
+            ring = derivative(f, w).value
+        except (RadiusTooLarge, Overflow):
+            continue
+        with mpmath.workdps(40):
+            value, exact = complex(_mp_value(f, _mpc(w))), complex(_mp_slope(f, _mpc(w)))
+        if not (cmath.isfinite(exact) and cmath.isfinite(value) and cmath.isfinite(vw)):
+            continue
+        # no further from exact than the ring, or else no further,
+        # relatively, than the value: an affine image rounds its point, and
+        # F' = c F of exp(c w) inherits the value's error, which the 64 ring
+        # points average down (exp(3w) at |w| ~ 15: jet and value 2.7e-15
+        # off, the ring 1.4e-15)
+        inherited = abs(vw - value) / abs(value) * abs(exact) if value else 0.0
+        # or else within the rounding of the jet rules: a quotient rule
+        # that cancels at a small denominator loses what the ring's radius
+        # keeps
+        with np.errstate(all="ignore"):
+            rounding = 16.0 * EPS * _rounding_scales(f, complex(w))[1]
+        if not math.isfinite(rounding):
+            # a subexpression's derivative overflows, as cot z's does near
+            # 0 in cot(z) sin(z) sinc(z), and forward mode carries inf and
+            # NaN into a finite F': nothing bounds the jet there
+            continue
+        tol = max(abs(ring - exact), inherited, rounding) + 4.0 * EPS * abs(exact)
+        assert abs(dw - exact) <= tol, (w, dw, ring, exact)
+
+
+def test_jets_tile_the_points_in_blocks_and_keep_the_shape(rng):
+    f = Sum([Product([Cos(), Sharp(ExpCZ(0.3 - 1.7j))]), Quotient(Sinc(), Poly([3j, 1.0])),
+             Power(Affine(Z(), 2.0, 1j), 3)])
+    for shape in [(), (0,), (_POINTS + 1,), (3, _POINTS - 5)]:
+        z = _points(rng, shape)
+        v, d = f.jets(z)
+        assert np.shape(v) == np.shape(d) == shape
+        assert _same_bits(v, f.values(z))
+        flat = z.ravel()
+        parts = [f.jets(flat[i:i + _POINTS])[1] for i in range(0, flat.size, _POINTS)]
+        if z.size:
+            assert _same_bits(d, np.concatenate(parts).reshape(shape))
+    for c in CONSTANT_TREES:
+        v, d = c.jets(np.zeros(4, dtype=complex))
+        assert _same_bits(v, c.values(np.zeros(4, dtype=complex))) and not np.any(d)
+
+
+@pytest.mark.parametrize("shape", [(3 * _POINTS,), (3, _POINTS)])
+def test_jets_raise_what_values_raise_at_the_same_point(shape, rng):
+    near_root = Quotient(Const(1.0), Poly([-(1 + 1j), 1.0]))
+    cases = [(near_root, 1 + 1j), (Quotient(Cos(), Z()), 0.0),
+             (Quotient(ExpCZ(1j), Product([Sin(), Sharp(ExpCZ(0.5))])), 0.0),
+             (Sharp(Affine(near_root, 1.0, 2.0)), -1 - 1j),
+             (Affine(Quotient(Sinc(), Affine(Z(), 1.0, -2.0)), 2.0, 0.0), 1.0)]
+    for f, pole in cases:
+        z = _points(rng, shape) + 10.0j
+        z.flat[_POINTS + 5] = pole
+        z.flat[2 * _POINTS + 1] = pole + 1e-11
+        with pytest.raises(PoleHit) as on_values:
+            f.values(z)
+        with pytest.raises(PoleHit) as on_jets:
+            f.jets(z)
+        assert complex(on_jets.value.z) == complex(on_values.value.z) == pole
+        assert str(on_jets.value) == str(on_values.value)
+
+
+@pytest.mark.parametrize("f", SEQUENCE_NODES + (Sum([Cos(), Sharp(SEQUENCE_NODES[0])]),
+                                                Quotient(Z(), Power(SEQUENCE_NODES[2], 2))))
+def test_a_tree_with_a_series_node_has_no_jets(f, monkeypatch):
+    # the tree is read before anything is evaluated
+    def refuse(self, *args):
+        raise AssertionError("evaluated")
+
+    for cls in (Z, Cos, Sum, Quotient, Power, Sharp, CanonicalProduct, PartialFractions):
+        for name in ("_eval", "_abs") + (("_jet",) if "_jet" in vars(cls) else ()):
+            monkeypatch.setattr(cls, name, refuse)
+    assert not f.closed_form()
+    with pytest.raises(ConfigError, match="series node"):
+        f.jets(np.array([0.5, 1j]))
+
+
+@pytest.mark.parametrize("coeffs, roots", [
+    ([1.0, 1e-320], []),
+    ([1.0, 1.0, 1e-320], [-1.0]),
+    ([1e-320, 1e-320], [-1.0]),
+    ([0.0, 0.0, 1.0, 1.0, 1e-320], [0.0, 0.0, -1.0]),
+    ([1e-320, 1.0, 1e-320], [-1e-320]),
+])
+def test_poly_roots_keep_the_finite_roots_of_a_subnormal_leading_coefficient(coeffs, roots):
+    with np.errstate(all="raise"):
+        got = Poly(coeffs).roots()
+    assert np.allclose(np.sort_complex(got), np.sort_complex(np.array(roots, dtype=complex)),
+                       rtol=1e-14, atol=0.0)
+    # 1 + 1e-320 z^2 has its roots at +-1e160 i, inside double range
+    big = Poly([1.0, 0.0, 1e-320]).roots()
+    assert np.allclose(np.sort(big.imag), [-1e-320 ** -0.5, 1e-320 ** -0.5], rtol=1e-12)
+
+
+def test_poly_roots_of_ordinary_coefficients_are_those_of_polyroots(rng):
+    for n in range(2, 7):
+        c = rng.normal(size=n) + 1j * rng.normal(size=n)
+        assert _same_bits(Poly(c).roots(), np.polynomial.polynomial.polyroots(c))

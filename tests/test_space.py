@@ -15,8 +15,9 @@ from dblab.errors import (ConfigError, MissingZeroData, NegativeRadicand,
 from dblab.examples import (a20_structure_function, a45_truncated_space,
                             a45_zero_sequence, pw_kernel_closed, pw_kernel_expr,
                             pw_space)
-from dblab.expressions import (Affine, Const, Cos, ExpCZ, Poly, Product,
-                               Quotient, Sinc, ZeroSequence, expr_from_json)
+from dblab.expressions import (Affine, CanonicalProduct, Const, Cos, ExpCZ,
+                               FunctionExpr, Poly, Product, Quotient, Sinc,
+                               ZeroSequence, expr_from_json)
 from dblab.majorization import nabla_majorant
 from dblab.quadrature import integrate_real_line
 from dblab.space import (DbSpace, default_hb_grid, hb_check, inner_product,
@@ -189,11 +190,18 @@ def test_nabla_is_a_one_point_nabla_values(pw1, z):
         assert np.float64(one).view(np.int64) == nabla_values(sp, [z]).view(np.int64)[0]
 
 
+def _with_a_series_node():
+    """a20's E times a canonical product over two lower half-plane zeros:
+    a series node, so the diagonal kernel takes Cauchy rings."""
+    pair = CanonicalProduct(ZeroSequence("lower", np.array([2.0 - 1.0j, -1.0 - 3.0j])))
+    return DbSpace(Product([a20_structure_function(), pair]), None, 1.0, 1.0, "a20*pair")
+
+
 def test_kernel_diagonal_of_a_batch_has_the_bits_of_one_ring_pass(rng):
     # 129 centres: in blocks of 128 the last would stand alone, and numpy
     # ring-sums a lone row with its dot routine, which rounds otherwise
     # than the matrix-vector product of the whole batch below
-    sp = DbSpace(a20_structure_function(), None, 1.0, 1.0, "a20")
+    sp = _with_a_series_node()
     x = rng.uniform(-200.0, 200.0, 129) + 0j
     m = DEFAULTS["derivative_nodes"]
     theta = 2.0 * np.pi * np.arange(m) / m
@@ -220,6 +228,55 @@ def test_axis_nabla_working_memory_is_one_block_of_rings():
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
     assert np.allclose(v, math.sqrt(2.0 / math.pi), rtol=1e-9)
+
+
+def test_axis_nabla_of_a_closed_form_space_takes_no_ring(zpi, monkeypatch):
+    # jets give E' on the axis: no expression sees a 2-D ring of points
+    shapes = []
+    real = FunctionExpr.eval_array
+
+    def spy(self, z, *args, **kwargs):
+        shapes.append(np.shape(z))
+        return real(self, z, *args, **kwargs)
+
+    monkeypatch.setattr(FunctionExpr, "eval_array", spy)
+    x = np.linspace(-50.0, 50.0, 301) + 0j
+    a20 = DbSpace(a20_structure_function(), None, 1.0, 1.0, "a20")
+    for sp in (pw_space(2.0), a20, zpi):
+        nabla_values(sp, x)
+        nabla(sp, 1.5)
+    assert all(len(shape) < 2 for shape in shapes), shapes
+    # a series node keeps the rings
+    nabla_values(_with_a_series_node(), x[:3])
+    assert shapes[-4:] == [(3, DEFAULTS["derivative_nodes"])] * 2 + [(3,)] * 2
+
+
+@pytest.mark.parametrize("a", [4.0, 10.0])
+def test_pw_nabla_far_out_on_the_axis(a):
+    # a Cauchy ring of radius 1e-3 (1 + |x|) about x = 1e4 aliases
+    # exp(-iaz): it gave 7.3e5 for a = 4 and 2.6e19 for a = 10
+    expect = math.sqrt(a / math.pi)
+    for x in (1e4, -1e4, 3.7e3):
+        assert abs(nabla(pw_space(a), x) - expect) <= 1e-13 * expect
+    assert abs(phase_derivative(pw_space(a), 1e4) - a) <= 1e-13 * a
+
+
+def test_a20_kernel_diagonal_matches_mpmath_to_1e4():
+    # E = A - iB with A = cos z, B = z cos z + sin z, and
+    # K(x, x) = (E E#' - E' E#)(x) / (2 pi i), E# = A + iB, in mpmath
+    sp = DbSpace(a20_structure_function(), None, 1.0, 1.0, "a20")
+    x = np.concatenate([np.linspace(-1e4, 1e4, 401), np.geomspace(1e-3, 1e3, 61), [0.0]])
+    got = kernel_diagonal_values(sp, x + 0j)
+    with mpmath.workdps(40):
+        def e(z):
+            return mpmath.cos(z) - 1j * (z * mpmath.cos(z) + mpmath.sin(z))
+
+        def e_sharp(z):
+            return mpmath.cos(z) + 1j * (z * mpmath.cos(z) + mpmath.sin(z))
+
+        ref = np.array([complex((e(t) * mpmath.diff(e_sharp, t) - mpmath.diff(e, t) * e_sharp(t))
+                                / (2j * mpmath.pi)) for t in map(mpmath.mpf, x)])
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
 
 def test_nabla_keeps_its_negative_radicand_messages():
