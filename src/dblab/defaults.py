@@ -3,9 +3,8 @@
 One flat dict, printed verbatim by ``dblab defaults``.  Every tolerance,
 threshold and grid the package uses comes from here or from a constant in
 the module that uses it.  A few calls take an argument that some caller
-sets (a derivative radius, a mean-type radius grid, the quadrature
-``rel_tol``, a series term budget, the Herglotz ``delta``); left out, it
-falls back to this table.  Bump ``version`` whenever a value changes so
+sets (a mean-type radius grid, the quadrature ``rel_tol``, a series term
+budget, the Herglotz ``delta``); left out, it falls back to this table.  Bump ``version`` whenever a value changes so
 runs are comparable.
 """
 

@@ -37,7 +37,7 @@ class TruncationBudgetExceeded(DblabError):
 
 
 class RadiusTooLarge(DblabError):
-    """Derivative circle intersects an excluded pole."""
+    """Derivative circle passes within the exclusion radius of a pole, or encloses one."""
 
     kind = "radius-too-large"
 

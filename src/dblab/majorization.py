@@ -28,7 +28,7 @@ from .defaults import DEFAULTS
 from .domains import SampledDomain
 from .errors import AllPointsExcluded, ConfigError, require_finite
 from .expressions import _POINTS, FunctionExpr
-from .space import DbSpace, _blocks, _ls_slope, membership, nabla_values
+from .space import DbSpace, _ls_slope, membership, nabla_values
 
 ZeroDivisor = Union[str, Sequence[Tuple[float, int]]]
 
@@ -46,13 +46,13 @@ class Majorant:
 
     def values(self, z: np.ndarray) -> np.ndarray:
         """The majorant at ``z``, of its shape: ``fn`` gets the flattened
-        points in order, in blocks of at most ``_POINTS`` tiled as by the
-        kernel diagonal, so its working memory is O(block)."""
+        points in order, in blocks of at most ``_POINTS``, so its working
+        memory is O(block)."""
         z = np.asarray(z, dtype=complex)
         flat = z.ravel()
         v = np.empty(flat.shape)
-        for block in _blocks(flat.size, _POINTS):
-            v[block] = self.fn(flat[block])
+        for i in range(0, flat.size, _POINTS):
+            v[i:i + _POINTS] = self.fn(flat[i:i + _POINTS])
         v = v.reshape(z.shape)
         if np.any(v < -1e-300):
             raise ConfigError(f"majorant {self.label} negative on the grid")
@@ -163,14 +163,14 @@ def test_majorization(f: FunctionExpr, m: Majorant) -> MajorizationReport:
 
     fsharp = f.sharp()
     ratio = np.empty(z.shape)
-    for block in _blocks(z.size, _POINTS):
-        zb = z[block]
+    for i in range(0, z.size, _POINTS):
+        zb = z[i:i + _POINTS]
         fv = np.maximum(f.moduli(zb), fsharp.moduli(zb))
         mv = m.values(zb)
         require_finite(np.isfinite(fv) & np.isfinite(mv), zb,
                        "max(|F|, |F#|) or the majorant at z")
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio[block] = np.where(mv > 0, fv / mv, np.inf)
+            ratio[i:i + _POINTS] = np.where(mv > 0, fv / mv, np.inf)
     sup = float(np.max(ratio))
     if not math.isfinite(sup):
         slope = math.inf  # unbounded ratio: keep verdict and slope consistent

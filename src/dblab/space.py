@@ -8,7 +8,7 @@ here reduces to four primitives:
   ``K(w, z) = (E(z) E#(conj w) - E(conj w) E#(z)) / (2 pi i (conj w - z))``,
   with a first-order Taylor form through the removable diagonal
   singularity, whose ``E'`` comes from order-1 jets for a closed-form E
-  and from Cauchy rings (``_blocks`` of centres) only for an E with a
+  and from Cauchy rings (``ring_derivatives``) only for an E with a
   series node,
 * the kernel norm ``nabla(z) = K(z, z)**0.5`` computed off the real axis
   from the half-plane modulus difference quotient,
@@ -33,10 +33,9 @@ from .defaults import DEFAULTS
 from .errors import (AllPointsDiscarded, ConfigError, MissingZeroData,
                      NegativeRadicand, NonConvergentTail, Overflow, ZeroOnAxis,
                      require_finite)
-from .expressions import _POINTS as _RING_POINTS
-from .expressions import (Const, EvalResult, FunctionExpr, Product, Quotient,
-                          ZeroSequence, cached, expr_from_json, expr_to_json,
-                          zero_sequence_from_spec)
+from .expressions import (_POINTS, Const, EvalResult, FunctionExpr, Product,
+                          Quotient, ZeroSequence, cached, expr_from_json,
+                          expr_to_json, ring_derivatives, zero_sequence_from_spec)
 from .quadrature import integrate_real_line
 
 TWO_PI_I = 2.0j * math.pi
@@ -145,50 +144,29 @@ def kernel_diagonal(space: DbSpace, z) -> complex:
     return complex(kernel_diagonal_values(space, complex(z))[0])
 
 
-def _blocks(n: int, size: int) -> list:
-    """Slices of at most ``size >= 2`` tiling ``range(n)`` in order (one if
-    ``n`` is 0), none of one point unless ``n`` is 1: numpy ring-sums a lone
-    centre by its dot routine, which rounds otherwise than for two or more."""
-    starts = list(range(0, max(n, 1), size))
-    if n > 1 and n - starts[-1] == 1:
-        starts[-1] -= 1
-    return [slice(i, j) for i, j in zip(starts, starts[1:] + [n])]
-
-
 def kernel_diagonal_values(space: DbSpace, zs) -> np.ndarray:
     """Vectorized diagonal kernel, of the shape of ``zs`` (at least 1-d),
     one expression block at a time whatever the batch.
 
     A closed-form E (see ``FunctionExpr.closed_form``) gives E, E', E# and
-    E#' from ``jets``, ``_RING_POINTS`` centres at a time.  An E with a
-    series node takes E' and E#' from Cauchy rings of ``derivative_nodes``
-    points about each centre, built for ``_RING_POINTS // derivative_nodes``
-    centres at a time.  E# on the ring is ``conj(E(conj ring))``, with the
-    ring and the values conjugated in place.
+    E#' from ``jets``, ``_POINTS`` centres at a time.  An E with a series
+    node takes E' and E#' from ``ring_derivatives``, ``_POINTS //
+    derivative_nodes`` centres at a time, and E and E# from ``values``.
+    Either way each centre's value has the bits it has alone.
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     flat = zs.ravel()
     jets = space.e.closed_form()
-    m = DEFAULTS["derivative_nodes"]
-    theta = 2.0 * np.pi * np.arange(m) / m
-    nodes, phase = np.exp(1j * theta), np.exp(-1j * theta)
     out = np.empty(flat.shape, dtype=complex)
-    for block in _blocks(flat.size, _RING_POINTS if jets else max(2, _RING_POINTS // m)):
-        z = flat[block]
+    step = _POINTS if jets else max(1, _POINTS // DEFAULTS["derivative_nodes"])
+    for i in range(0, flat.size, step):
+        z = flat[i:i + step]
         if jets:
-            e0, ed = space.e.jets(z)
-            es0, esd = space.e_sharp.jets(z)
+            (e0, ed), (es0, esd) = space.e.jets(z), space.e_sharp.jets(z)
         else:
-            r = DEFAULTS["derivative_radius_scale"] * (1.0 + np.abs(z))
-            ring = z[:, None] + r[:, None] * nodes[None, :]
-            ev = space.e.values(ring)
-            esv = space.e.values(np.conj(ring, out=ring))
-            np.conj(esv, out=esv)
-            ed = (ev @ phase) / (m * r)
-            esd = (esv @ phase) / (m * r)
-            e0 = space.e.values(z)
-            es0 = np.conj(space.e.values(np.conj(z)))
-        out[block] = (e0 * esd - ed * es0) / TWO_PI_I
+            ed, esd = (ring_derivatives(g, z)[0][1] for g in (space.e, space.e_sharp))
+            e0, es0 = space.e.values(z), space.e_sharp.values(z)
+        out[i:i + step] = (e0 * esd - ed * es0) / TWO_PI_I
     return out.reshape(zs.shape)
 
 
@@ -222,38 +200,35 @@ def kernel(space: DbSpace, w, z):
 
 def nabla(space: DbSpace, z) -> float:
     """Norm of the reproducing kernel at z (z in the closed upper half-plane)."""
-    z = complex(z)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = float(nabla_values(space, z)[0])
-    if not math.isfinite(value):
-        raise Overflow(f"the kernel norm at z={z} is not finite in double precision")
-    return value
+    return float(nabla_values(space, complex(z))[0])
 
 
 def nabla_values(space: DbSpace, zs: np.ndarray) -> np.ndarray:
-    """Vectorized ``nabla`` over an array of points."""
+    """Vectorized ``nabla``; raises Overflow at the first point where it is not finite."""
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     out = np.empty(zs.shape, dtype=float)
     off = zs.imag > 0
-    if np.any(off):
-        # factor |E(z)|^2 - |E(conj z)|^2 so moduli up to ~1e300 stay in range
-        zo = zs[off]
-        d = space.e.moduli(zo)
-        s = space.e.moduli(np.conj(zo))
-        bad = d - s < -1e-12 * np.maximum(1.0, d)
-        if np.any(bad):
-            raise NegativeRadicand(f"|E#| exceeds |E| at z={zo[bad][0]}: not Hermite-Biehler")
-        scale = 2.0 * np.sqrt(math.pi * zo.imag)
-        out[off] = np.sqrt(np.maximum(d - s, 0.0)) * np.sqrt(d + s) / scale
-    if np.any(~off):
-        za = zs[~off]
-        if np.any(za.imag < 0):
-            raise ConfigError("nabla is defined on the closed upper half-plane")
-        rad = kernel_diagonal_values(space, za).real
-        bad = rad < -1e-12 * np.maximum(1.0, np.abs(rad))
-        if np.any(bad):
-            raise NegativeRadicand(f"kernel-norm radicand {rad[bad][0]} at z={za[bad][0]}")
-        out[~off] = np.sqrt(np.maximum(rad, 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.any(off):
+            # factor |E(z)|^2 - |E(conj z)|^2 so moduli up to ~1e300 stay in range
+            zo = zs[off]
+            d = space.e.moduli(zo)
+            s = space.e.moduli(np.conj(zo))
+            bad = d - s < -1e-12 * np.maximum(1.0, d)
+            if np.any(bad):
+                raise NegativeRadicand(f"|E#| exceeds |E| at z={zo[bad][0]}: not Hermite-Biehler")
+            scale = 2.0 * np.sqrt(math.pi * zo.imag)
+            out[off] = np.sqrt(np.maximum(d - s, 0.0)) * np.sqrt(d + s) / scale
+        if np.any(~off):
+            za = zs[~off]
+            if np.any(za.imag < 0):
+                raise ConfigError("nabla is defined on the closed upper half-plane")
+            rad = kernel_diagonal_values(space, za).real
+            bad = rad < -1e-12 * np.maximum(1.0, np.abs(rad))
+            if np.any(bad):
+                raise NegativeRadicand(f"kernel-norm radicand {rad[bad][0]} at z={za[bad][0]}")
+            out[~off] = np.sqrt(np.maximum(rad, 0.0))
+    require_finite(np.isfinite(out), zs, "the kernel norm at z")
     return out
 
 
@@ -270,7 +245,7 @@ _ORDER = 29
 TRUNCATION_BOUND = ((1.0 + _RATIO) ** 2 * _RATIO ** (_ORDER - 1)
                     * (_ORDER - (_ORDER - 1) * _RATIO) / (1.0 - _RATIO) ** 2)
 # points traversed together, and near (point, leaf) pairs summed together
-_POINTS = 2 ** 8
+_TREE_POINTS = 2 ** 8
 _PAIRS = 2 ** 11
 
 
@@ -373,8 +348,8 @@ class _PhaseTree:
         """``sum y_k / |t - w_k|**2`` at the real points ``t`` (1-D)."""
         out = np.zeros(t.size)
         if self.levels:
-            for i in range(0, t.size, _POINTS):
-                out[i:i + _POINTS] = self._phase(t[i:i + _POINTS])
+            for i in range(0, t.size, _TREE_POINTS):
+                out[i:i + _TREE_POINTS] = self._phase(t[i:i + _TREE_POINTS])
         return out
 
     def _phase(self, t):

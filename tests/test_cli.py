@@ -273,6 +273,17 @@ def test_eval_derivative_order(pw1_file):
     assert abs(complex(*val) - (-1j)) < 1e-10
 
 
+@pytest.mark.parametrize("order", ["1", "2"])
+def test_eval_derivative_around_a_pole_is_radius_too_large(order):
+    # the circle about 5e-4 encloses the pole of 1/z at 0: exit 0 with
+    # -4.6e-11 +- 9.2e-4 for -4e6 before the ring mean was checked
+    rc, out, _ = run_cli(["eval", "--f", '{"kind":"quotient","num":{"kind":"const",'
+                          '"value":[1,0]},"den":{"kind":"z"}}', "--z", "0.0005",
+                          "--order", order])
+    assert rc == 1
+    assert json.loads(out)["error"]["kind"] == "radius-too-large"
+
+
 def test_output_round_trips_and_is_deterministic(pw1_file):
     args = ["kernel", "--space", pw1_file, "--w", "0.3+0.1i", "--z", "1-0.2i"]
     docs = []

@@ -22,7 +22,7 @@ from dblab.expressions import (_POINTS, EPS, Affine, CanonicalProduct, Const, Co
                                PoleSequence, Power, Product, Quotient, Sharp,
                                Sin, Sinc, Sum, Z, ZeroSequence, csinc,
                                derivative, evaluate, expr_from_json,
-                               expr_to_json, sharp)
+                               expr_to_json, ring_derivatives, sharp)
 
 
 def test_eval_exp_closed_form():
@@ -213,9 +213,47 @@ def test_pole_exclusion_radius():
 
 
 def test_derivative_circle_through_pole():
-    f = Quotient(Const(1.0), Poly([0.0, 1.0]))
-    with pytest.raises(RadiusTooLarge):
-        derivative(f, 0.1, 1, radius=0.1)
+    # 1/(w - 1e-3) about 0: the circle of radius 1e-3 puts its node 0 on the pole
+    f = Quotient(Const(1.0), Poly([-1e-3, 1.0]))
+    with pytest.raises(RadiusTooLarge, match="exclusion radius"):
+        derivative(f, 0.0, 1)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_derivative_circle_around_pole(order):
+    # 1/z at 5e-4: the circle of radius about 1e-3 encloses the pole at 0
+    # and no node comes near it; the ring gave -4.6e-11 +- 9.2e-4 for
+    # -4e6 (order 1) and 1e-7 +- 3.7 for 1.6e10 (order 2) without an error
+    with pytest.raises(RadiusTooLarge, match="encloses a pole"):
+        derivative(Quotient(Const(1.0), Z()), 5e-4, order)
+
+
+def test_derivative_circle_around_a_polynomial_root():
+    # cos w / ((w - 2.001)(w + i)) about 2: the root 2.001 lies inside the
+    # circle of radius 3e-3, 2e-3 from its nearest node
+    f = Quotient(Cos(), Poly([-2.001j, 1j - 2.001, 1.0]))
+    with pytest.raises(RadiusTooLarge, match="encloses a pole"):
+        derivative(f, 2.0, 1)
+    # outside the circle the ring mean is f(z) and the check stays quiet
+    w = 2.0 + 0.02j
+    slope = derivative(f, w, 1)
+    h = 1e-5
+    fd = (f.at(w + h) - f.at(w - h)) / (2 * h)
+    assert abs(slope.value - fd) <= 1e-6 * abs(fd)
+
+
+def test_ring_derivatives_of_a_centre_alone_have_its_bits_in_a_batch(rng):
+    # each centre is summed on its own: 300 centres span three blocks of 128
+    f = Product([CanonicalProduct(a38_gtilde_sequence(1000)), Sharp(Sinc())])
+    z = rng.uniform(-50.0, 50.0, 300) + 1j * rng.uniform(-2.0, 2.0, 300)
+    d, err = ring_derivatives(f, z, 2)
+    assert d.shape == err.shape == (3, 300)
+    for i in (0, 127, 128, 255, 299):
+        d1, e1 = ring_derivatives(f, z[i], 2)
+        assert _same_bits(d1[:, 0].copy(), d[:, i].copy())
+        assert _same_bits(e1[:, 0].copy(), err[:, i].copy())
+        r = derivative(f, z[i], 2)
+        assert (r.value, r.abs_error) == (d1[2, 0], e1[2, 0])
 
 
 def test_json_round_trip_preserves_values(rng):

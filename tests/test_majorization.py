@@ -79,8 +79,8 @@ def test_nabla_majorant_of_a_space_too_large_to_serialize():
 
 
 def test_majorant_values_have_the_bits_of_one_batch(pw1):
-    # 8,193 axis points: blocks of 8,192 would leave the last point alone,
-    # and its kernel norm would be ring-summed otherwise than in the batch
+    # 8,193 axis points: blocks of 8,192 leave the last point alone, and
+    # its kernel norm has the bits it has in the batch
     x = np.linspace(-50.0, 50.0, 8_193) + 0j
     m = Majorant("nabla", lambda z: nabla_values(pw1, z), dom.axis())
     assert np.array_equal(m.values(x).view(np.uint64), nabla_values(pw1, x).view(np.uint64))

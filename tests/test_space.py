@@ -13,10 +13,10 @@ from dblab.defaults import DEFAULTS
 from dblab.errors import (ConfigError, MissingZeroData, NegativeRadicand,
                           Overflow, ZeroOnAxis)
 from dblab.examples import (a20_structure_function, a45_truncated_space,
-                            a45_zero_sequence, pw_kernel_closed, pw_kernel_expr,
-                            pw_space)
+                            a45_zero_sequence, build_a38, pw_kernel_closed,
+                            pw_kernel_expr, pw_space)
 from dblab.expressions import (Affine, CanonicalProduct, Const, Cos, ExpCZ,
-                               FunctionExpr, Poly, Product, Quotient, Sinc,
+                               FunctionExpr, Poly, Product, Quotient, Sin, Sinc,
                                ZeroSequence, expr_from_json)
 from dblab.majorization import nabla_majorant
 from dblab.quadrature import integrate_real_line
@@ -197,37 +197,85 @@ def _with_a_series_node():
     return DbSpace(Product([a20_structure_function(), pair]), None, 1.0, 1.0, "a20*pair")
 
 
-def test_kernel_diagonal_of_a_batch_has_the_bits_of_one_ring_pass(rng):
-    # 129 centres: in blocks of 128 the last would stand alone, and numpy
-    # ring-sums a lone row with its dot routine, which rounds otherwise
-    # than the matrix-vector product of the whole batch below
+@pytest.mark.parametrize("n", [129, 300])
+def test_kernel_diagonal_of_a_series_e_has_the_bits_of_each_centre_alone(rng, n):
+    # each centre's Cauchy ring is summed on its own; a BLAS matrix-vector
+    # ring sum rounded a batch otherwise than one centre alone
     sp = _with_a_series_node()
-    x = rng.uniform(-200.0, 200.0, 129) + 0j
-    m = DEFAULTS["derivative_nodes"]
-    theta = 2.0 * np.pi * np.arange(m) / m
-    r = DEFAULTS["derivative_radius_scale"] * (1.0 + np.abs(x))
-    ring = x[:, None] + r[:, None] * np.exp(1j * theta)[None, :]
-    phase = np.exp(-1j * theta)
-    ed = (sp.e.values(ring) @ phase) / (m * r)
-    esd = (np.conj(sp.e.values(np.conj(ring))) @ phase) / (m * r)
-    ref = (sp.e.values(x) * esd - ed * np.conj(sp.e.values(np.conj(x)))) / (2j * math.pi)
+    x = rng.uniform(-200.0, 200.0, n) + 0j
     got = kernel_diagonal_values(sp, x)
-    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    alone = np.array([kernel_diagonal_values(sp, t)[0] for t in x])
+    assert np.array_equal(got.view(np.uint64), alone.view(np.uint64))
+    for t, u in zip(x[:8], x[1:9]):
+        assert nabla(sp, t) == nabla_values(sp, [t, u])[0]
 
 
-def test_axis_nabla_working_memory_is_one_block_of_rings():
-    # the Cauchy rings of a whole 20,000-point batch took about 80 MiB;
-    # built block by block they stay within one expression block
-    sp = pw_space(2.0)
-    x = np.linspace(-200.0, 200.0, 20_000) + 0j
+def _working_memory(fn):
     tracemalloc.start()
     try:
-        v = nabla_values(sp, x)
+        v = fn()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return v, peak
+
+
+def test_axis_nabla_working_memory_is_one_block_of_jets():
+    # jets of a whole 20,000-point batch at once took their temporaries
+    # for every point; block by block they stay within one expression block
+    x = np.linspace(-200.0, 200.0, 20_000) + 0j
+    v, peak = _working_memory(lambda: nabla_values(pw_space(2.0), x))
     assert peak < 16 * 2 ** 20
     assert np.allclose(v, math.sqrt(2.0 / math.pi), rtol=1e-9)
+
+
+def test_axis_nabla_of_a_series_e_working_memory_is_one_block_of_rings():
+    # the 256,000 ring points of 4,000 centres take 4 MiB a complex array;
+    # 128 centres at a time they stay within one expression block
+    sp = _with_a_series_node()
+    x = np.linspace(-200.0, 200.0, 4_000) + 0j
+    v, peak = _working_memory(lambda: nabla_values(sp, x))
+    assert peak < 8 * 2 ** 20
+    # the same E with its two zeros as a polynomial: closed form, so jets
+    pair = Poly([1.0, -1.0 / (2.0 - 1.0j)]).coeffs
+    poly = Poly(np.convolve(pair, [1.0, -1.0 / (-1.0 - 3.0j)]))
+    jets = DbSpace(Product([a20_structure_function(), poly]), None, 1.0, 1.0, "a20*poly")
+    assert np.allclose(v, nabla_values(jets, x), rtol=1e-8, atol=0.0)
+
+
+def _series_terms(f) -> int:
+    seq = getattr(f, "seq", None)
+    return (len(seq) if seq is not None else 0) + sum(_series_terms(c) for c in f._parts())
+
+
+def test_e0_diagonal_evaluates_two_rings_and_two_centres_of_series_terms(monkeypatch):
+    # the benchmark's hand check of the E0 diagonal, 130 evaluations of
+    # the Gtilde terms a point, at n = 1000: E and E# on a ring of
+    # derivative_nodes points plus the centre, E# as the space's e_sharp
+    sp = build_a38(1000).spaces["H"]
+    seen = []
+    real = FunctionExpr.eval_array
+
+    def spy(self, z, *args, **kwargs):
+        seen.append((self, np.size(z) * _series_terms(self)))
+        return real(self, z, *args, **kwargs)
+
+    monkeypatch.setattr(FunctionExpr, "eval_array", spy)
+    kernel_diagonal_values(sp, np.array([3.5, 40.0]) + 0j)
+    per_centre = 2 * (DEFAULTS["derivative_nodes"] + 1) * 1000
+    assert sum(count for _, count in seen) == 2 * per_centre
+    assert {type(f).__name__ for f, _ in seen} == {"Product", "Sharp"}
+    assert all(f is sp.e or f.child is sp.e for f, _ in seen)
+
+
+def test_axis_nabla_values_that_are_not_finite_are_an_overflow():
+    # (cos z / sin z) sin z e^{-iz}: the jets of cot z overflow at 1e-160
+    # and carried NaN into the kernel norm of the batch without an error
+    sp = DbSpace(Product([Quotient(Cos(), Sin()), Sin(), ExpCZ(-1j)]), None, 1.0, 1.0, "cot")
+    with pytest.raises(Overflow, match=r"kernel norm at z=\(1e-160\+0j\)"):
+        nabla_values(sp, [1e-160, 1.0])
+    with pytest.raises(Overflow, match=r"kernel norm at z=\(1e-160\+0j\)"):
+        nabla(sp, 1e-160)
 
 
 def test_axis_nabla_of_a_closed_form_space_takes_no_ring(zpi, monkeypatch):
