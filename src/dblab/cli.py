@@ -21,6 +21,7 @@ import cmath
 import contextlib
 import csv
 import datetime
+import functools
 import json
 import math
 import re
@@ -396,7 +397,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built at the first call and shared by every
+    later one: parsing leaves no state on it."""
     ap = _Parser(prog="dblab",
                  description="numerical laboratory for de Branges spaces of entire functions")
     sub = ap.add_subparsers(dest="cmd", required=True)

@@ -470,9 +470,18 @@ class FunctionExpr:
     may override ``_abs(z, ctx)``, the moduli alone, when it has them
     more cheaply than its complex values.  Every closed-form kind has
     ``_jet(z, ctx)``, its values and derivative; a node with children
-    lists them in ``_parts``."""
+    lists them in ``_parts``, and a kind with parameters names their
+    attributes in ``_params``.
+
+    A tree that ``is_real`` is a real entire function: ``F# = F``.  Its
+    ``sharp().moduli`` are its ``moduli``, bit for bit: each rule takes
+    the same operations on the conjugate points and the conjugate real
+    parameters, and every one of them (libm's ``sin``, ``cos``, ``exp``,
+    ``sinh``, complex products, quotients and moduli) is symmetric under
+    conjugation up to the sign of a zero part, which no modulus sees."""
 
     kind = "?"
+    _params: tuple = ()
 
     def _eval(self, z: np.ndarray, ctx: dict, error: bool):
         raise NotImplementedError
@@ -492,6 +501,13 @@ class FunctionExpr:
         partial-fraction node."""
         return (type(self)._jet is not FunctionExpr._jet
                 and all(c.closed_form() for c in self._parts()))
+
+    def is_real(self) -> bool:
+        """Whether the tree is ``closed_form`` and every parameter of every
+        node is real, so that ``F# = F``."""
+        return (self.closed_form()
+                and not any(np.any(np.imag(getattr(self, p))) for p in self._params)
+                and all(c.is_real() for c in self._parts()))
 
     def sharp(self) -> "FunctionExpr":
         """``F#(z) = conj(F(conj z))``."""
@@ -607,6 +623,7 @@ def as_expr(x) -> FunctionExpr:
 
 class Const(FunctionExpr):
     kind = "const"
+    _params = ("value",)
 
     def __init__(self, value):
         self.value = complex(value)
@@ -644,6 +661,7 @@ class ExpCZ(FunctionExpr):
     """exp(c*z)."""
 
     kind = "exp"
+    _params = ("coeff",)
 
     def __init__(self, coeff):
         self.coeff = complex(coeff)
@@ -777,6 +795,7 @@ class Poly(FunctionExpr):
     """Polynomial with complex coefficients, ascending degree order."""
 
     kind = "poly"
+    _params = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[complex]):
         self.coeffs = np.asarray(list(coeffs), dtype=complex)
@@ -830,6 +849,7 @@ class Affine(FunctionExpr):
     """child(scale*z + shift)."""
 
     kind = "affine"
+    _params = ("scale", "shift")
 
     def __init__(self, child: FunctionExpr, scale, shift=0.0):
         self.child = child
@@ -928,6 +948,29 @@ class Product(FunctionExpr):
         return {"kind": "product", "children": [c.to_json() for c in self.children]}
 
 
+# numpy's complex division multiplies by the reciprocal of the divisor's
+# larger part, which overflows when that part is subnormal; such an entry
+# is divided again with both operands scaled by _UNSUBNORMAL.  Where the
+# scaled numerator overflows, the quotient is beyond double range anyway.
+_TINY = float(np.finfo(float).tiny)
+_UNSUBNORMAL = 2.0 ** 600
+
+
+def _divide(nv, dv):
+    """``np.divide(nv, dv)``, finite where only a subnormal divisor kept
+    it from being; every other entry keeps its bits."""
+    v = np.divide(nv, dv)
+    # the cheapest test: the sum is finite when every entry is
+    if cmath.isfinite(np.add.reduce(v, axis=None)):
+        return v
+    redo = ~np.isfinite(v) & (dv != 0) & (
+        np.maximum(np.abs(np.real(dv)), np.abs(np.imag(dv))) < _TINY)
+    nv, dv, redo = np.broadcast_arrays(nv, dv, redo)
+    v = np.array(v)
+    v[redo] = np.divide(nv[redo] * _UNSUBNORMAL, dv[redo] * _UNSUBNORMAL)
+    return v[()]
+
+
 class Quotient(FunctionExpr):
     kind = "quotient"
 
@@ -957,7 +1000,7 @@ class Quotient(FunctionExpr):
         nv, ne = self.num._eval(z, ctx, error)
         dv, de = self.den._eval(z, ctx, error)
         self._check_poles(z, dv)
-        v = np.divide(nv, dv)
+        v = _divide(nv, dv)
         if not error:
             return v, None
         return v, (ne + np.abs(v) * de) / np.abs(dv) + EPS * np.abs(v)
@@ -972,8 +1015,8 @@ class Quotient(FunctionExpr):
         nv, nd = self.num._jet(z, ctx)
         dv, dd = self.den._jet(z, ctx)
         self._check_poles(z, dv)
-        v = np.divide(nv, dv)
-        return v, np.divide(np.subtract(nd, np.multiply(v, dd)), dv)
+        v = _divide(nv, dv)
+        return v, _divide(np.subtract(nd, np.multiply(v, dd)), dv)
 
     def _parts(self):
         return (self.num, self.den)

@@ -75,13 +75,22 @@ def nabla_majorant(space: DbSpace, domain: SampledDomain) -> Majorant:
                     domain, tuple(zd))
 
 
+def _moduli_max(f: FunctionExpr) -> Callable[[np.ndarray], np.ndarray]:
+    """``z -> max(|F(z)|, |F#(z)|)``; ``|F|`` alone for a real tree, whose
+    ``|F#|`` has the bits of ``|F|`` (see ``FunctionExpr``)."""
+    if f.is_real():
+        return f.moduli
+    fsharp = f.sharp()
+    return lambda z: np.maximum(f.moduli(z), fsharp.moduli(z))
+
+
 def mS_majorant(s: FunctionExpr, domain: SampledDomain,
                 zero_divisor: ZeroDivisor = ()) -> Majorant:
     """``max(|S(z)|, |S#(z)|) / |z + i|`` for a function S associated to a space."""
-    ssharp = s.sharp()
+    moduli = _moduli_max(s)
 
     def fn(z):
-        return np.maximum(s.moduli(z), ssharp.moduli(z)) / np.abs(z + 1j)
+        return moduli(z) / np.abs(z + 1j)
 
     return Majorant("mS", fn, domain, zero_divisor)
 
@@ -134,7 +143,8 @@ def tail_slope(z_abs: np.ndarray, values: np.ndarray) -> float:
 
 
 def test_majorization(f: FunctionExpr, m: Majorant) -> MajorizationReport:
-    """Decide whether ``|F|, |F#| <= C m`` plausibly holds on the domain.
+    """Decide whether ``|F|, |F#| <= C m`` plausibly holds on the domain;
+    a real ``F`` (``F# = F``) takes one pass, for ``|F|``.
 
     The ratio is built block by block over the samples left outside the
     zero-divisor balls, in the majorant's blocks, so its working memory
@@ -161,11 +171,11 @@ def test_majorization(f: FunctionExpr, m: Majorant) -> MajorizationReport:
         z = z[mask]
     del mask
 
-    fsharp = f.sharp()
+    moduli = _moduli_max(f)
     ratio = np.empty(z.shape)
     for i in range(0, z.size, _POINTS):
         zb = z[i:i + _POINTS]
-        fv = np.maximum(f.moduli(zb), fsharp.moduli(zb))
+        fv = moduli(zb)
         mv = m.values(zb)
         require_finite(np.isfinite(fv) & np.isfinite(mv), zb,
                        "max(|F|, |F#|) or the majorant at z")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dblab
-from dblab.cli import _jsonable, main, parse_complex
+from dblab.cli import _jsonable, build_parser, main, parse_complex
 from dblab.examples import build_a20, pw_space
 from dblab.expressions import expr_from_json
 from dblab.model import InnerFunction, clark_kernel
@@ -475,3 +475,43 @@ def test_package_imports_only_the_standard_library_and_numpy():
                 continue
             for name in names:
                 assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
+
+
+SIN_OVER_Z = '{"kind":"quotient","num":{"kind":"sin"},"den":{"kind":"z"}}'
+
+
+@pytest.mark.parametrize("z", ["-5e-324-5e-324i", "1e-310+1e-310i"])
+def test_a_subnormal_divisor_is_not_an_overflow(capsys, z):
+    # numpy's complex division overflows on a subnormal divisor; sin z / z is 1 there
+    rc, doc = _main_json(capsys, ["eval", "--f", SIN_OVER_Z, f"--z={z}"])
+    assert rc == 0 and doc["result"]["value"] == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("calls", [
+    [["eval", "--f", SIN_OVER_Z, "--z", "0.5+1i", "--order", "2"],
+     ["eval", "--f", SIN_OVER_Z, "--z", "0.5+1i"]],
+    [["example", "pw", "--a", "2", "--json", "DIR/a.json"],
+     ["example", "pw", "--out", "DIR/b.json"]],
+    [["eval", "--f", '{"kind":"cos"}', "--z", "1"],
+     ["eval", "--f", '{"kind":"cos"}', "--order", "two"],
+     ["eval", "--f", '{"kind":"cos"}', "--z", "2i"]],
+    [["verify", "A12"], ["verify"]],
+], ids=["eval-order", "example-json-out", "config-error", "verify"])
+def test_consecutive_calls_on_one_parser_print_what_a_fresh_process_prints(capsys, tmp_path,
+                                                                           calls):
+    parser = build_parser()
+    for args in calls:
+        outs = []
+        for where in ("reused", "fresh"):
+            d = tmp_path / where
+            d.mkdir(exist_ok=True)
+            argv = [a.replace("DIR", str(d)) for a in args]
+            if where == "reused":
+                rc = main(argv)
+                out = capsys.readouterr().out
+            else:
+                rc, out, _ = run_cli(argv)
+            outs.append((rc, _without_timestamp(out),
+                         {p.name: p.read_text() for p in sorted(d.iterdir())}))
+        assert outs[0] == outs[1]
+    assert build_parser() is parser

@@ -475,11 +475,15 @@ SEQUENCE_NODES = (
 
 
 @st.composite
-def any_kind(draw, depth=2, series=True):
+def any_kind(draw, depth=2, series=True, real=False):
     """Trees over all 15 node kinds, or over the 13 closed-form ones when
-    ``series`` is false; coefficients and points are wide enough that
+    ``series`` is false, with real parameters (imaginary parts 0 or -0)
+    when ``real`` is true; coefficients and points are wide enough that
     values overflow to inf and NaN."""
-    c = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
+    if real:
+        c = st.builds(complex, st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0]))
+    else:
+        c = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
     atoms = st.one_of(
         st.builds(Const, c), st.just(Z()), st.builds(ExpCZ, c),
         st.just(Sin()), st.just(Cos()), st.just(Sinc()),
@@ -488,7 +492,7 @@ def any_kind(draw, depth=2, series=True):
     )
     if depth == 0:
         return draw(atoms)
-    sub = any_kind(depth=depth - 1, series=series)
+    sub = any_kind(depth=depth - 1, series=series, real=real)
     return draw(st.one_of(
         atoms,
         st.builds(Affine, sub, c, c),
@@ -1135,3 +1139,56 @@ def test_poly_roots_of_ordinary_coefficients_are_those_of_polyroots(rng):
     for n in range(2, 7):
         c = rng.normal(size=n) + 1j * rng.normal(size=n)
         assert _same_bits(Poly(c).roots(), np.polynomial.polynomial.polyroots(c))
+
+
+# ---------------------------------------------------------------------------
+# real trees: F# = F
+# ---------------------------------------------------------------------------
+
+def _real_spec(d: dict) -> bool:
+    """Whether a tree is real, read from its JSON: no series node, and no
+    parameter with a nonzero imaginary part."""
+    if d["kind"] in ("canonical-product", "partial-fractions"):
+        return False
+    params = {"const": [d.get("value")], "exp": [d.get("coeff")], "poly": d.get("coeffs"),
+              "affine": [d.get("scale"), d.get("shift")]}.get(d["kind"], [])
+    parts = [d[k] for k in ("child", "num", "den") if k in d] + d.get("children", [])
+    return all(p[1] == 0 for p in params) and all(_real_spec(c) for c in parts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_kind(series=False, real=True),
+       st.lists(st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=8))
+@example(Quotient(Cos(), Z()), [1j, 0.0])
+@example(Quotient(Sinc(), Poly([2.0, 0.0, 1.0])), [1.0, 1.4142135623730951j])
+@example(Affine(Product([Sin(), ExpCZ(-0.5)]), -2.0, 0.5), [0.0, 300j, -700j])
+def test_a_real_tree_has_the_moduli_of_its_sharp_bit_for_bit(f, z):
+    assert f.is_real() and f.sharp().is_real()
+    z = np.array(z)
+    got = _values_or_pole(lambda: f.sharp().moduli(z))
+    ref = _values_or_pole(lambda: f.moduli(z))
+    if isinstance(ref, tuple):
+        assert got == ref
+    else:
+        assert _same_bits(got, ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_kind())
+@example(Sharp(Const(complex(1.0, -0.0))))
+@example(Affine(Cos(), 1.0, 1e-300j))
+@example(Product([Cos(), SEQUENCE_NODES[2]]))
+def test_is_real_holds_for_closed_form_trees_with_real_parameters_only(f):
+    assert f.is_real() == _real_spec(f.to_json())
+    if not f.closed_form():
+        assert not f.is_real()
+
+
+def test_a_subnormal_divisor_keeps_the_jets_finite():
+    z = np.array([1e-310 + 1e-310j, -5e-324 - 5e-324j, 0.5 + 0.25j])
+    f = Quotient(Sin(), Z())
+    v, d = f.jets(z)
+    assert np.array_equal(v[:2], [1.0, 1.0]) and np.all(np.abs(d[:2]) <= EPS)
+    assert _same_bits(v, f.values(z))
+    assert _same_bits(v[2:], np.divide(np.sin(z[2:]), z[2:]))

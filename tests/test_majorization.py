@@ -7,7 +7,7 @@ import pytest
 from dblab import domains as dom
 from dblab.errors import AllPointsExcluded, ConfigError, Overflow
 from dblab.examples import a45_truncated_space, pw_kernel_expr, pw_space
-from dblab.expressions import Const, Cos, ExpCZ, Product, Sinc
+from dblab.expressions import Const, Cos, ExpCZ, FunctionExpr, Product, Sinc
 from dblab.majorization import (Majorant, admissibility_check, expr_majorant,
                                 mS_majorant, nabla_majorant)
 from dblab.majorization import test_majorization as run_majorization
@@ -322,3 +322,19 @@ def test_majorized_witness_mean_type_is_controlled(pw1):
     # majorized members inherit the majorant's (zero) relative mean type
     est = mean_type(Quotient(SINC, pw1.e), math.pi / 2)
     assert est.value <= 5e-3
+
+
+@pytest.mark.parametrize("f, real", [(Cos(), True), (pw_kernel_expr(2.0, 0.5), True),
+                                     (ExpCZ(1j), False)], ids=["cos", "pw-kernel", "exp-iz"])
+def test_majorization_report_has_the_bits_of_two_moduli_passes(f, real, pw1, monkeypatch):
+    # a real F takes |F| alone; the reference takes max(|F|, |F#|) in two passes
+    assert f.is_real() == real
+    d = dom.line(0.75, ratio=1.002, rmax=2e3)
+    majorants = (lambda: nabla_majorant(pw1, d), lambda: mS_majorant(f, d))
+    got = [run_majorization(f, make()) for make in majorants]
+    monkeypatch.setattr(FunctionExpr, "is_real", lambda self: False)
+    ref = [run_majorization(f, make()) for make in majorants]
+    for a, b in zip(got, ref):
+        assert a.to_json() == b.to_json()
+        assert np.array_equal(a.z, b.z)
+        assert np.array_equal(a.ratio.view(np.uint64), b.ratio.view(np.uint64))
