@@ -113,7 +113,10 @@ def a38_g_sequence(n: int) -> ZeroSequence:
     if n < 1:
         raise ConfigError("a38 truncation must be >= 1")
     k = np.arange(1, n + 1, dtype=float)
-    zeros = k * k - 1j
+    # filled part by part, with the bits of k * k - 1j and no temporary of size n
+    zeros = np.empty(n, dtype=complex)
+    np.multiply(k, k, out=zeros.real)
+    zeros.imag = -1.0
     return ZeroSequence("a38_g", zeros, 0,
                         _second_order_tail_bound(n, (n + 1) ** 2),
                         _a38_g_tail_inv_sum(n),
@@ -126,7 +129,10 @@ def a38_gtilde_sequence(n: int) -> ZeroSequence:
     if n < 1:
         raise ConfigError("a38 truncation must be >= 1")
     k = np.arange(1, n + 1, dtype=float)
-    zeros = k * k - 1j * k
+    # filled part by part, with the bits of k * k - 1j * k and no temporary of size n
+    zeros = np.empty(n, dtype=complex)
+    np.multiply(k, k, out=zeros.real)
+    np.negative(k, out=zeros.imag)
     zmin_next = (n + 1) * math.hypot(n + 1.0, 1.0)
     return ZeroSequence("a38_gtilde", zeros, 0,
                         _second_order_tail_bound(n, zmin_next),

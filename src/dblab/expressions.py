@@ -8,7 +8,12 @@ node evaluates vectorized over numpy arrays of complex points.
 Each node has one evaluation method, ``_eval(z, ctx, error)``, which
 returns its values and, when ``error`` is true, an absolute-error
 estimate (truncation + bounded roundoff), else ``None``: ``eval_array``
-asks for both, ``values`` for the values only.  ``moduli`` asks each node
+asks for both, ``values`` for the values only, and the canonical-product
+and partial-fraction nodes then skip every error term of their sums.  A
+series node that appears more than once in a tree (``q`` in ``(i - q)/(i
++ q)``) sums once per block: ``ctx`` keeps its result for the block's
+points and ``error`` flag until the next block, and nothing across
+blocks or calls.  ``moduli`` asks each node
 for ``|F|`` alone through ``_abs(z, ctx)``: constants, ``z``, ``exp``,
 ``sin`` and ``cos`` compute it from real parts (``|exp(cz)| = exp(Re
 cz)``, ``|cos z|^2 = cos^2 x + sinh^2 y``), products, quotients, powers,
@@ -31,8 +36,8 @@ Expressions are immutable after construction and evaluation is pure, so
 values are safe to share across threads.  Canonical products and
 partial-fraction series are summed shell by shell: shells far beyond the
 point through power moments, every other shell term by term (see
-``_Shells``); the moment tables a sequence builds at its first evaluation
-are caches, and no value depends on whether they were built.
+``_Shells``); the scaled moment tables a sequence builds as its points
+need them are caches, and no value depends on whether they were built.
 
 The ``#``-conjugate ``F#(z) = conj(F(conj z))`` is one node, ``Sharp``,
 which evaluates its child at the conjugate points and conjugates the
@@ -62,8 +67,9 @@ from .errors import (ConfigError, Overflow, PoleHit, RadiusTooLarge,
 EPS = float(np.finfo(float).eps)
 _LOG_EPS = math.log(EPS)
 
-# sequence terms per block when building moments or summing terms directly,
-# and the largest (points x terms) temporary of a direct sum
+# sequence terms per block when splitting a sequence into shells, building
+# moments or summing terms directly, and the largest (points x terms)
+# temporary of a direct sum
 _CHUNK = 2 ** 16
 _BLOCK = 2 ** 18
 # points per block: eval_array, Cauchy rings and majorants take one at a time
@@ -270,7 +276,7 @@ def _order(rho: np.ndarray) -> np.ndarray:
 
 
 def _horner(table: np.ndarray, s: np.ndarray, w: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """``sum_{j=1..order_k} table[s_k, j-1] w_k**j`` for every pair ``k``.
+    """``sum_{j=1..order_k} table[j-1, s_k] w_k**j`` for every pair ``k``.
 
     Pairs are ranked by decreasing order, so the step for power ``j``
     touches only the leading pairs that need it; a pair's value does not
@@ -278,10 +284,12 @@ def _horner(table: np.ndarray, s: np.ndarray, w: np.ndarray, order: np.ndarray) 
     """
     rank = np.argsort(-order, kind="stable")
     s, w, neg = s[rank], w[rank], -order[rank]
+    powers = np.arange(-int(neg.min(initial=0)), 0, -1)
     acc = np.zeros(w.shape, dtype=complex)
-    for j in range(-int(neg.min(initial=0)), 0, -1):
-        m = np.searchsorted(neg, -j, side="right")
-        acc[:m] = (acc[:m] + table[s[:m], j - 1]) * w[:m]
+    for j, m in zip(powers, np.searchsorted(neg, -powers, side="right")):
+        head = acc[:m]
+        head += table[j - 1].take(s[:m])
+        head *= w[:m]
     out = np.empty_like(acc)
     out[rank] = acc
     return out
@@ -295,12 +303,19 @@ def _by_point(p: np.ndarray, x: np.ndarray, size: int) -> np.ndarray:
 
 
 def _accumulate(acc, err, p, val, e):
-    """Add pair values and their error bounds into the per-point sums,
-    charging each addition its rounding."""
+    """Add pair values and, unless ``err`` is None, their error bounds into
+    the per-point sums, charging each addition its rounding."""
     n = acc.size
     acc += _by_point(p, val, n)
-    err += _by_point(p, e, n) + EPS * np.bincount(p, minlength=n) * (
-        _by_point(p, np.abs(val), n) + np.abs(acc))
+    if err is not None:
+        err += _by_point(p, e, n) + EPS * np.bincount(p, minlength=n) * (
+            _by_point(p, np.abs(val), n) + np.abs(acc))
+
+
+def _chunks(start: int, stop: int):
+    """``(a, b)`` spans of ``_CHUNK`` indices at most, covering ``start:stop``."""
+    for a in range(start, stop, _CHUNK):
+        yield a, min(a + _CHUNK, stop)
 
 
 class _Shells:
@@ -312,125 +327,142 @@ class _Shells:
     shells x orders plus one step per term with modulus below about
     ``2|z|``.  ``moments(s, order)`` is ``sum_k c_k x_k**j`` for
     ``j = 0..order`` with ``x = lo/t_k`` and ``c = 1`` (``mu/t`` for a
-    series).  A table is built when first needed and rebuilt from scratch
-    for a higher order, so a point's value never depends on what else was
-    evaluated, and two threads that build the same table at once store
-    equal tables.
+    series).  The expansion reads one table of scaled moments per scale
+    (genus 0, genus 1, series), a column per shell, and grows a shell's
+    column only when a pair needs a higher order.  An entry does not
+    depend on the order its column was built to, so a point's value never
+    depends on what else was evaluated; a grown table is built aside and
+    then stored, so two threads that grow it at once store equal entries.
+    The build takes the moduli ``_CHUNK`` terms at a time, so that it
+    holds no temporary of the sequence's size unless the terms come
+    unsorted.
     """
 
     def __init__(self, nodes: np.ndarray, weights: Optional[np.ndarray] = None):
-        mod = np.abs(nodes)
-        if np.any(mod[1:] < mod[:-1]):
-            order = np.argsort(mod, kind="stable")
-            nodes, mod = nodes[order], mod[order]
-            weights = None if weights is None else weights[order]
+        for a, b in _chunks(0, nodes.size):
+            mod = np.abs(nodes[a:b + 1])
+            if np.any(mod[1:] < mod[:-1]):
+                order = np.argsort(np.abs(nodes), kind="stable")
+                nodes = nodes[order]
+                weights = None if weights is None else weights[order]
+                break
         self.nodes, self.weights = nodes, weights
         edges = np.zeros(1, dtype=int)
-        if mod.size:
-            exps = np.arange(math.frexp(mod[0])[1], math.frexp(mod[-1])[1])
-            edges = np.unique(np.r_[0, np.searchsorted(mod, np.ldexp(1.0, exps)), mod.size])
+        if nodes.size:
+            ends = np.abs(nodes[[0, -1]])
+            powers = np.ldexp(1.0, np.arange(math.frexp(ends[0])[1], math.frexp(ends[1])[1]))
+            # the moduli below each power of two, counted chunk by chunk
+            cuts = sum(np.searchsorted(np.abs(nodes[a:b]), powers)
+                       for a, b in _chunks(0, nodes.size))
+            edges = np.unique(np.r_[0, cuts, nodes.size])
         self.start, self.stop = edges[:-1], edges[1:]
-        self.lo = mod[self.start]
+        self.lo = np.abs(nodes[self.start])
         self.count = self.stop - self.start
         # roundoff of a sum over one shell: pairwise within a block, sequential across blocks
         self.gamma = EPS * (np.log2(np.maximum(self.count, 1)) + 8.0
                             + np.ceil(self.count / _CHUNK))
-        self._tables: dict = {}
-
-    def _blocks(self, s: int):
-        for a in range(self.start[s], self.stop[s], _CHUNK):
-            yield a, min(a + _CHUNK, self.stop[s])
+        self._scaled: dict = {}
 
     def moments(self, s: int, order: int):
-        """Moment table of shell ``s`` (at least ``order + 1`` entries) and ``sum |c_k|``."""
-        tab = self._tables.get(s)
-        if tab is None or tab[0].size <= order:
-            mom = np.zeros(order + 1, dtype=self.nodes.dtype)
-            absw = 0.0
-            for a, b in self._blocks(s):
-                t = self.nodes[a:b]
-                x = self.lo[s] / t
-                p = np.ones(b - a, dtype=t.dtype) if self.weights is None else self.weights[a:b] / t
-                absw += float(np.sum(np.abs(p)))
-                for j in range(order + 1):
-                    mom[j] += np.sum(p)
-                    p *= x
-            tab = self._tables[s] = (mom, absw)
-        return tab
+        """Moment table of shell ``s`` (``order + 1`` entries) and ``sum |c_k|``."""
+        mom = np.zeros(order + 1, dtype=self.nodes.dtype)
+        absw = 0.0
+        for a, b in _chunks(self.start[s], self.stop[s]):
+            t = self.nodes[a:b]
+            x = self.lo[s] / t
+            p = np.ones(b - a, dtype=t.dtype) if self.weights is None else self.weights[a:b] / t
+            absw += float(np.sum(np.abs(p)))
+            for j in range(order + 1):
+                mom[j] += np.sum(p)
+                p *= x
+        return mom, absw
 
-    def _expansion(self, z, az, far, scale):
+    def _expansion(self, z, az, far, key, scale):
         """The far pairs (point ``p``, shell ``s``) of ``far``, their ratio
         ``rho = |z|/lo``, order ``J`` and ``sum_{j=1..J} scale_j m_j (z/lo)**j``
-        over the shell's moments ``m``, with each shell's ``sum |c|``."""
+        over the shell's moments ``m``, with each shell's ``sum |c|``.
+        ``key`` names the scale's table."""
         p, s = np.nonzero(far)
         rho = az[p] / self.lo[s]
         order = _order(rho)
-        top = np.zeros(self.lo.size, dtype=int)
-        np.maximum.at(top, s, order)
-        table = np.zeros((self.lo.size, top.max(initial=0)), dtype=complex)
-        absw = np.zeros(self.lo.size)
-        for k in np.unique(s):
-            mom, absw[k] = self.moments(k, top[k])
-            table[k, :top[k]] = scale[:top[k]] * mom[1:top[k] + 1]
-        return p, s, rho, order, _horner(table, s, z[p] / self.lo[s], order), absw[s]
+        n = self.lo.size
+        # (scaled moments by power and shell, sum |c| and built order by shell; -1: unbuilt)
+        table = self._scaled.get(key) or (np.zeros((_MAX_ORDER, n), dtype=complex),
+                                          np.zeros(n), np.full(n, -1))
+        if np.any(order > table[2][s]):
+            tab, absw, top = table[0].copy(), table[1].copy(), table[2].copy()
+            np.maximum.at(top, s, order)
+            for k in np.nonzero(top > table[2])[0]:
+                mom, absw[k] = self.moments(k, top[k])
+                tab[:top[k], k] = scale[:top[k]] * mom[1:top[k] + 1]
+            table = self._scaled[key] = (tab, absw, top)
+        return p, s, rho, order, _horner(table[0], s, z[p] / self.lo[s], order), table[1][s]
 
     def _direct(self, z, aux, near, acc, err, term):
         """Add the shells marked in ``near`` (points x shells) into ``acc``
-        and ``err`` term by term, and return the per-point flags.
-        ``term(zb, auxb, a, b)`` gets a column of points (and of ``aux``)
-        and the block ``a:b`` of a shell; it returns the terms, extra
-        per-term error bounds and a per-point flag."""
+        and, unless it is None, ``err`` term by term, and return the
+        per-point flags.  ``term(zb, auxb, a, b)`` gets a column of points
+        (and of ``aux``) and the block ``a:b`` of a shell; it returns the
+        terms, extra per-term error bounds (read only when ``err`` is not
+        None) and a per-point flag."""
         flag = np.zeros(z.shape, dtype=bool)
         for s in np.nonzero(near.any(axis=0))[0]:
             pts = np.nonzero(near[:, s])[0]
             zs, xs = z[pts, None], aux[pts, None]
             val = np.zeros(pts.size, dtype=complex)
-            e = np.zeros(pts.size)
-            for a, b in self._blocks(s):
+            e = None if err is None else np.zeros(pts.size)
+            for a, b in _chunks(self.start[s], self.stop[s]):
                 step = max(1, _BLOCK // (b - a))
                 for i in range(0, pts.size, step):
                     sl = slice(i, i + step)
                     t, et, f = term(zs[sl], xs[sl], a, b)
                     val[sl] += np.sum(t, axis=1)
-                    e[sl] += np.sum(et + self.gamma[s] * np.abs(t), axis=1)
+                    if e is not None:
+                        e[sl] += np.sum(et + self.gamma[s] * np.abs(t), axis=1)
                     flag[pts[sl]] |= f
             _accumulate(acc, err, pts, val, e)
         return flag
 
-    def log_product(self, z: np.ndarray, genus: int):
+    def log_product(self, z: np.ndarray, genus: int, error: bool = True):
         """``sum log(1 - z/t_k)`` (plus ``z/t_k`` at genus 1) modulo 2 pi i,
-        a bound on its error, and the points where a factor cancelled exactly."""
+        a bound on its error (None unless ``error``), and the points where a
+        factor cancelled exactly."""
         az = np.abs(z)
         far = 2.0 * az[:, None] <= self.lo
         logv = np.zeros(z.shape, dtype=complex)
-        err = np.zeros(z.shape)
+        err = np.zeros(z.shape) if error else None
         if far.any():
             scale = -1.0 / np.arange(1, _MAX_ORDER + 1)
             if genus == 1:
                 scale[0] = 0.0
-            p, s, rho, jj, val, _ = self._expansion(z, az, far, scale)
-            n, gam = self.count[s], self.gamma[s]
-            # sum_k sum_j |x_k w|^j / j bounds every term of the expansion
-            mag = -n * np.log1p(-rho)
-            e = n * rho ** (jj + 1) / ((jj + 1) * (1.0 - rho)) + (gam + 2 * jj * EPS) * mag
+            p, s, rho, jj, val, _ = self._expansion(z, az, far, genus, scale)
+            e = None
+            if error:
+                n, gam = self.count[s], self.gamma[s]
+                # sum_k sum_j |x_k w|^j / j bounds every term of the expansion
+                mag = -n * np.log1p(-rho)
+                e = n * rho ** (jj + 1) / ((jj + 1) * (1.0 - rho)) + (gam + 2 * jj * EPS) * mag
             _accumulate(logv, err, p, val, e)
 
         def term(zb, _, a, b):
             q = zb / self.nodes[None, a:b]
             d = 1.0 - q
             cancelled = d == 0
-            # an exactly cancelled factor is replaced by its modulus bound
-            d[cancelled] = 4.0 * EPS * np.abs(q[cancelled])
+            hit = cancelled.any(axis=1)
+            if hit.any():
+                # an exactly cancelled factor is replaced by its modulus bound
+                d[cancelled] = 4.0 * EPS * np.abs(q[cancelled])
             lt = np.log(d)
             if genus == 1:
                 lt += q
-            return lt, 4.0 * EPS * np.abs(q) / np.abs(d), cancelled.any(axis=1)
+            return lt, (4.0 * EPS * np.abs(q) / np.abs(d) if error else None), hit
 
         hit = self._direct(z, az, ~far, logv, err, term)
         return logv, err, hit
 
-    def series(self, z: np.ndarray, excl: np.ndarray):
-        """``sum mu_k z / (t_k (t_k - z))`` and a bound on its error.
+    def series(self, z: np.ndarray, excl: np.ndarray, error: bool = True):
+        """``sum mu_k z / (t_k (t_k - z))`` and a bound on its error (None
+        unless ``error``).
 
         Far shells keep a margin of ``excl`` from every point, so only the
         shells summed term by term can hold a pole inside the exclusion
@@ -439,10 +471,12 @@ class _Shells:
         az = np.abs(z)
         far = 2.0 * az[:, None] + excl[:, None] <= self.lo
         v = np.zeros(z.shape, dtype=complex)
-        err = np.zeros(z.shape)
+        err = np.zeros(z.shape) if error else None
         if far.any():
-            p, s, rho, jj, val, absw = self._expansion(z, az, far, np.ones(_MAX_ORDER))
-            e = absw * (rho ** (jj + 1) + (self.gamma[s] + 2 * jj * EPS) * rho) / (1.0 - rho)
+            p, s, rho, jj, val, absw = self._expansion(z, az, far, "series", np.ones(_MAX_ORDER))
+            e = None
+            if error:
+                e = absw * (rho ** (jj + 1) + (self.gamma[s] + 2 * jj * EPS) * rho) / (1.0 - rho)
             _accumulate(v, err, p, val, e)
 
         def term(zb, exb, a, b):
@@ -521,14 +555,17 @@ class FunctionExpr:
     def _blockwise(self, z, max_terms, dtypes, run):
         """``run(block, ctx)`` over the flattened points, ``_POINTS`` at a
         time, into one output per dtype of ``dtypes``, each of the shape
-        of ``z`` (a scalar for a scalar ``z``)."""
-        ctx = {"max_terms": DEFAULTS["max_series_terms"] if max_terms is None else max_terms}
+        of ``z`` (a scalar for a scalar ``z``).  ``ctx`` holds the term
+        budget and the block's memo of series-node results."""
+        ctx = {"max_terms": DEFAULTS["max_series_terms"] if max_terms is None else max_terms,
+               "memo": {}}
         zz = np.asarray(z, dtype=complex)
         flat = zz.ravel()
         outs = [np.empty(flat.shape, dtype=t) for t in dtypes]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for i in range(0, max(flat.size, 1), _POINTS):
                 block = slice(i, i + _POINTS)
+                ctx["memo"].clear()
                 for out, r in zip(outs, run(flat[block], ctx)):
                     out[block] = r
         if zz.shape == ():
@@ -1061,7 +1098,31 @@ class Power(FunctionExpr):
         return {"kind": "power", "child": self.child.to_json(), "exponent": self.exponent}
 
 
-class CanonicalProduct(FunctionExpr):
+class _SeriesNode(FunctionExpr):
+    """A node over a long sequence ``seq``: it checks the term budget, and
+    sums once per block, points array and ``error`` flag however often it
+    appears in the tree, through ``ctx["memo"]``, which ``_blockwise``
+    empties at every block."""
+
+    _terms = "?"
+
+    def __init__(self, seq):
+        self.seq = seq
+
+    def _eval(self, z, ctx, error):
+        n = len(self.seq)
+        if n > ctx["max_terms"]:
+            raise TruncationBudgetExceeded(
+                f"{n} {self._terms} terms exceed the budget of {ctx['max_terms']}")
+        key = (id(self), id(z), error)
+        got = ctx["memo"].get(key)
+        if got is None:
+            # the entry holds z, so no other array takes its id within the block
+            got = ctx["memo"][key] = (z, self._sum(z, error))
+        return got[1]
+
+
+class CanonicalProduct(_SeriesNode):
     """Truncated canonical product over a ZeroSequence.
 
     Genus 0: ``prod (1 - z/z_n)``, times the first-order tail correction
@@ -1071,52 +1132,43 @@ class CanonicalProduct(FunctionExpr):
     """
 
     kind = "canonical-product"
+    _terms = "product"
 
-    def __init__(self, seq: ZeroSequence):
-        self.seq = seq
-
-    def _eval(self, z, ctx, error):
+    def _sum(self, z, error):
         seq = self.seq
-        n = len(seq)
-        if n > ctx["max_terms"]:
-            raise TruncationBudgetExceeded(
-                f"{n} product terms exceed the budget of {ctx['max_terms']}")
-        logv, err, hit = seq.shells().log_product(z, seq.genus)
+        logv, err, hit = seq.shells().log_product(z, seq.genus, error)
         if seq.genus == 0 and seq.tail_inv_sum is not None:
             corr = z * seq.tail_inv_sum
             logv = logv - corr
-            err = err + EPS * (np.abs(corr) + np.abs(logv))
+            if error:
+                err = err + EPS * (np.abs(corr) + np.abs(logv))
         v = np.exp(logv)
-        tail = seq.tail_bound_at(np.abs(z))
-        # expm1 keeps the estimate faithful when the bounds are not small
-        e = np.abs(v) * (np.expm1(err + tail) + 4.0 * EPS)
-        # an exactly cancelled factor: the value is 0, its modulus bound is |v|
-        e[hit] += np.abs(v[hit])
+        e = None
+        if error:
+            tail = seq.tail_bound_at(np.abs(z))
+            # expm1 keeps the estimate faithful when the bounds are not small
+            e = np.abs(v) * (np.expm1(err + tail) + 4.0 * EPS)
+            # an exactly cancelled factor: the value is 0, its modulus bound is |v|
+            e[hit] += np.abs(v[hit])
         v[hit] = 0.0
-        return v, (e if error else None)
+        return v, e
 
     def to_json(self):
         return {"kind": "canonical-product", "zeros": self.seq.to_spec()}
 
 
-class PartialFractions(FunctionExpr):
+class PartialFractions(_SeriesNode):
     """``sum mu_n (1/(t_n - z) - 1/t_n)`` over a truncated PoleSequence."""
 
     kind = "partial-fractions"
+    _terms = "series"
 
-    def __init__(self, seq: PoleSequence):
-        self.seq = seq
-
-    def _eval(self, z, ctx, error):
-        n = len(self.seq)
-        if n > ctx["max_terms"]:
-            raise TruncationBudgetExceeded(
-                f"{n} series terms exceed the budget of {ctx['max_terms']}")
+    def _sum(self, z, error):
         excl = DEFAULTS["pole_exclusion_scale"] * (1.0 + np.abs(z))
-        v, e = self.seq.shells().series(z, excl)
-        if self.seq.tail_abs_bound is not None:
+        v, e = self.seq.shells().series(z, excl, error)
+        if error and self.seq.tail_abs_bound is not None:
             e = e + np.asarray(self.seq.tail_abs_bound(np.abs(z)), dtype=float)
-        return v, (e if error else None)
+        return v, e
 
     def to_json(self):
         return {"kind": "partial-fractions", "poles": self.seq.to_spec()}
@@ -1165,34 +1217,37 @@ def sharp(f: FunctionExpr) -> FunctionExpr:
     return f.sharp()
 
 
-def ring_derivatives(f: FunctionExpr, z, order: int = 1):
+def ring_derivatives(f: FunctionExpr, z, order: int = 1, error: bool = True):
     """Row ``k`` of ``(d, err)``, each ``(order + 1, z.size)``, is F's
     ``k``-th derivative at the flattened ``z``, ``k!/(m r^k) sum F(ring)
     e^(-ik theta)`` on a circle of ``m = derivative_nodes`` points and radius
     ``r = derivative_radius_scale (1 + |z|)``, and its error: the distance to
     the rule on every other node plus ``k!/r^k`` times the mean evaluation
-    error.  ``_POINTS // m`` centres at a time, each summed on its own, so
-    its bits do not depend on its batch.  A pole on a circle raises
-    PoleHit; one inside raises nothing (``derivative`` checks for it)."""
+    error.  When ``error`` is false the ring is evaluated without error
+    estimates and ``err`` is None; ``d`` keeps its bits.  ``_POINTS // m``
+    centres at a time, each summed on its own, so its bits do not depend
+    on its batch.  A pole on a circle raises PoleHit; one inside raises
+    nothing (``derivative`` checks for it)."""
     flat = np.asarray(z, dtype=complex).ravel()
     m = DEFAULTS["derivative_nodes"]
     theta = 2.0 * np.pi * np.arange(m) / m
     phases = [np.exp(-1j * k * theta) for k in range(order + 1)]
     d = np.empty((order + 1, flat.size), dtype=complex)
-    err = np.empty((order + 1, flat.size))
+    err = np.empty((order + 1, flat.size)) if error else None
     step = max(1, _POINTS // m)
     for i in range(0, flat.size, step):
         zb = flat[i:i + step]
         # libm's hypot, as Python's abs: numpy's complex abs rounds otherwise
         r = DEFAULTS["derivative_radius_scale"] * (1.0 + np.hypot(zb.real, zb.imag))
-        vals, errs = f.eval_array(zb[:, None] + r[:, None] * np.exp(1j * theta))
-        mean_err = np.mean(errs, axis=-1)
+        vals, errs = f.eval_array(zb[:, None] + r[:, None] * np.exp(1j * theta), error=error)
+        mean_err = np.mean(errs, axis=-1) if error else None
         for k, phase in enumerate(phases):
             fact, rk = math.factorial(k), r ** k
             full = fact / (m * rk) * np.sum(vals * phase, axis=-1)
-            half = fact / ((m // 2) * rk) * np.sum(vals[:, ::2] * phase[::2], axis=-1)
             d[k, i:i + step] = full
-            err[k, i:i + step] = np.abs(full - half) + fact / rk * mean_err
+            if error:
+                half = fact / ((m // 2) * rk) * np.sum(vals[:, ::2] * phase[::2], axis=-1)
+                err[k, i:i + step] = np.abs(full - half) + fact / rk * mean_err
     return d, err
 
 

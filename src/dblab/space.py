@@ -33,7 +33,7 @@ from .defaults import DEFAULTS
 from .errors import (AllPointsDiscarded, ConfigError, MissingZeroData,
                      NegativeRadicand, NonConvergentTail, Overflow, ZeroOnAxis,
                      require_finite)
-from .expressions import (_POINTS, Const, EvalResult, FunctionExpr, Product,
+from .expressions import (_CHUNK, _POINTS, Const, EvalResult, FunctionExpr, Product,
                           Quotient, ZeroSequence, cached, expr_from_json,
                           expr_to_json, ring_derivatives, zero_sequence_from_spec)
 from .quadrature import integrate_real_line
@@ -164,7 +164,8 @@ def kernel_diagonal_values(space: DbSpace, zs) -> np.ndarray:
         if jets:
             (e0, ed), (es0, esd) = space.e.jets(z), space.e_sharp.jets(z)
         else:
-            ed, esd = (ring_derivatives(g, z)[0][1] for g in (space.e, space.e_sharp))
+            ed, esd = (ring_derivatives(g, z, error=False)[0][1]
+                       for g in (space.e, space.e_sharp))
             e0, es0 = space.e.values(z), space.e_sharp.values(z)
         out[i:i + step] = (e0 * esd - ed * es0) / TWO_PI_I
     return out.reshape(zs.shape)
@@ -294,8 +295,7 @@ class _PhaseTree:
 
     def __init__(self, zeros: np.ndarray):
         rank = np.argsort(zeros.real, kind="stable")
-        x, y = zeros.real[rank], np.abs(zeros.imag[rank])
-        n = x.size
+        n = rank.size
         depth = 0
         while n > _LEAF << depth:
             depth += 1
@@ -305,31 +305,36 @@ class _PhaseTree:
         bounds = [np.arange(2 ** l + 1) * n // 2 ** l for l in range(depth + 1)]
         lo, hi = bounds[-1][:-1], bounds[-1][1:]
         sizes = hi - lo
-        inside = np.arange(sizes.max()) < sizes[:, None]
         # the leaves' zeros by rows, padded with zero terms (x = inf, y = 0)
-        self.x = np.full(inside.shape, np.inf)
-        self.y = np.zeros(inside.shape)
-        self.x[inside], self.y[inside] = x, y
-        c = 0.5 * (x[lo] + x[hi - 1])
-        w = np.zeros(inside.shape, dtype=complex)
-        w.real[inside] = x - np.repeat(c, sizes)
-        w.imag[:] = self.y
-        h = np.max(np.abs(w), axis=1)
-        scale = np.where(h > 0, h, 1.0)
-        w.real /= scale[:, None]     # a complex division overflows at subnormal radii
-        w.imag /= scale[:, None]
-        q = w.copy()
-        moments = np.empty((_ORDER - 1, c.size))
-        for j in range(_ORDER - 1):
-            moments[j] = np.sum(q.imag, axis=1) * scale
-            q *= w
+        self.x = np.full((lo.size, sizes.max()), np.inf)
+        self.y = np.zeros(self.x.shape)
+        c = 0.5 * (zeros.real[rank[lo]] + zeros.real[rank[hi - 1]])
+        h = np.empty(lo.size)
+        moments = np.empty((_ORDER - 1, lo.size))
+        # _CHUNK zeros at a time: no temporary of the size of the zero set
+        for a in range(0, lo.size, _CHUNK // _LEAF):
+            rows = slice(a, a + _CHUNK // _LEAF)
+            zs = zeros[rank[lo[rows][0]:hi[rows][-1]]]
+            inside = np.arange(self.x.shape[1]) < sizes[rows, None]
+            self.x[rows][inside], self.y[rows][inside] = zs.real, np.abs(zs.imag)
+            w = np.zeros(inside.shape, dtype=complex)
+            w.real[inside] = zs.real - np.repeat(c[rows], sizes[rows])
+            w.imag[:] = self.y[rows]
+            h[rows] = np.max(np.abs(w), axis=1)
+            scale = np.where(h[rows] > 0, h[rows], 1.0)
+            w.real /= scale[:, None]     # a complex division overflows at subnormal radii
+            w.imag /= scale[:, None]
+            q = w.copy()
+            for j in range(_ORDER - 1):
+                moments[j, rows] = np.sum(q.imag, axis=1) * scale
+                q *= w
         self.levels.append((c, h, moments))
         powers = np.arange(_ORDER - 1)[:, None]
         binom = [np.array([math.comb(a + 1, k) for a in range(k, _ORDER - 1)])[:, None]
                  for k in range(_ORDER - 1)]
         for b in bounds[-2::-1]:
             lo, hi = b[:-1], b[1:]
-            c_up = 0.5 * (x[lo] + x[hi - 1])
+            c_up = 0.5 * (zeros.real[rank[lo]] + zeros.real[rank[hi - 1]])
             d = c - np.repeat(c_up, 2)
             h_up = np.max((np.abs(d) + h).reshape(-1, 2), axis=1)
             scale = np.repeat(np.where(h_up > 0, h_up, 1.0), 2)

@@ -6,9 +6,9 @@ import pytest
 
 from dblab.errors import ConfigError, UnknownInstance
 from dblab.examples import (A46_CONSTANT, LOG2, a38_constant, a38_g_closed,
-                            a41_pole_sequence, a45_zero_sequence, build_a20,
-                            build_a38, build_a41, build_a45, build_example,
-                            build_pw)
+                            a38_g_sequence, a38_gtilde_sequence, a41_pole_sequence,
+                            a45_zero_sequence, build_a20, build_a38, build_a41,
+                            build_a45, build_example, build_pw)
 from dblab.expressions import expr_from_json, expr_to_json
 from dblab.space import hb_check, kernel, membership, phase_derivative
 
@@ -105,6 +105,13 @@ def test_a38_closed_form_check(a38):
     got = a38.extras["G"].at(x * x)
     expect = complex(a38_g_closed(x * x))
     assert abs(got - expect) / abs(expect) < 1e-6
+
+
+@pytest.mark.parametrize("n", [1, 5, 1_000_000])
+def test_a38_zero_sets_have_the_bits_of_their_formulas(n):
+    k = np.arange(1, n + 1, dtype=float)
+    for seq, zeros in ((a38_g_sequence(n), k * k - 1j), (a38_gtilde_sequence(n), k * k - 1j * k)):
+        assert seq.zeros.dtype == zeros.dtype and seq.zeros.tobytes() == zeros.tobytes()
 
 
 def test_a38_constant_is_truncation_independent():

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import functools
 import json
 import math
@@ -17,12 +18,14 @@ from dblab.errors import (ConfigError, Overflow, PoleHit, RadiusTooLarge,
 from dblab.examples import (a38_g_sequence, a38_gtilde_sequence, a38_g_closed,
                             a41_pole_sequence)
 from dblab.defaults import DEFAULTS
-from dblab.expressions import (_POINTS, EPS, Affine, CanonicalProduct, Const, Cos,
-                               ExpCZ, FunctionExpr, PartialFractions, Poly,
+from dblab.expressions import (_CHUNK, _POINTS, EPS, Affine, CanonicalProduct, Const,
+                               Cos, ExpCZ, FunctionExpr, PartialFractions, Poly,
                                PoleSequence, Power, Product, Quotient, Sharp,
-                               Sin, Sinc, Sum, Z, ZeroSequence, csinc,
-                               derivative, evaluate, expr_from_json,
-                               expr_to_json, ring_derivatives, sharp)
+                               Sin, Sinc, Sum, Z, ZeroSequence, _SeriesNode,
+                               _Shells, csinc, derivative, evaluate,
+                               expr_from_json, expr_to_json, ring_derivatives,
+                               sharp)
+from dblab.model import InnerFunction, cayley_q_from_theta, theta_from_q
 
 
 def test_eval_exp_closed_form():
@@ -1192,3 +1195,160 @@ def test_a_subnormal_divisor_keeps_the_jets_finite():
     assert np.array_equal(v[:2], [1.0, 1.0]) and np.all(np.abs(d[:2]) <= EPS)
     assert _same_bits(v, f.values(z))
     assert _same_bits(v[2:], np.divide(np.sin(z[2:]), z[2:]))
+
+
+# ---------------------------------------------------------------------------
+# series nodes: value-only sums, one sum per shared node and block, the build
+# ---------------------------------------------------------------------------
+
+# genus 0 with a tail correction, genus 1, exactly cancelled factors (the
+# zeros 2 and -4 are among the points), and a partial-fraction series
+VALUE_ONLY_NODES = (
+    CanonicalProduct(a38_g_sequence(3000)),
+    CanonicalProduct(ZeroSequence("genus1", (1.0 + 0.5j) * np.arange(1.0, 121.0) ** 1.5, 1)),
+    CanonicalProduct(ZeroSequence("exact", np.array([2.0, -4.0, 3.0 - 1j, 0.5j, 40.0]), 0)),
+    PartialFractions(a41_pole_sequence(2.0, 3000)),
+)
+
+
+def _series_points(rng, size):
+    z = rng.uniform(-2e3, 2e3, size) + 1j * rng.uniform(0.5, 30.0, size)
+    z[:4] = [2.0, -4.0, 0.0, 1e5 + 1j]
+    return z
+
+
+@pytest.mark.parametrize("size", [37, 2 * _POINTS + 301])
+@pytest.mark.parametrize("f", VALUE_ONLY_NODES, ids=lambda f: f.seq.label)
+def test_series_values_and_moduli_have_the_bits_of_eval_array(f, size, rng):
+    z = _series_points(rng, size)
+    v, e = f.eval_array(z)
+    assert _same_bits(f.values(z), v) and _same_bits(f.moduli(z), np.abs(v))
+    tree = Sum([Sharp(f), Product([Z(), f])])
+    assert _same_bits(tree.values(z), tree.eval_array(z)[0])
+    if isinstance(f, CanonicalProduct) and f.seq.label == "exact":
+        assert np.array_equal(v[:2], [0.0, 0.0]) and np.all(e[:2] > 0)
+
+
+@pytest.mark.parametrize("f", VALUE_ONLY_NODES, ids=lambda f: f.seq.label)
+def test_series_errors_do_not_depend_on_the_tables_built_before(f, rng):
+    # the value-only path grows the same scaled moment tables, to other orders
+    z = _series_points(rng, 300)
+    fresh = type(f)(dataclasses.replace(f.seq))
+    v, e = fresh.eval_array(z)
+    grown = type(f)(dataclasses.replace(f.seq))
+    grown.values(np.array([0.5j, 7.0, -600.0 + 2j, 1.1e4]))
+    gv, ge = grown.eval_array(z)
+    assert _same_bits(gv, v) and _same_bits(ge, e)
+
+
+@pytest.mark.parametrize("points", [5, 2 * _POINTS + 5])
+def test_series_value_path_raises_what_eval_array_raises_at_the_same_point(points, rng):
+    seq = a41_pole_sequence(2.0, 3000)
+    z = _series_points(rng, points)
+    z[-2:] = [seq.poles[7], seq.poles[3]]       # in the last block
+    f = Sum([Z(), PartialFractions(seq)])
+    raised = []
+    for run in (lambda: f.eval_array(z), lambda: f.values(z), lambda: f.moduli(z)):
+        with pytest.raises(PoleHit) as exc:
+            run()
+        raised.append((complex(exc.value.z), str(exc.value)))
+    assert raised[0] == raised[1] == raised[2] and raised[0][0] in seq.poles[[3, 7]]
+    for g in (f, CanonicalProduct(a38_g_sequence(3000))):
+        messages = set()
+        for error in (True, False):
+            with pytest.raises(TruncationBudgetExceeded) as exc:
+                g.eval_array(z, 2999, error=error)
+            messages.add(str(exc.value))
+        assert len(messages) == 1
+
+
+def test_a_shared_series_node_sums_once_per_block(monkeypatch, rng):
+    seq = a41_pole_sequence(2.0, 3000)
+    q = PartialFractions(seq)
+    theta = theta_from_q(q, "i-minus")
+    twins = Quotient(Const(1j) - PartialFractions(seq), Const(1j) + PartialFractions(seq))
+    # q four times: (1 + theta) and (1 - theta), each with q twice
+    herglotz = cayley_q_from_theta(InnerFunction("expr", theta), "i-minus")
+    z = rng.uniform(1.0, 1e3, 2 * _POINTS + 5) + 1j
+    sums, held = [], []
+    series, evaluate_node = _Shells.series, _SeriesNode._eval
+
+    def count(self, w, *args):
+        sums.append(w.size)
+        return series(self, w, *args)
+
+    def watch(self, w, ctx, error):
+        held.append(sum(entry[0].size for entry in ctx["memo"].values()))
+        return evaluate_node(self, w, ctx, error)
+
+    monkeypatch.setattr(_Shells, "series", count)
+    monkeypatch.setattr(_SeriesNode, "_eval", watch)
+    for error in (True, False):
+        for f in (theta, herglotz):
+            sums.clear()
+            f.eval_array(z, error=error)
+            assert sums == [_POINTS, _POINTS, 5]
+        sums.clear()
+        ref = twins.eval_array(z, error=error)
+        assert sums == [_POINTS, _POINTS, _POINTS, _POINTS, 5, 5]
+        v, e = theta.eval_array(z, error=error)
+        assert _same_bits(v, ref[0]) and (e is None or _same_bits(e, ref[1]))
+    # the memo holds at most the one block being evaluated
+    assert max(held) == _POINTS
+    assert _same_bits(theta.moduli(z), twins.moduli(z))
+
+
+def _full_size_shells(nodes, weights, order):
+    """The shell split taken over all moduli at once, with each shell's
+    moments to ``order``."""
+    mod = np.abs(nodes)
+    if np.any(mod[1:] < mod[:-1]):
+        rank = np.argsort(mod, kind="stable")
+        nodes, mod = nodes[rank], mod[rank]
+        weights = None if weights is None else weights[rank]
+    exps = np.arange(math.frexp(mod[0])[1], math.frexp(mod[-1])[1])
+    edges = np.unique(np.r_[0, np.searchsorted(mod, np.ldexp(1.0, exps)), mod.size])
+    moments = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        mom, absw = np.zeros(order + 1, dtype=nodes.dtype), 0.0
+        for c in range(a, b, _CHUNK):
+            t = nodes[c:min(c + _CHUNK, b)]
+            x = mod[a] / t
+            p = np.ones(t.size, dtype=t.dtype) if weights is None else weights[c:c + t.size] / t
+            absw += float(np.sum(np.abs(p)))
+            for j in range(order + 1):
+                mom[j] += np.sum(p)
+                p *= x
+        moments.append((mom, absw))
+    return nodes, weights, edges[:-1], mod[edges[:-1]], moments
+
+
+@pytest.mark.parametrize("case", ["sorted", "unsorted", "power-of-two"])
+def test_shells_split_by_chunks_as_over_all_moduli_at_once(case, rng):
+    n = 3 * _CHUNK + 17
+    weights = None
+    if case == "sorted":
+        nodes = a38_gtilde_sequence(n).zeros
+    elif case == "unsorted":
+        nodes = np.exp(rng.uniform(-3.0, 12.0, n) + 1j * rng.uniform(0.0, 2 * math.pi, n))
+    else:       # moduli 2^16 + i: the powers 2^17 and 2^18 open chunks 1 and 3
+        nodes = (np.arange(n) + 65536.0) * np.where(np.arange(n) % 3, 1.0, -1.0)
+        weights = rng.uniform(0.0, 2.0, n)
+    sh = _Shells(nodes, weights)
+    ref = _full_size_shells(nodes, weights, 6)
+    for got, want in zip((sh.nodes, sh.weights, sh.start, sh.lo), ref):
+        assert (got is None and want is None) or _same_bits(got, want)
+    for k, (mom, absw) in enumerate(ref[4]):
+        got = sh.moments(k, 6)
+        assert _same_bits(got[0], mom) and got[1] == absw
+    if case == "power-of-two":
+        assert {_CHUNK, 3 * _CHUNK} <= set(sh.start.tolist())
+
+
+def test_ring_derivatives_without_errors_have_the_rows_of_the_full_rule(rng):
+    z = rng.uniform(-50.0, 50.0, 130) + 1j * rng.uniform(-2.0, 2.0, 130)
+    for f in (Product([Poly([1j, 1.0]), Power(CanonicalProduct(a38_gtilde_sequence(1000)), 2)]),
+              PartialFractions(a41_pole_sequence(2.0, 1000)), Sharp(Sinc())):
+        d, err = ring_derivatives(f, z, 2)
+        values_only = ring_derivatives(f, z, 2, error=False)
+        assert values_only[1] is None and _same_bits(values_only[0], d)

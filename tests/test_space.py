@@ -447,6 +447,49 @@ def test_zero_sum_phase_at_and_inside_the_far_ratio(y):
     assert space_module.TRUNCATION_BOUND <= 1e-15
 
 
+def _full_size_leaves(zeros):
+    """The leaves' padded rows, centres, radii and moments, over all zeros at once."""
+    n = zeros.size
+    rank = np.argsort(zeros.real, kind="stable")
+    x, y = zeros.real[rank], np.abs(zeros.imag[rank])
+    leaves = 1
+    while n > space_module._LEAF * leaves:
+        leaves *= 2
+    bounds = np.arange(leaves + 1) * n // leaves
+    lo, hi = bounds[:-1], bounds[1:]
+    sizes = hi - lo
+    inside = np.arange(sizes.max()) < sizes[:, None]
+    xs, ys = np.full(inside.shape, np.inf), np.zeros(inside.shape)
+    xs[inside], ys[inside] = x, y
+    c = 0.5 * (x[lo] + x[hi - 1])
+    w = np.zeros(inside.shape, dtype=complex)
+    w.real[inside] = x - np.repeat(c, sizes)
+    w.imag[:] = ys
+    h = np.max(np.abs(w), axis=1)
+    scale = np.where(h > 0, h, 1.0)
+    w.real /= scale[:, None]
+    w.imag /= scale[:, None]
+    q = w.copy()
+    moments = np.empty((space_module._ORDER - 1, c.size))
+    for j in range(space_module._ORDER - 1):
+        moments[j] = np.sum(q.imag, axis=1) * scale
+        q *= w
+    return xs, ys, c, h, moments
+
+
+def test_phase_tree_built_by_chunks_has_the_bits_of_a_full_size_build(monkeypatch):
+    # the benchmark's a45 set: 2e5 zeros in 4,096 leaves, four chunks of leaves
+    zeros = a45_zero_sequence(100_000).zeros
+    tree = space_module._PhaseTree(zeros)
+    got = (tree.x, tree.y) + tuple(tree.levels[-1])
+    for a, b in zip(got, _full_size_leaves(zeros)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    t = np.linspace(math.log(2.0), math.log(100_001.0), 5000)
+    monkeypatch.setattr(space_module, "_CHUNK", 4 * space_module._LEAF)
+    small = space_module._PhaseTree(zeros)
+    assert small.phase(t).tobytes() == tree.phase(t).tobytes()
+
+
 def test_zero_sum_phase_tree_matches_mpmath():
     zeros = a45_zero_sequence(1001).zeros
     t = np.array([zeros[5].real, 0.5 * (zeros[5].real + zeros[6].real), 0.1, 7.5, -9.0])
