@@ -48,6 +48,12 @@ class NonConvergentTail(DblabError):
     kind = "non-convergent-tail"
 
 
+class SamplingDisagreement(DblabError):
+    """Sampling sums of a norm at three phase angles disagree pairwise."""
+
+    kind = "sampling-disagreement"
+
+
 class AllPointsDiscarded(DblabError):
     """Mean-type fit lost every sample to the tiny-modulus cutoff."""
 

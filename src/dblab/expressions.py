@@ -1240,14 +1240,16 @@ def ring_derivatives(f: FunctionExpr, z, order: int = 1, error: bool = True):
         # libm's hypot, as Python's abs: numpy's complex abs rounds otherwise
         r = DEFAULTS["derivative_radius_scale"] * (1.0 + np.hypot(zb.real, zb.imag))
         vals, errs = f.eval_array(zb[:, None] + r[:, None] * np.exp(1j * theta), error=error)
-        mean_err = np.mean(errs, axis=-1) if error else None
-        for k, phase in enumerate(phases):
-            fact, rk = math.factorial(k), r ** k
-            full = fact / (m * rk) * np.sum(vals * phase, axis=-1)
-            d[k, i:i + step] = full
-            if error:
-                half = fact / ((m // 2) * rk) * np.sum(vals[:, ::2] * phase[::2], axis=-1)
-                err[k, i:i + step] = np.abs(full - half) + fact / rk * mean_err
+        # the ring sums of values that overflowed are not finite; callers check
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            mean_err = np.mean(errs, axis=-1) if error else None
+            for k, phase in enumerate(phases):
+                fact, rk = math.factorial(k), r ** k
+                full = fact / (m * rk) * np.sum(vals * phase, axis=-1)
+                d[k, i:i + step] = full
+                if error:
+                    half = fact / ((m // 2) * rk) * np.sum(vals[:, ::2] * phase[::2], axis=-1)
+                    err[k, i:i + step] = np.abs(full - half) + fact / rk * mean_err
     return d, err
 
 

@@ -12,13 +12,16 @@ here reduces to four primitives:
   series node,
 * the kernel norm ``nabla(z) = K(z, z)**0.5`` computed off the real axis
   from the half-plane modulus difference quotient,
-* the weighted inner product ``(F, G) = int F conj(G) / |E|**2`` over the
-  real line, and
+* the inner product ``(F, G) = int F conj(G) / |E|**2`` over the real
+  line, by one of two routes: orthogonal sampling, the sum of
+  ``F conj(G) / K(t, t)`` over the real points where the phase of E is
+  ``alpha`` mod pi (the default for a closed-form E of positive declared
+  exponential type), or adaptive quadrature of the integral, and
 * ray-wise mean-type slope fits.
 
 Membership verdicts combine the mean-type fits with convergence of the
-norm integral and may return ``undecided`` when the regression cannot
-separate the slope from zero.
+norm integral by quadrature and may return ``undecided`` when the
+regression cannot separate the slope from zero.
 """
 
 from __future__ import annotations
@@ -469,12 +472,43 @@ def phase_derivative(space: DbSpace, t: float, route: str = "kernel") -> float:
 # ---------------------------------------------------------------------------
 
 def inner_product(space: DbSpace, f: FunctionExpr, g: FunctionExpr,
-                  rel_tol: float | None = None) -> EvalResult:
-    """Adaptive quadrature of ``F(t) conj(G(t)) / |E(t)|**2`` over R.
+                  rel_tol: float | None = None, route: str = "auto") -> EvalResult:
+    """``(F, G)`` in H(E), with an absolute-error estimate.
 
-    Raises :class:`NonConvergentTail` when the octave envelope decays too
-    slowly to certify convergence.
+    ``sampling`` route (``dblab.sampling``; de Branges, Theorem 22):
+    ``sum F(t_n) conj G(t_n) / K(t_n, t_n)`` over the points ``t_n`` where
+    the phase of E is ``alpha`` mod pi, in order of ``|t_n|``, with a
+    Richardson tail in ``1/N``.  At most one ``alpha`` mod pi is
+    exceptional: the one with ``Im(e^(i alpha) E)`` in H(E), whose sum
+    misses F's part along it (on a20, ``alpha = pi/2``, as ``A = cos`` is
+    a member).  So the sums at 0 and pi/2 are compared, and pi/4 replaces
+    one of them when they disagree; ``abs_error`` is the larger of their
+    Richardson spreads and their distance, plus ``8 eps`` times the sum
+    of ``|terms|``.  Terms that decay no faster than ``1/n`` raise
+    NonConvergentTail, and three sums that disagree pairwise raise
+    SamplingDisagreement.
+
+    ``quadrature`` route: adaptive quadrature of ``F(t) conj(G(t)) /
+    |E(t)|**2`` over R (``integrate_real_line``), which raises
+    NonConvergentTail when the octave envelope decays too slowly.
+
+    ``auto`` takes ``sampling`` when E is ``closed_form`` and the space
+    declares a positive exponential type, and ``quadrature`` otherwise.
+    Both routes aim at ``max(quad_abs_tol, rel |value|)``, ``rel`` being
+    ``rel_tol`` or ``quad_rel_tol``.
     """
+    can_sample = space.e.closed_form() and space.declared_exp_type > 0
+    if route == "auto":
+        route = "sampling" if can_sample else "quadrature"
+    if route == "sampling":
+        if not can_sample:
+            raise ConfigError("the sampling route needs a closed-form E and a positive "
+                              "declared exponential type")
+        from .sampling import sampled_inner_product   # compiled on first use only
+        rel = DEFAULTS["quad_rel_tol"] if rel_tol is None else rel_tol
+        return sampled_inner_product(space, f, g, rel)
+    if route != "quadrature":
+        raise ConfigError(f"unknown inner-product route {route!r}")
 
     def integrand(t):
         tc = np.asarray(t, dtype=float).astype(complex)
@@ -562,7 +596,7 @@ def membership(space: DbSpace, f: FunctionExpr) -> MembershipResult:
         else:
             verdicts.append("fail")
     try:
-        ip = inner_product(space, f, f, rel_tol=1e-4)
+        ip = inner_product(space, f, f, rel_tol=1e-4, route="quadrature")
         diag["norm_squared"] = ip.value.real
         diag["norm_error"] = ip.abs_error
         verdicts.append("pass")

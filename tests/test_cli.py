@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -325,6 +326,22 @@ def test_help_exits_zero(capsys):
 def test_overflowing_value_is_a_computation_error(capsys):
     rc, doc = _main_json(capsys, ["eval", "--f", '{"kind":"exp","coeff":[1,0]}', "--z", "800"])
     assert rc == 1 and doc["error"]["kind"] == "overflow"
+
+
+FAR_PRODUCT = ('{"kind":"canonical-product","zeros":{"kind":"list","genus":1,'
+               '"zeros":[[2,1],[-3,0.5],[4,0],[0,-7]]}}')
+
+
+@pytest.mark.parametrize("order", ["1", "2"])
+@pytest.mark.parametrize("z", ["2500", "1e5+1i"])
+def test_overflowing_ring_derivative_is_silent(capsys, z, order):
+    # the ring sums of overflowed values run without numpy warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["eval", "--f", FAR_PRODUCT, f"--z={z}", "--order", order])
+    captured = capsys.readouterr()
+    assert rc == 1 and json.loads(captured.out)["error"]["kind"] == "overflow"
+    assert captured.err == ""
 
 
 def test_mistyped_expression_field_is_a_config_error(capsys):

@@ -151,7 +151,7 @@ def _pw_inner_product():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(space_module, "integrate_real_line", spy)
-        inner_product(space, f, f)
+        inner_product(space, f, f, route="quadrature")
     return seen[0]
 
 
@@ -210,7 +210,7 @@ def test_clark_integral_working_memory_is_one_block_of_nodes():
 def test_pw_inner_product_working_memory_is_one_block_of_nodes():
     # one call per batch took 14.5 MiB
     space, f = _pw_difference()
-    assert _traced_peak(lambda: inner_product(space, f, f)) < 8 * 2 ** 20
+    assert _traced_peak(lambda: inner_product(space, f, f, route="quadrature")) < 8 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

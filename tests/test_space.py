@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import mpmath
@@ -7,17 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dblab.sampling as sampling_module
 import dblab.space as space_module
 from dblab import domains as dom
 from dblab.defaults import DEFAULTS
 from dblab.errors import (ConfigError, MissingZeroData, NegativeRadicand,
-                          Overflow, ZeroOnAxis)
+                          NonConvergentTail, Overflow, SamplingDisagreement,
+                          ZeroOnAxis)
 from dblab.examples import (a20_structure_function, a45_truncated_space,
-                            a45_zero_sequence, build_a38, pw_kernel_closed,
-                            pw_kernel_expr, pw_space)
+                            a45_zero_sequence, build_a20, build_a38, build_pw,
+                            pw_kernel_closed, pw_kernel_expr, pw_space)
 from dblab.expressions import (Affine, CanonicalProduct, Const, Cos, ExpCZ,
                                FunctionExpr, Poly, Product, Quotient, Sin, Sinc,
-                               ZeroSequence, expr_from_json)
+                               Sum, ZeroSequence, expr_from_json)
 from dblab.majorization import nabla_majorant
 from dblab.quadrature import integrate_real_line
 from dblab.space import (DbSpace, default_hb_grid, hb_check, inner_product,
@@ -534,12 +538,183 @@ def test_norm_integral_evaluates_f_once_per_batch(pw1, monkeypatch):
     f = pw_kernel_expr(1.0, 0.3)
     f_values, calls = f.values, []
     f.values = lambda z: calls.append(np.size(z)) or f_values(z)
-    ip = inner_product(pw1, f, f)
+    ip = inner_product(pw1, f, f, route="quadrature")
     assert calls == batches and batches
     # a structurally equal but distinct tree gives the same bits
     g = expr_from_json(f.to_json())
-    other = inner_product(pw1, f, g)
+    other = inner_product(pw1, f, g, route="quadrature")
     assert (other.value, other.abs_error) == (ip.value, ip.abs_error)
+
+
+# -- the sampling route ------------------------------------------------------
+
+_PW = build_pw(1.0)
+PW_NORMS = {label: (f, ref) for (label, f, _), ref
+            in zip(_PW.members, _PW.extras["member_norms2"])}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(0.25, 4.0),
+       st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+                min_size=1, max_size=3),
+       st.booleans())
+def test_sampled_pw_norms_are_within_their_band_of_the_closed_form(a, terms, real):
+    sp = pw_space(a)
+    coeffs = [complex(c, 0.0 if real else d) for _, c, d in terms]
+    xs = [x for x, _, _ in terms]
+    f = Sum([Product([Const(c), pw_kernel_expr(a, x)]) for c, x in zip(coeffs, xs)])
+    closed = sum(ci * np.conj(cj) * pw_kernel_closed(a, xj, xi)
+                 for ci, xi in zip(coeffs, xs) for cj, xj in zip(coeffs, xs))
+    ip = inner_product(sp, f, f)
+    assert abs(ip.value - closed) <= ip.abs_error
+    g = pw_kernel_expr(a, xs[0])
+    cross = inner_product(sp, f, g)     # (F, K(x0, .)) = F(x0)
+    assert abs(cross.value - f.at(xs[0])) <= cross.abs_error
+
+
+@pytest.mark.parametrize("label", list(PW_NORMS))
+def test_sampled_pw_member_norms_have_a_positive_band(pw1, label):
+    f, ref = PW_NORMS[label]
+    ip = inner_product(pw1, f, f)
+    # anchors at sampling points make one angle exact: the other gives the band
+    assert abs(ip.value - ref) <= ip.abs_error <= 1e-7 * ref and ip.abs_error > 0
+
+
+@pytest.mark.parametrize("label", ["k[0]", "k[3.14159]", "k[1.3]", "k[0]-k[1.3]"])
+def test_sampling_and_quadrature_agree_within_their_bands(pw1, label):
+    f = PW_NORMS[label][0]
+    sampled = inner_product(pw1, f, f, route="sampling")
+    quad = inner_product(pw1, f, f, route="quadrature")
+    assert abs(sampled.value - quad.value) <= sampled.abs_error + quad.abs_error
+
+
+def test_a20_norms_are_within_their_band():
+    a20 = build_a20().spaces["H"]
+    cos = inner_product(a20, Cos(), Cos())
+    assert abs(cos.value - math.pi) <= cos.abs_error < 1e-6
+    assert abs(norm_squared(a20, Cos()) - math.pi) <= cos.abs_error
+    # PW_1 sits isometrically in the a20 space, so ||sin z/(pi z)||^2 = 1/pi;
+    # mpmath confirms it from the integral of |F/E|^2 between the zeros of
+    # B = z cos z + sin z (100 of them, Richardson in 1/N over 25, 50, 100)
+    mp = mpmath.mp.clone()
+    mp.dps = 15
+    edges = [mp.mpf(0)] + [mp.findroot(lambda t: t * mp.cos(t) + mp.sin(t),
+                                       (n + 0.5) * mp.pi - 1 / ((n + 0.5) * mp.pi))
+                           for n in range(100)]
+    pieces = [mp.quad(lambda t: (mp.sin(t) / (mp.pi * t)) ** 2
+                      / (mp.cos(t) ** 2 + (t * mp.cos(t) + mp.sin(t)) ** 2), [a, b])
+              for a, b in zip(edges, edges[1:])]
+    s25, s50, s100 = (2 * mp.fsum(pieces[:n]) for n in (25, 50, 100))
+    ref = (4 * (2 * s100 - s50) - (2 * s50 - s25)) / 3
+    assert abs(ref - 1 / mp.pi) < 1e-7
+    sinc = inner_product(a20, SINC, SINC)
+    assert abs(sinc.value - 1.0 / math.pi) <= sinc.abs_error
+
+
+def test_a20_exceptional_angle_misses_cos():
+    # S_{pi/2} = A = cos lies in the a20 space: its sum misses all of cos
+    a20 = build_a20().spaces["H"]
+    value, spread, _ = sampling_module._sampled(a20, Cos(), Cos(), math.pi / 2, 1e-7)
+    assert abs(value) < 1e-20 and spread < 1e-20
+    assert abs(inner_product(a20, Cos(), Cos()).value - math.pi) < 1e-6
+
+
+def test_sampled_non_members_raise(pw1):
+    with pytest.raises(NonConvergentTail):
+        inner_product(pw1, Cos(), Cos())
+    with pytest.raises(Overflow):
+        inner_product(pw1, expr_from_json({"kind": "exp", "coeff": [800, 0]}),
+                      Const(1.0))
+    # type 2 in PW_1: each angle sums a different function of type 1
+    with pytest.raises(SamplingDisagreement):
+        inner_product(pw1, Product([Const(1 / math.pi), Affine(Sinc(), 2.0)]),
+                      Product([Const(1 / math.pi), Affine(Sinc(), 2.0)]))
+
+
+def test_a_polynomial_phase_runs_out():
+    typed = DbSpace(Poly([1j, 1.0]), None, 0.0, 1.0, "z+i typed 1")
+    with pytest.raises(ConfigError, match="runs out"):
+        inner_product(typed, Const(1.0), Const(1.0))
+    # without a declared type the default route is quadrature: ||1||^2 = pi
+    ip = inner_product(DbSpace(Poly([1j, 1.0]), None, 0.0, 0.0, "z+i"), Const(1.0), Const(1.0))
+    assert abs(ip.value - math.pi) <= ip.abs_error
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.7, math.pi / 2])
+@pytest.mark.parametrize("which", ["pw2.5", "a20"])
+def test_sampling_points_are_one_per_pi_of_phase(alpha, which):
+    sp = pw_space(2.5) if which == "pw2.5" else build_a20().spaces["H"]
+    t, w = sampling_module.sampling_points(sp, alpha, 300)
+    other, _ = sampling_module.sampling_points(sp, alpha + math.pi / 2, 300)
+    assert t.size == 300 and np.all(np.diff(np.abs(t)) >= 0)
+    ts, os = np.sort(t), np.sort(other)
+    assert np.all(np.diff(ts) > 0)
+    # Im(e^{i alpha} E) vanishes at each point to within 32 ulps of t,
+    # and the points of alpha + pi/2 fall one between each neighbouring
+    # pair: the phase of E moves by pi from one point to the next
+    rot = complex(math.cos(alpha), math.sin(alpha))
+    e, de = sp.e.jets(ts + 0j)
+    assert np.all(np.abs((rot * e).imag) <= 7e-15 * (1 + np.abs(ts)) * np.abs((rot * de).imag))
+    inner = os[(os > ts[0]) & (os < ts[-1])]
+    assert np.array_equal(np.searchsorted(ts, inner), np.arange(1, ts.size))
+    if alpha == 0.0:     # 0 is a root of Im E, once
+        assert t[0] == 0.0 and np.count_nonzero(ts == 0.0) == 1
+    assert np.array_equal(w, 1.0 / kernel_diagonal_values(sp, t).real)
+
+
+def test_sampling_is_cached_with_the_bits_of_a_fresh_call():
+    sp = pw_space(1.7)
+    f = pw_kernel_expr(1.7, 0.4) - pw_kernel_expr(1.7, -2.2)
+    cold = inner_product(sp, f, f)
+    assert any(k[0] == "sampling" for k in sp._cache)
+    warm = inner_product(sp, f, f)
+    fresh = inner_product(pw_space(1.7), f, f)
+    bits = [(r.value.real.hex(), r.value.imag.hex(), float(r.abs_error).hex())
+            for r in (cold, warm, fresh)]
+    assert bits[0] == bits[1] == bits[2]
+    t, w = sampling_module.sampling_points(sp, 0.0, 64)
+    big_t, big_w = sampling_module.sampling_points(sp, 0.0, 256)
+    assert np.array_equal(big_t[:64], t) and np.array_equal(big_w[:64], w)
+
+
+def test_sampling_evaluates_f_once_per_block(pw1, monkeypatch):
+    asked = []
+    points = sampling_module.sampling_points
+
+    def spy(space, alpha, n):
+        asked.append((alpha, n))
+        return points(space, alpha, n)
+
+    monkeypatch.setattr(sampling_module, "sampling_points", spy)
+    f = pw_kernel_expr(1.0, 0.3)
+    f_values, calls = f.values, []
+    f.values = lambda z: calls.append(np.size(z)) or f_values(z)
+    ip = inner_product(pw1, f, f)
+    # each request of n points evaluates F on the points it adds, once
+    prev = {}
+    expected = []
+    for alpha, n in asked:
+        expected.append(n - prev.get(alpha, 0))
+        prev[alpha] = n
+    assert calls == expected and len(set(a for a, _ in asked)) >= 2
+    # a structurally equal but distinct tree gives the same bits
+    other = inner_product(pw1, f, expr_from_json(f.to_json()))
+    assert (other.value, other.abs_error) == (ip.value, ip.abs_error)
+
+
+def test_import_leaves_the_sampling_module_to_its_first_use():
+    code = ("import sys, dblab, dblab.cli; from dblab.examples import pw_space, pw_kernel_expr; "
+            "print('dblab.sampling' in sys.modules); k = pw_kernel_expr(1.0, 0.0); "
+            "dblab.inner_product(pw_space(1.0), k, k); print('dblab.sampling' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "True"]
+
+
+def test_unknown_or_unsupported_route_is_a_config_error(zpi):
+    with pytest.raises(ConfigError, match="route"):
+        inner_product(zpi, Const(1.0), Const(1.0), route="sum")
+    with pytest.raises(ConfigError, match="sampling route"):
+        inner_product(zpi, Const(1.0), Const(1.0), route="sampling")
 
 
 def test_zero_function_has_zero_norm(pw1):
