@@ -5,32 +5,31 @@ The node set covers closed forms (constants, the identity, ``exp(c*z)``,
 composition, integer powers, truncated canonical products over a declared
 zero sequence, and partial-fraction series over a pole sequence.  Every
 node evaluates vectorized over numpy arrays of complex points.
-Each node has one evaluation method, ``_eval(z, ctx, error)``, which
-returns its values and, when ``error`` is true, an absolute-error
-estimate (truncation + bounded roundoff), else ``None``: ``eval_array``
-asks for both, ``values`` for the values only, and the canonical-product
-and partial-fraction nodes then skip every error term of their sums.  A
+Each node has one evaluation method, ``_eval(z, ctx, want)``, which
+returns its values and beside them what ``want`` asks for: nothing
+(``_VALUES``), an absolute-error estimate (``_ERROR``: truncation +
+bounded roundoff) or the derivative F' (``_SLOPE``, by the forward-mode
+rule of its kind, for closed-form trees only).  ``values`` asks for
+nothing, and the canonical-product and partial-fraction nodes then skip
+every error term of their sums; ``eval_array`` asks for the error and
+``jets`` for F'.  The values half makes the same ufunc calls in the same
+order whatever ``want`` is, so the three give the same values.  A
 series node that appears more than once in a tree (``q`` in ``(i - q)/(i
 + q)``) sums once per block: ``ctx`` keeps its result for the block's
-points and ``error`` flag until the next block, and nothing across
-blocks or calls.  ``moduli`` asks each node
-for ``|F|`` alone through ``_abs(z, ctx)``: constants, ``z``, ``exp``,
-``sin`` and ``cos`` compute it from real parts (``|exp(cz)| = exp(Re
-cz)``, ``|cos z|^2 = cos^2 x + sinh^2 y``), products, quotients, powers,
-affine and sharp nodes from their children's moduli, and every other
-node takes ``np.abs`` of its values.  ``jets`` asks a closed-form tree
-(one without a canonical-product or partial-fraction node) for ``(F,
-F')`` through ``_jet(z, ctx)``: each node returns its values, by the
-ufunc calls of ``_eval`` in their order, and its derivative by the
-forward-mode rule of its kind.  All three entry
-points hand the nodes the flattened points in order, ``_POINTS`` at a
-time, and write each block into preallocated outputs; nodes are
-pointwise, so blocks change no bit.  A subtree that does not depend on
-``z`` (a constant, or arithmetic of constants) gives a 0-d value and
-error, which fill their block.  Nodes combine values through numpy ufunc
-calls, never numpy-scalar arithmetic, whose complex products round
-differently from the array loops, so a 0-d subtree gives the bits of a
-broadcast one.
+points and ``want`` until the next block, and nothing across blocks or
+calls.  ``moduli`` asks each node for ``|F|`` alone through a second
+rule, ``_abs(z, ctx)``: constants, ``z``, ``exp``, ``sin`` and ``cos``
+compute it from real parts (``|exp(cz)| = exp(Re cz)``, ``|cos z|^2 =
+cos^2 x + sinh^2 y``), products, quotients, powers, affine and sharp
+nodes from their children's moduli, and every other node takes
+``np.abs`` of its values.  Every entry point hands the nodes the
+flattened points in order, ``_POINTS`` at a time, and writes each block
+into preallocated outputs; nodes are pointwise, so blocks change no bit.
+A subtree that does not depend on ``z`` (a constant, or arithmetic of
+constants) gives a 0-d value and error or F', which fill their block.
+Nodes combine values through numpy ufunc calls, never numpy-scalar
+arithmetic, whose complex products round differently from the array
+loops, so a 0-d subtree gives the bits of a broadcast one.
 
 Expressions are immutable after construction and evaluation is pure, so
 values are safe to share across threads.  Canonical products and
@@ -78,6 +77,8 @@ _POINTS = 2 ** 13
 _MAX_ORDER = math.ceil(_LOG_EPS / math.log(0.5))
 # the most terms a sequence without a generator spec serializes inline
 _INLINE_MAX = 10_000
+# what ``_eval`` returns beside the values: nothing, error estimates, F'
+_VALUES, _ERROR, _SLOPE = 0, 1, 2
 
 
 def _c2pair(c: complex) -> list:
@@ -85,13 +86,24 @@ def _c2pair(c: complex) -> list:
     return [c.real, c.imag]
 
 
+def _finite(x, what: str):
+    """``x``; a bool, NaN, infinity (a literal such as 1e400 reads as one)
+    or an int beyond double range is a ConfigError."""
+    try:
+        ok = not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise ConfigError(f"{what} must be finite and not boolean, got {x!r}")
+    return x
+
+
 def _pair2c(p) -> complex:
-    if isinstance(p, (int, float)):
-        return complex(p)
-    if not (isinstance(p, (list, tuple)) and len(p) == 2
-            and all(isinstance(x, (int, float)) for x in p)):
+    parts = (p, 0.0) if isinstance(p, (int, float)) else p
+    if not (isinstance(parts, (list, tuple)) and len(parts) == 2
+            and all(isinstance(x, (int, float)) for x in parts)):
         raise ConfigError(f"expected a number or an [re, im] pair, got {p!r}")
-    return complex(float(p[0]), float(p[1]))
+    return complex(*(float(_finite(x, "a number in an expression spec")) for x in parts))
 
 
 @dataclass(frozen=True)
@@ -233,7 +245,8 @@ def _from_builder(registry: dict, spec: dict, what: str):
     if not isinstance(params, dict):
         raise ConfigError(f"{what} generator parameters must be an object, got {params!r}")
     try:
-        return registry[name](**params)
+        return registry[name](**{k: _finite(v, f"{what} generator parameter {k!r}")
+                                 for k, v in params.items()})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters for the {what} generator {name!r}: {exc}") from exc
 
@@ -243,7 +256,7 @@ def zero_sequence_from_spec(spec: dict) -> ZeroSequence:
     if kind == "list":
         zeros = spec.get("zeros")
         genus = spec.get("genus", 0)
-        if not isinstance(zeros, list) or not isinstance(genus, int):
+        if not isinstance(zeros, list) or type(genus) is not int:
             raise ConfigError(f"a zero list needs a list of zeros and an integer genus: {spec!r}")
         zs = np.array([_pair2c(p) for p in zeros], dtype=complex)
         return ZeroSequence("list", zs, genus, None, None, spec)
@@ -256,9 +269,9 @@ def pole_sequence_from_spec(spec: dict) -> PoleSequence:
     kind = _spec_kind(spec, "pole-sequence")
     if kind == "list":
         try:
-            poles = np.asarray(spec["poles"], dtype=float)
-            weights = np.asarray(spec["weights"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
+            poles, weights = (np.array([_finite(x, "a pole-list entry") for x in spec[k]],
+                                       dtype=float) for k in ("poles", "weights"))
+        except (KeyError, TypeError) as exc:
             raise ConfigError(f"a pole list needs numeric poles and weights: {exc}") from exc
         return PoleSequence("list", poles, weights, None, spec)
     if kind == "named":
@@ -498,14 +511,13 @@ class _Shells:
 
 class FunctionExpr:
     """Base class. Subclasses implement ``to_json`` and ``_eval(z, ctx,
-    error)``, which returns the values at the points ``z`` and their
-    absolute-error estimates, or ``None`` for the estimates when ``error``
-    is false; each is 0-d when it does not depend on ``z``.  A subclass
-    may override ``_abs(z, ctx)``, the moduli alone, when it has them
-    more cheaply than its complex values.  Every closed-form kind has
-    ``_jet(z, ctx)``, its values and derivative; a node with children
-    lists them in ``_parts``, and a kind with parameters names their
-    attributes in ``_params``.
+    want)``, which returns the values at the points ``z`` and, for
+    ``want`` = ``_ERROR`` or ``_SLOPE``, their absolute-error estimates or
+    derivatives (``None`` for ``_VALUES``); each is 0-d when it does not
+    depend on ``z``.  A subclass may override ``_abs(z, ctx)``, the moduli
+    alone, when it has them more cheaply than its complex values.  A node
+    with children lists them in ``_parts``, and a kind with parameters
+    names their attributes in ``_params``.
 
     A tree that ``is_real`` is a real entire function: ``F# = F``.  Its
     ``sharp().moduli`` are its ``moduli``, bit for bit: each rule takes
@@ -517,23 +529,19 @@ class FunctionExpr:
     kind = "?"
     _params: tuple = ()
 
-    def _eval(self, z: np.ndarray, ctx: dict, error: bool):
+    def _eval(self, z: np.ndarray, ctx: dict, want: int):
         raise NotImplementedError
 
     def _abs(self, z: np.ndarray, ctx: dict):
-        return np.abs(self._eval(z, ctx, False)[0])
-
-    def _jet(self, z: np.ndarray, ctx: dict):
-        raise NotImplementedError
+        return np.abs(self._eval(z, ctx, _VALUES)[0])
 
     def _parts(self) -> tuple:
         return ()
 
     def closed_form(self) -> bool:
-        """Whether every node of the tree has a ``_jet``, so that ``jets``
-        can evaluate it: false when it holds a canonical-product or
-        partial-fraction node."""
-        return (type(self)._jet is not FunctionExpr._jet
+        """Whether the tree holds no canonical-product or partial-fraction
+        node, so that ``jets`` can evaluate it."""
+        return (not isinstance(self, _SeriesNode)
                 and all(c.closed_form() for c in self._parts()))
 
     def is_real(self) -> bool:
@@ -583,9 +591,9 @@ class FunctionExpr:
         """
         if not error:
             return self._blockwise(z, max_terms, (complex,),
-                                   lambda w, ctx: self._eval(w, ctx, False)[:1])[0], None
+                                   lambda w, ctx: self._eval(w, ctx, _VALUES)[:1])[0], None
         v, e = self._blockwise(z, max_terms, (complex, float),
-                               lambda w, ctx: self._eval(w, ctx, True))
+                               lambda w, ctx: self._eval(w, ctx, _ERROR))
         return v, e
 
     def moduli(self, z) -> np.ndarray:
@@ -601,7 +609,8 @@ class FunctionExpr:
         ``closed_form`` raises ConfigError before anything is evaluated."""
         if not self.closed_form():
             raise ConfigError(f"no jets for a {self.kind!r} tree with a series node")
-        return tuple(self._blockwise(z, None, (complex, complex), self._jet))
+        return tuple(self._blockwise(z, None, (complex, complex),
+                                     lambda w, ctx: self._eval(w, ctx, _SLOPE)))
 
     def values(self, z) -> np.ndarray:
         """The values of ``eval_array``, without the error estimates."""
@@ -665,14 +674,12 @@ class Const(FunctionExpr):
     def __init__(self, value):
         self.value = complex(value)
 
-    def _eval(self, z, ctx, error):
-        return np.complex128(self.value), (np.float64(abs(self.value) * EPS) if error else None)
+    def _eval(self, z, ctx, want):
+        return np.complex128(self.value), (np.float64(abs(self.value) * EPS) if want == _ERROR
+                                           else np.complex128(0) if want == _SLOPE else None)
 
     def _abs(self, z, ctx):
         return np.abs(np.complex128(self.value))
-
-    def _jet(self, z, ctx):
-        return np.complex128(self.value), np.complex128(0)
 
     def to_json(self):
         return {"kind": "const", "value": _c2pair(self.value)}
@@ -681,14 +688,12 @@ class Const(FunctionExpr):
 class Z(FunctionExpr):
     kind = "z"
 
-    def _eval(self, z, ctx, error):
-        return z.copy(), (np.abs(z) * EPS if error else None)
+    def _eval(self, z, ctx, want):
+        return z.copy(), (np.abs(z) * EPS if want == _ERROR
+                          else np.complex128(1) if want == _SLOPE else None)
 
     def _abs(self, z, ctx):
         return np.abs(z)
-
-    def _jet(self, z, ctx):
-        return z.copy(), np.complex128(1)
 
     def to_json(self):
         return {"kind": "z"}
@@ -703,17 +708,14 @@ class ExpCZ(FunctionExpr):
     def __init__(self, coeff):
         self.coeff = complex(coeff)
 
-    def _eval(self, z, ctx, error):
+    def _eval(self, z, ctx, want):
         v = np.exp(self.coeff * z)
-        return v, (4.0 * EPS * np.abs(v) * (1.0 + np.abs(self.coeff * z)) if error else None)
+        return v, (4.0 * EPS * np.abs(v) * (1.0 + np.abs(self.coeff * z)) if want == _ERROR
+                   else self.coeff * v if want == _SLOPE else None)
 
     def _abs(self, z, ctx):
         c = self.coeff
         return np.exp(c.real * z.real - c.imag * z.imag)
-
-    def _jet(self, z, ctx):
-        v = np.exp(self.coeff * z)
-        return v, self.coeff * v
 
     def to_json(self):
         return {"kind": "exp", "coeff": _c2pair(self.coeff)}
@@ -736,15 +738,13 @@ def _trig_moduli(part: np.ndarray, y: np.ndarray) -> np.ndarray:
 class Sin(FunctionExpr):
     kind = "sin"
 
-    def _eval(self, z, ctx, error):
+    def _eval(self, z, ctx, want):
         v = np.sin(z)
-        return v, (4.0 * EPS * (np.abs(v) + np.abs(z)) if error else None)
+        return v, (4.0 * EPS * (np.abs(v) + np.abs(z)) if want == _ERROR
+                   else np.cos(z) if want == _SLOPE else None)
 
     def _abs(self, z, ctx):
         return _trig_moduli(np.sin(z.real), z.imag)
-
-    def _jet(self, z, ctx):
-        return np.sin(z), np.cos(z)
 
     def to_json(self):
         return {"kind": "sin"}
@@ -753,15 +753,13 @@ class Sin(FunctionExpr):
 class Cos(FunctionExpr):
     kind = "cos"
 
-    def _eval(self, z, ctx, error):
+    def _eval(self, z, ctx, want):
         v = np.cos(z)
-        return v, (4.0 * EPS * (np.abs(v) + np.abs(z)) if error else None)
+        return v, (4.0 * EPS * (np.abs(v) + np.abs(z)) if want == _ERROR
+                   else np.negative(np.sin(z)) if want == _SLOPE else None)
 
     def _abs(self, z, ctx):
         return _trig_moduli(np.cos(z.real), z.imag)
-
-    def _jet(self, z, ctx):
-        return np.cos(z), np.negative(np.sin(z))
 
     def to_json(self):
         return {"kind": "cos"}
@@ -793,13 +791,12 @@ class Sinc(FunctionExpr):
 
     kind = "sinc"
 
-    def _eval(self, z, ctx, error):
+    def _eval(self, z, ctx, want):
         v = csinc(z)
-        return v, (4.0 * EPS * (np.abs(v) + 1.0) if error else None)
-
-    def _jet(self, z, ctx):
-        v = csinc(z)
-        return v, np.where(np.abs(z) < 1.0, z * _polyval(z * z, _SINC_SLOPE), (np.cos(z) - v) / z)
+        if want == _SLOPE:
+            return v, np.where(np.abs(z) < 1.0, z * _polyval(z * z, _SINC_SLOPE),
+                               (np.cos(z) - v) / z)
+        return v, (4.0 * EPS * (np.abs(v) + 1.0) if want == _ERROR else None)
 
     def to_json(self):
         return {"kind": "sinc"}
@@ -841,15 +838,11 @@ class Poly(FunctionExpr):
         n = self.coeffs.size
         self._slope = self.coeffs[1:] * np.arange(1, n) if n > 1 else np.zeros(1, dtype=complex)
 
-    def _eval(self, z, ctx, error):
+    def _eval(self, z, ctx, want):
         v = _polyval(z, self.coeffs)
-        if not error:
-            return v, None
-        cond = _polyval(np.abs(z), np.abs(self.coeffs))
-        return v, EPS * (self.coeffs.size + 1) * cond
-
-    def _jet(self, z, ctx):
-        return _polyval(z, self.coeffs), _polyval(z, self._slope)
+        if want == _ERROR:
+            return v, EPS * (self.coeffs.size + 1) * _polyval(np.abs(z), np.abs(self.coeffs))
+        return v, (_polyval(z, self._slope) if want == _SLOPE else None)
 
     def roots(self) -> np.ndarray:
         """The roots within double range.  The coefficients are scaled by a
@@ -893,15 +886,12 @@ class Affine(FunctionExpr):
         self.scale = complex(scale)
         self.shift = complex(shift)
 
-    def _eval(self, z, ctx, error):
-        return _at(self.child._eval, self.scale * z + self.shift, z, ctx, error)
+    def _eval(self, z, ctx, want):
+        v, x = _at(self.child._eval, self.scale * z + self.shift, z, ctx, want)
+        return v, (np.multiply(self.scale, x) if want == _SLOPE else x)
 
     def _abs(self, z, ctx):
         return _at(self.child._abs, self.scale * z + self.shift, z, ctx)
-
-    def _jet(self, z, ctx):
-        v, d = _at(self.child._jet, self.scale * z + self.shift, z, ctx)
-        return v, np.multiply(self.scale, d)
 
     def _parts(self):
         return (self.child,)
@@ -917,24 +907,19 @@ class Sum(FunctionExpr):
     def __init__(self, children: Sequence[FunctionExpr]):
         self.children = list(children)
 
-    def _eval(self, z, ctx, error):
-        v, e = np.complex128(0), 0      # complex: the conjugate of an empty sum is -0j
+    def _eval(self, z, ctx, want):
+        # complex: the conjugate of an empty sum is -0j
+        v, x = np.complex128(0), (0 if want == _ERROR else np.complex128(0))
         for c in self.children:
-            cv, ce = c._eval(z, ctx, error)
+            cv, cx = c._eval(z, ctx, want)
             v = np.add(v, cv)
-            if error:
-                e = e + ce + EPS * np.abs(v)
+            if want == _ERROR:
+                x = x + cx + EPS * np.abs(v)
+            elif want == _SLOPE:
+                x = np.add(x, cx)
             # the child's arrays die before the next child evaluates
-            del cv, ce
-        return v, (e if error else None)
-
-    def _jet(self, z, ctx):
-        v, d = np.complex128(0), np.complex128(0)
-        for c in self.children:
-            cv, cd = c._jet(z, ctx)
-            v, d = np.add(v, cv), np.add(d, cd)
-            del cv, cd
-        return v, d
+            del cv, cx
+        return v, (None if want == _VALUES else x)
 
     def _parts(self):
         return tuple(self.children)
@@ -949,34 +934,28 @@ class Product(FunctionExpr):
     def __init__(self, children: Sequence[FunctionExpr]):
         self.children = list(children)
 
-    def _eval(self, z, ctx, error):
-        v, e = np.complex128(1), 0
+    def _eval(self, z, ctx, want):
+        v, x = np.complex128(1), (0 if want == _ERROR else np.complex128(0))
         for c in self.children:
-            cv, ce = c._eval(z, ctx, error)
+            cv, cx = c._eval(z, ctx, want)
             # a ufunc call, not ``v * cv``: the operator may multiply into a
             # temporary in place, and two numpy scalars multiply outside the
             # array loop; both round differently
             pv = np.multiply(v, cv)
-            if error:
-                e = e * np.abs(cv) + ce * np.abs(v) + EPS * np.abs(pv)
+            if want == _ERROR:
+                x = x * np.abs(cv) + cx * np.abs(v) + EPS * np.abs(pv)
+            elif want == _SLOPE:
+                # Leibniz: (v cv)' = x cv + v cx, with v the product so far
+                x = np.add(np.multiply(x, cv), np.multiply(v, cx))
             v = pv
-            del cv, ce
-        return v, (e if error else None)
+            del cv, cx
+        return v, (None if want == _VALUES else x)
 
     def _abs(self, z, ctx):
         v = np.float64(1)
         for c in self.children:
             v = np.multiply(v, c._abs(z, ctx))
         return v
-
-    def _jet(self, z, ctx):
-        v, d = np.complex128(1), np.complex128(0)
-        for c in self.children:
-            cv, cd = c._jet(z, ctx)
-            # Leibniz: (v cv)' = d cv + v cd, with v the product so far
-            v, d = np.multiply(v, cv), np.add(np.multiply(d, cv), np.multiply(v, cd))
-            del cv, cd
-        return v, d
 
     def _parts(self):
         return tuple(self.children)
@@ -1033,27 +1012,20 @@ class Quotient(FunctionExpr):
         if np.any(bad):
             raise PoleHit(z[bad][0], what)
 
-    def _eval(self, z, ctx, error):
-        nv, ne = self.num._eval(z, ctx, error)
-        dv, de = self.den._eval(z, ctx, error)
+    def _eval(self, z, ctx, want):
+        nv, nx = self.num._eval(z, ctx, want)
+        dv, dx = self.den._eval(z, ctx, want)
         self._check_poles(z, dv)
         v = _divide(nv, dv)
-        if not error:
-            return v, None
-        return v, (ne + np.abs(v) * de) / np.abs(dv) + EPS * np.abs(v)
+        if want == _ERROR:
+            return v, (nx + np.abs(v) * dx) / np.abs(dv) + EPS * np.abs(v)
+        return v, (_divide(np.subtract(nx, np.multiply(v, dx)), dv) if want == _SLOPE else None)
 
     def _abs(self, z, ctx):
         nv = self.num._abs(z, ctx)
         dv = self.den._abs(z, ctx)
         self._check_poles(z, dv)
         return np.divide(nv, dv)
-
-    def _jet(self, z, ctx):
-        nv, nd = self.num._jet(z, ctx)
-        dv, dd = self.den._jet(z, ctx)
-        self._check_poles(z, dv)
-        v = _divide(nv, dv)
-        return v, _divide(np.subtract(nd, np.multiply(v, dd)), dv)
 
     def _parts(self):
         return (self.num, self.den)
@@ -1071,25 +1043,20 @@ class Power(FunctionExpr):
         self.child = child
         self.exponent = int(exponent)
 
-    def _eval(self, z, ctx, error):
-        cv, ce = self.child._eval(z, ctx, error)
+    def _eval(self, z, ctx, want):
+        cv, cx = self.child._eval(z, ctx, want)
         k = self.exponent
         # the array operator, which squares through np.square; a numpy
         # scalar's ``**`` rounds differently
         v = np.asarray(cv) ** k
-        if not error:
-            return v, None
-        return v, k * np.asarray(np.abs(cv)) ** max(k - 1, 0) * ce + EPS * np.abs(v)
+        if want == _ERROR:
+            return v, k * np.asarray(np.abs(cv)) ** max(k - 1, 0) * cx + EPS * np.abs(v)
+        if want == _SLOPE:
+            return v, (np.multiply(k * np.asarray(cv) ** (k - 1), cx) if k else np.complex128(0))
+        return v, None
 
     def _abs(self, z, ctx):
         return np.asarray(self.child._abs(z, ctx)) ** self.exponent
-
-    def _jet(self, z, ctx):
-        cv, cd = self.child._jet(z, ctx)
-        k, cv = self.exponent, np.asarray(cv)
-        if k == 0:
-            return cv ** 0, np.complex128(0)
-        return cv ** k, np.multiply(k * cv ** (k - 1), cd)
 
     def _parts(self):
         return (self.child,)
@@ -1100,7 +1067,7 @@ class Power(FunctionExpr):
 
 class _SeriesNode(FunctionExpr):
     """A node over a long sequence ``seq``: it checks the term budget, and
-    sums once per block, points array and ``error`` flag however often it
+    sums once per block, points array and ``want`` however often it
     appears in the tree, through ``ctx["memo"]``, which ``_blockwise``
     empties at every block."""
 
@@ -1109,16 +1076,16 @@ class _SeriesNode(FunctionExpr):
     def __init__(self, seq):
         self.seq = seq
 
-    def _eval(self, z, ctx, error):
+    def _eval(self, z, ctx, want):
         n = len(self.seq)
         if n > ctx["max_terms"]:
             raise TruncationBudgetExceeded(
                 f"{n} {self._terms} terms exceed the budget of {ctx['max_terms']}")
-        key = (id(self), id(z), error)
+        key = (id(self), id(z), want)
         got = ctx["memo"].get(key)
         if got is None:
             # the entry holds z, so no other array takes its id within the block
-            got = ctx["memo"][key] = (z, self._sum(z, error))
+            got = ctx["memo"][key] = (z, self._sum(z, want == _ERROR))
         return got[1]
 
 
@@ -1182,16 +1149,12 @@ class Sharp(FunctionExpr):
     def __init__(self, child: FunctionExpr):
         self.child = child
 
-    def _eval(self, z, ctx, error):
-        v, e = _at(self.child._eval, np.conj(z), z, ctx, error)
-        return np.conj(v), e
+    def _eval(self, z, ctx, want):
+        v, x = _at(self.child._eval, np.conj(z), z, ctx, want)
+        return np.conj(v), (np.conj(x) if want == _SLOPE else x)
 
     def _abs(self, z, ctx):
         return _at(self.child._abs, np.conj(z), z, ctx)
-
-    def _jet(self, z, ctx):
-        v, d = _at(self.child._jet, np.conj(z), z, ctx)
-        return np.conj(v), np.conj(d)
 
     def _parts(self):
         return (self.child,)
@@ -1315,7 +1278,8 @@ _DECODERS: Dict[str, Callable[[dict], FunctionExpr]] = {
     "sum": lambda d: Sum(_children(d)),
     "product": lambda d: Product(_children(d)),
     "quotient": lambda d: Quotient(_child(d, "num"), _child(d, "den")),
-    "power": lambda d: Power(_child(d), _field(d, "exponent", (int, float))),
+    "power": lambda d: Power(_child(d), _finite(_field(d, "exponent", (int, float)),
+                                                "power exponent")),
     "sharp": lambda d: _child(d).sharp(),
     "canonical-product": lambda d: CanonicalProduct(zero_sequence_from_spec(_field(d, "zeros"))),
     "partial-fractions": lambda d: PartialFractions(pole_sequence_from_spec(_field(d, "poles"))),

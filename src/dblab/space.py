@@ -36,8 +36,8 @@ from .defaults import DEFAULTS
 from .errors import (AllPointsDiscarded, ConfigError, MissingZeroData,
                      NegativeRadicand, NonConvergentTail, Overflow, ZeroOnAxis,
                      require_finite)
-from .expressions import (_CHUNK, _POINTS, Const, EvalResult, FunctionExpr, Product,
-                          Quotient, ZeroSequence, cached, expr_from_json,
+from .expressions import (_CHUNK, _POINTS, CanonicalProduct, Const, EvalResult, FunctionExpr,
+                          Poly, Product, Quotient, ZeroSequence, cached, expr_from_json,
                           expr_to_json, ring_derivatives, zero_sequence_from_spec)
 from .quadrature import integrate_real_line
 
@@ -422,7 +422,6 @@ def phase_constant(space: DbSpace) -> float:
     route is the ground truth in tests).
     """
     if "phase_constant" not in space._cache:
-        from .expressions import CanonicalProduct, Poly, Product
         e = space.e
         if (isinstance(e, CanonicalProduct) and e.seq.genus == 0
                 and e.seq.tail_inv_sum is None):
@@ -564,7 +563,7 @@ def mean_type(f: FunctionExpr, theta: float,
     n = x.size
     xbar, ybar = x.mean(), y.mean()
     sxx = float(np.sum((x - xbar) ** 2))
-    slope = float(np.sum((x - xbar) * (y - ybar)) / sxx)
+    slope = _ls_slope(x, y)
     resid = y - ybar - slope * (x - xbar)
     se = math.sqrt(float(np.sum(resid ** 2)) / max(n - 2, 1) / sxx)
     return MeanTypeEstimate(slope, se, radii_kept[half:])

@@ -444,6 +444,21 @@ def test_zero_sum_phase_next_to_a_zero_does_not_underflow(capsys):
     ["phase", "--space", _one_zero_space([0, -1]), "--t", "1e400"],
     ["eval", "--f", '{"kind":"z"}', "--z", "nan"],
     ["eval", "--f", '{"kind":"z"}', "--z", "1+1e400i"],
+    *(["eval", "--f", spec, "--z", "0.5"] for spec in (
+        '{"kind":"power","child":{"kind":"z"},"exponent":1e400}',
+        '{"kind":"power","child":{"kind":"z"},"exponent":true}',
+        '{"kind":"const","value":[NaN,0]}',
+        '{"kind":"const","value":[1,true]}',
+        '{"kind":"exp","coeff":[0,1e400]}',
+        '{"kind":"poly","coeffs":[1e400]}',
+        '{"kind":"affine","child":{"kind":"z"},"scale":[1e400,0]}',
+        '{"kind":"canonical-product","zeros":{"kind":"list","zeros":[[1e400,0]]}}',
+        '{"kind":"partial-fractions","poles":{"kind":"list","poles":[1e400],"weights":[1]}}',
+        '{"kind":"partial-fractions","poles":{"kind":"list","poles":[2],"weights":[NaN]}}',
+        '{"kind":"partial-fractions","poles":{"kind":"list","poles":[true],"weights":[1]}}',
+        '{"kind":"canonical-product","zeros":{"kind":"named","name":"a38_g","params":{"n":1e400}}}',
+        '{"kind":"partial-fractions","poles":{"kind":"named","name":"a41",'
+        '"params":{"alpha":NaN,"n":10}}}')),
 ])
 def test_non_finite_numeric_input_is_a_config_error(capsys, args):
     rc, doc = _main_json(capsys, args)

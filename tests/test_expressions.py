@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import functools
+import inspect
 import json
 import math
 import sys
@@ -13,12 +14,13 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+from dblab import expressions
 from dblab.errors import (ConfigError, Overflow, PoleHit, RadiusTooLarge,
                           TruncationBudgetExceeded)
 from dblab.examples import (a38_g_sequence, a38_gtilde_sequence, a38_g_closed,
                             a41_pole_sequence)
 from dblab.defaults import DEFAULTS
-from dblab.expressions import (_CHUNK, _POINTS, EPS, Affine, CanonicalProduct, Const,
+from dblab.expressions import (_CHUNK, _ERROR, _POINTS, EPS, Affine, CanonicalProduct, Const,
                                Cos, ExpCZ, FunctionExpr, PartialFractions, Poly,
                                PoleSequence, Power, Product, Quotient, Sharp,
                                Sin, Sinc, Sum, Z, ZeroSequence, _SeriesNode,
@@ -291,6 +293,7 @@ def test_json_unknown_kind_rejected():
     {"kind": "canonical-product", "zeros": [1, 2]},
     {"kind": "canonical-product", "zeros": {"kind": "named", "name": "a38_g", "params": {"m": 3}}},
     {"kind": "partial-fractions", "poles": {"kind": "list", "poles": ["x"], "weights": [1]}},
+    {"kind": "canonical-product", "zeros": {"kind": "list", "genus": True, "zeros": [[2, 1]]}},
 ])
 def test_json_mistyped_fields_are_config_errors(spec):
     with pytest.raises(ConfigError):
@@ -669,10 +672,10 @@ class _Recorder(FunctionExpr):
     def __init__(self, refs, alive):
         self.refs, self.alive = refs, alive
 
-    def _eval(self, z, ctx, error):
+    def _eval(self, z, ctx, want):
         self.alive.append(sum(r() is not None for r in self.refs))
         v = np.full(z.shape, 1.5 - 0.5j)
-        e = np.full(z.shape, 1e-16) if error else None
+        e = np.full(z.shape, 1e-16) if want == _ERROR else None
         self.refs.extend(weakref.ref(a) for a in (v, e) if a is not None)
         return v, e
 
@@ -712,9 +715,9 @@ class _Blocks(FunctionExpr):
     def __init__(self):
         self.seen = []
 
-    def _eval(self, z, ctx, error):
+    def _eval(self, z, ctx, want):
         self.seen.append(z.copy())
-        return 2.0 * z, (np.abs(z) if error else None)
+        return 2.0 * z, (np.abs(z) if want == _ERROR else None)
 
 
 @pytest.mark.parametrize("shape", [(0,), (_POINTS,), (3 * _POINTS + 7,), (5, _POINTS // 2 + 3)])
@@ -1114,11 +1117,31 @@ def test_a_tree_with_a_series_node_has_no_jets(f, monkeypatch):
         raise AssertionError("evaluated")
 
     for cls in (Z, Cos, Sum, Quotient, Power, Sharp, CanonicalProduct, PartialFractions):
-        for name in ("_eval", "_abs") + (("_jet",) if "_jet" in vars(cls) else ()):
+        for name in ("_eval", "_abs"):
             monkeypatch.setattr(cls, name, refuse)
     assert not f.closed_form()
     with pytest.raises(ConfigError, match="series node"):
         f.jets(np.array([0.5, 1j]))
+
+
+def test_every_node_has_one_evaluation_rule_besides_moduli():
+    # F, its error and F' come from one ``_eval`` per kind; ``_abs`` is the
+    # moduli rule and ``_sum`` a series node's shell sum.  A method taking
+    # the evaluation context is an evaluation rule.
+    classes = [c for c in vars(expressions).values()
+               if isinstance(c, type) and c.__module__ == expressions.__name__]
+    nodes = [c for c in classes if issubclass(c, FunctionExpr)]
+    assert {Sharp, Power, CanonicalProduct, PartialFractions} <= set(nodes)
+    for cls in classes:
+        assert not any(name.startswith("_jet") for name in vars(cls)), cls
+    for cls in nodes:
+        for name, fn in vars(cls).items():
+            if inspect.isfunction(fn) and "ctx" in inspect.signature(fn).parameters:
+                assert name in ("_eval", "_abs"), (cls, name)
+        if "_eval" in vars(cls):
+            assert list(inspect.signature(cls._eval).parameters) == ["self", "z", "ctx", "want"]
+        if "_sum" in vars(cls):
+            assert issubclass(cls, _SeriesNode), cls
 
 
 @pytest.mark.parametrize("coeffs, roots", [
@@ -1277,9 +1300,9 @@ def test_a_shared_series_node_sums_once_per_block(monkeypatch, rng):
         sums.append(w.size)
         return series(self, w, *args)
 
-    def watch(self, w, ctx, error):
+    def watch(self, w, ctx, want):
         held.append(sum(entry[0].size for entry in ctx["memo"].values()))
-        return evaluate_node(self, w, ctx, error)
+        return evaluate_node(self, w, ctx, want)
 
     monkeypatch.setattr(_Shells, "series", count)
     monkeypatch.setattr(_SeriesNode, "_eval", watch)
