@@ -17,7 +17,6 @@ Complex numbers serialize as ``[re, im]`` pairs; flags accept the
 from __future__ import annotations
 
 import argparse
-import cmath
 import contextlib
 import csv
 import datetime
@@ -34,7 +33,7 @@ from . import examples as ex
 from . import theorems
 from .defaults import DEFAULTS
 from .domains import SampledDomain
-from .errors import ConfigError, DblabError
+from .errors import ConfigError, DblabError, finite
 from .expressions import derivative, evaluate, expr_from_json
 from .majorization import (Majorant, admissibility_check, expr_majorant,
                            mS_majorant, nabla_majorant, test_majorization)
@@ -50,25 +49,15 @@ def _decoding(what: str):
     computation error."""
     try:
         yield
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
         raise ConfigError(f"malformed {what}: {exc!r}") from exc
 
 
-def _finite(x, what: str):
-    """``x``; NaN, infinity and a literal that overflows to it (1e400) are
-    malformed configuration."""
-    if not cmath.isfinite(x):
-        raise ConfigError(f"{what} must be finite, got {x!r}")
-    return x
-
-
 def _num(cfg: dict, key: str, default=None, kind=float):
-    """A numeric config entry, or ``default`` when it is absent."""
+    """A numeric config entry read as ``kind``, or ``default`` if absent."""
     if cfg.get(key) is None:
         return default
-    with _decoding(repr(key)):
-        x = kind(cfg[key])
-    return _finite(x, repr(key)) if kind is float else x
+    return finite(cfg[key], repr(key), kind)
 
 
 def parse_complex(text: str) -> complex:
@@ -90,7 +79,7 @@ def parse_complex(text: str) -> complex:
                 c = complex(0.0, float(body))
         else:
             c = complex(float(t), 0.0)
-    return _finite(c, f"complex number {text!r}")
+    return finite(c, f"complex number {text!r}")
 
 
 def _load_json_arg(text: str) -> dict:
@@ -194,7 +183,8 @@ def _majorant(cfg, domain: SampledDomain) -> Majorant:
     def decoder(spec):
         if not isinstance(spec, dict) or "type" not in spec:
             raise ConfigError("majorant spec must be an object with a 'type'")
-        zd = tuple((float(x), int(k)) for x, k in spec.get("zero-divisor", []))
+        zd = tuple((finite(x, "zero-divisor location", float), finite(k, "zero-divisor order", int))
+                   for x, k in spec.get("zero-divisor", []))
         if spec["type"] == "nabla":
             return nabla_majorant(DbSpace.from_json(spec["space"]), domain)
         if spec["type"] == "mS":
@@ -213,10 +203,10 @@ def _grid(cfg, key, default=None) -> np.ndarray:
         if isinstance(spec, str):
             parts = spec.split(":")
             if len(parts) == 3:
-                start, stop, step = (float(p) for p in parts)
+                start, stop, step = (finite(p, f"grid {key!r} entry", float) for p in parts)
                 return np.arange(start, stop + 0.5 * step, step)
             spec = json.loads(spec)
-        return np.asarray(spec, dtype=float)
+        return np.array([finite(x, f"grid {key!r} entry", float) for x in spec])
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +253,10 @@ def _cmd_meantype(args):
     radii = None
     if any(k in cfg for k in ("rmin", "rmax", "rcount")):
         r0, r1, n = DEFAULTS["meantype_radii"]
-        radii = np.geomspace(_num(cfg, "rmin", r0), _num(cfg, "rmax", r1),
-                             _num(cfg, "rcount", n, int))
+        ends = _num(cfg, "rmin", r0), _num(cfg, "rmax", r1)
+        if min(ends) <= 0.0:
+            raise ConfigError(f"the radius grid ends {ends} must be positive")
+        radii = np.geomspace(*ends, max(_num(cfg, "rcount", n, int), 0))
     est = mean_type(f, theta, radii)
     _emit("meantype", cfg, {"value": est.value, "residual": est.residual,
                             "radii": [float(est.radii[0]), float(est.radii[-1]),
@@ -292,11 +284,12 @@ def _cmd_admissible(args):
     dom = _domain(cfg)
     m = _majorant(cfg, dom)
     sp = _space(cfg)
-    wspecs = cfg.get("witnesses") or []
-    if isinstance(wspecs, str):
-        wspecs = _load_json_arg(wspecs)
-    witnesses = [expr_from_json(w if isinstance(w, dict) else _load_json_arg(w))
-                 for w in wspecs]
+    with _decoding("input 'witnesses'"):
+        wspecs = cfg.get("witnesses") or []
+        if isinstance(wspecs, str):
+            wspecs = _load_json_arg(wspecs)
+        witnesses = [expr_from_json(_load_json_arg(w) if isinstance(w, str) else w)
+                     for w in wspecs]
     rep = admissibility_check(m, witnesses, sp)
     _emit("admissible", cfg, {"admissible": rep.ok, "details": rep.details})
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defaults import DEFAULTS
-from .errors import ConfigError
+from .errors import ConfigError, finite
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,14 @@ class SampledDomain:
     ratio: float = 0.0             # geometric grid ratio (0 -> default)
     rmax: float = 0.0              # grid extent (0 -> default)
     parts: tuple = ()              # union members
+
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ConfigError(f"unknown domain kind {self.kind!r}")
+        if self.y0 < 0:
+            raise ConfigError(f"a {self.kind} must lie in the closed upper half-plane")
+        if self.kind == "union" and not self.parts:
+            raise ConfigError("a union needs at least one part")
 
     def _ratio(self) -> float:
         return self.ratio if self.ratio > 1.0 else DEFAULTS["grid_ratio"]
@@ -45,37 +53,12 @@ class SampledDomain:
         return np.append(g, stop) if g[-1] < stop else g
 
     def points(self) -> np.ndarray:
-        if self.kind == "ray":
-            if not (0.0 < self.beta <= 1.0):
-                raise ConfigError("ray direction beta must lie in (0, 1]")
-            r = self._geometric(max(self.h, 1.0))
-            return r * np.exp(1j * math.pi * self.beta)
-        if self.kind in ("line", "axis"):
-            y = 0.0 if self.kind == "axis" else self.y0
-            x = self._geometric(1.0)
-            xs = np.concatenate([-x[::-1], [0.0], x])
-            return xs + 1j * y
-        if self.kind == "hray":
-            x = self._geometric(max(self.h, 1.0))
-            return x + 1j * self.y0
-        if self.kind == "union":
-            pts = [p.points() for p in self.parts]
-            flat = np.concatenate(pts)
-            if np.unique(flat).size != flat.size:
-                raise ConfigError("union parts must be disjoint")
-            return flat
-        raise ConfigError(f"unknown domain kind {self.kind!r}")
+        return _KINDS[self.kind][1](self)
 
     def to_json(self) -> dict:
+        d = {"kind": self.kind, **{k: getattr(self, k) for k in _KINDS[self.kind][0]}}
         if self.kind == "union":
-            return {"kind": "union", "parts": [p.to_json() for p in self.parts]}
-        d = {"kind": self.kind}
-        if self.kind == "ray":
-            d.update(beta=self.beta, h=self.h)
-        elif self.kind == "line":
-            d.update(y0=self.y0)
-        elif self.kind == "hray":
-            d.update(y0=self.y0, h=self.h)
+            d["parts"] = [p.to_json() for p in self.parts]
         if self.ratio > 1.0:
             d["ratio"] = self.ratio
         if self.rmax > 0.0:
@@ -87,16 +70,39 @@ class SampledDomain:
         kind = d.get("kind")
         if kind == "union":
             return union(*[cls.from_json(p) for p in d["parts"]])
-        kw = {"ratio": float(d.get("ratio", 0.0)), "rmax": float(d.get("rmax", 0.0))}
-        if kind == "ray":
-            return ray(float(d.get("beta", 0.5)), float(d.get("h", 1.0)), **kw)
-        if kind == "line":
-            return line(float(d.get("y0", d.get("h", 0.0))), **kw)
-        if kind == "axis":
-            return axis(**kw)
-        if kind == "hray":
-            return horizontal_ray(float(d.get("y0", 0.0)), float(d.get("h", 1.0)), **kw)
-        raise ConfigError(f"unknown domain kind {kind!r}")
+        if kind == "line" and "y0" not in d:
+            d = {**d, "y0": d.get("h", 0.0)}    # a line's height may be given as h
+        fields = {**_KINDS[kind][0], "ratio": 0.0, "rmax": 0.0} if kind in _KINDS else {}
+        return cls(kind, **{k: finite(d.get(k, v), f"domain {k!r}", float)
+                            for k, v in fields.items()})
+
+
+def _ray(d: SampledDomain) -> np.ndarray:
+    if not (0.0 < d.beta <= 1.0):
+        raise ConfigError("ray direction beta must lie in (0, 1]")
+    return d._geometric(max(d.h, 1.0)) * np.exp(1j * math.pi * d.beta)
+
+
+def _line(d: SampledDomain) -> np.ndarray:
+    x = d._geometric(1.0)
+    return np.concatenate([-x[::-1], [0.0], x]) + 1j * d.y0
+
+
+def _union(d: SampledDomain) -> np.ndarray:
+    flat = np.concatenate([p.points() for p in d.parts])
+    if np.unique(flat).size != flat.size:
+        raise ConfigError("union parts must be disjoint")
+    return flat
+
+
+# each kind's JSON fields with the defaults from_json gives them, and its sampler
+_KINDS = {
+    "ray": ({"beta": 0.5, "h": 1.0}, _ray),
+    "line": ({"y0": 0.0}, _line),
+    "axis": ({}, _line),
+    "hray": ({"y0": 0.0, "h": 1.0}, lambda d: d._geometric(max(d.h, 1.0)) + 1j * d.y0),
+    "union": ({}, _union),
+}
 
 
 def ray(beta: float = 0.5, h: float = 1.0, ratio: float = 0.0,
@@ -107,8 +113,6 @@ def ray(beta: float = 0.5, h: float = 1.0, ratio: float = 0.0,
 
 def line(y0: float, ratio: float = 0.0, rmax: float = 0.0) -> SampledDomain:
     """Horizontal line R + i y0, y0 >= 0."""
-    if y0 < 0:
-        raise ConfigError("lines must lie in the closed upper half-plane")
     return SampledDomain("line", y0=y0, ratio=ratio, rmax=rmax)
 
 
@@ -118,9 +122,7 @@ def axis(ratio: float = 0.0, rmax: float = 0.0) -> SampledDomain:
 
 def horizontal_ray(y0: float, h: float = 1.0, ratio: float = 0.0,
                    rmax: float = 0.0) -> SampledDomain:
-    """Horizontal ray i y0 + [h, inf)."""
-    if y0 < 0:
-        raise ConfigError("horizontal rays must lie in the closed upper half-plane")
+    """Horizontal ray i y0 + [h, inf), y0 >= 0."""
     return SampledDomain("hray", y0=y0, h=h, ratio=ratio, rmax=rmax)
 
 

@@ -7,6 +7,8 @@ to a structured ``{kind, detail}`` error object and exit code 1.  The
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 
@@ -123,3 +125,18 @@ class UnknownInstance(DblabError):
 
 class ConfigError(Exception):
     """Malformed run configuration; maps to CLI exit code 2."""
+
+
+def finite(x, what: str, kind=None):
+    """``x``, or ``kind(x)`` when ``kind`` is given: a number from a flag, a
+    config file or a spec.  A bool, NaN, an infinity (a literal such as
+    1e400 reads as one), a number beyond double range, or anything that is
+    not a number or that ``kind`` cannot read is a ConfigError."""
+    try:
+        y = x if kind is None else kind(x)
+        ok = not isinstance(x, bool) and cmath.isfinite(y)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ConfigError(f"{what} must be finite and not boolean, got {x!r}")
+    return y

@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Tuple
 import numpy as np
 
 from .defaults import DEFAULTS
-from .errors import ConfigError, UnknownInstance
+from .errors import ConfigError, UnknownInstance, finite
 from .expressions import (Affine, CanonicalProduct, Const, Cos, ExpCZ,
                           FunctionExpr, PartialFractions, Poly, PoleSequence,
                           Power, Product, Quotient, Sin, Sinc, Sum, Z,
@@ -391,7 +391,7 @@ EXAMPLE_BUILDERS: Dict[str, Callable[..., ExampleInstance]] = {
 def build_example(example_id: str, **params) -> ExampleInstance:
     key = example_id.lower()
     if key.startswith("pw(") and key.endswith(")"):
-        return build_pw(float(key[3:-1]))
+        return build_pw(finite(key[3:-1], "the width of pw(a)", float))
     if key not in EXAMPLE_BUILDERS:
         raise UnknownInstance(f"no example named {example_id!r}; "
                               f"known: {sorted(EXAMPLE_BUILDERS)}")

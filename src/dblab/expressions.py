@@ -61,7 +61,7 @@ import numpy as np
 
 from .defaults import DEFAULTS
 from .errors import (ConfigError, Overflow, PoleHit, RadiusTooLarge,
-                     TruncationBudgetExceeded)
+                     TruncationBudgetExceeded, finite)
 
 EPS = float(np.finfo(float).eps)
 _LOG_EPS = math.log(EPS)
@@ -86,24 +86,12 @@ def _c2pair(c: complex) -> list:
     return [c.real, c.imag]
 
 
-def _finite(x, what: str):
-    """``x``; a bool, NaN, infinity (a literal such as 1e400 reads as one)
-    or an int beyond double range is a ConfigError."""
-    try:
-        ok = not isinstance(x, bool) and math.isfinite(x)
-    except OverflowError:
-        ok = False
-    if not ok:
-        raise ConfigError(f"{what} must be finite and not boolean, got {x!r}")
-    return x
-
-
 def _pair2c(p) -> complex:
     parts = (p, 0.0) if isinstance(p, (int, float)) else p
     if not (isinstance(parts, (list, tuple)) and len(parts) == 2
             and all(isinstance(x, (int, float)) for x in parts)):
         raise ConfigError(f"expected a number or an [re, im] pair, got {p!r}")
-    return complex(*(float(_finite(x, "a number in an expression spec")) for x in parts))
+    return complex(*(finite(x, "a number in an expression spec", float) for x in parts))
 
 
 @dataclass(frozen=True)
@@ -245,7 +233,7 @@ def _from_builder(registry: dict, spec: dict, what: str):
     if not isinstance(params, dict):
         raise ConfigError(f"{what} generator parameters must be an object, got {params!r}")
     try:
-        return registry[name](**{k: _finite(v, f"{what} generator parameter {k!r}")
+        return registry[name](**{k: finite(v, f"{what} generator parameter {k!r}")
                                  for k, v in params.items()})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters for the {what} generator {name!r}: {exc}") from exc
@@ -269,7 +257,7 @@ def pole_sequence_from_spec(spec: dict) -> PoleSequence:
     kind = _spec_kind(spec, "pole-sequence")
     if kind == "list":
         try:
-            poles, weights = (np.array([_finite(x, "a pole-list entry") for x in spec[k]],
+            poles, weights = (np.array([finite(x, "a pole-list entry") for x in spec[k]],
                                        dtype=float) for k in ("poles", "weights"))
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"a pole list needs numeric poles and weights: {exc}") from exc
@@ -560,13 +548,12 @@ class FunctionExpr:
 
     # -- evaluation entry points ------------------------------------------
 
-    def _blockwise(self, z, max_terms, dtypes, run):
+    def _blockwise(self, z, dtypes, run):
         """``run(block, ctx)`` over the flattened points, ``_POINTS`` at a
         time, into one output per dtype of ``dtypes``, each of the shape
         of ``z`` (a scalar for a scalar ``z``).  ``ctx`` holds the term
         budget and the block's memo of series-node results."""
-        ctx = {"max_terms": DEFAULTS["max_series_terms"] if max_terms is None else max_terms,
-               "memo": {}}
+        ctx = {"max_terms": DEFAULTS["max_series_terms"], "memo": {}}
         zz = np.asarray(z, dtype=complex)
         flat = zz.ravel()
         outs = [np.empty(flat.shape, dtype=t) for t in dtypes]
@@ -580,27 +567,26 @@ class FunctionExpr:
             return [out[0] for out in outs]
         return [out.reshape(zz.shape) for out in outs]
 
-    def eval_array(self, z, max_terms: int | None = None, *, error: bool = True):
+    def eval_array(self, z, *, error: bool = True):
         """Vectorized evaluation; returns (values, abs_error_estimates), or
         (values, None) when ``error`` is false.
 
-        ``max_terms`` caps the terms of each product or series node
-        (default ``max_series_terms``).  When several points fail, the
-        error raised is that of the first failing block of ``_POINTS``
-        points, in tree order within that block.
+        ``max_series_terms`` caps the terms of each product or series
+        node.  When several points fail, the error raised is that of the
+        first failing block of ``_POINTS`` points, in tree order within
+        that block.
         """
         if not error:
-            return self._blockwise(z, max_terms, (complex,),
+            return self._blockwise(z, (complex,),
                                    lambda w, ctx: self._eval(w, ctx, _VALUES)[:1])[0], None
-        v, e = self._blockwise(z, max_terms, (complex, float),
-                               lambda w, ctx: self._eval(w, ctx, _ERROR))
+        v, e = self._blockwise(z, (complex, float), lambda w, ctx: self._eval(w, ctx, _ERROR))
         return v, e
 
     def moduli(self, z) -> np.ndarray:
         """``|F(z)|``, real, of the shape of ``z``; raises what ``values``
         raises, at the same point.  Nodes with a direct rule may differ
         from ``np.abs(values(z))`` in the last bits."""
-        return self._blockwise(z, None, (float,), lambda w, ctx: (self._abs(w, ctx),))[0]
+        return self._blockwise(z, (float,), lambda w, ctx: (self._abs(w, ctx),))[0]
 
     def jets(self, z):
         """``(F(z), F'(z))`` of a closed-form tree, each of the shape of
@@ -609,7 +595,7 @@ class FunctionExpr:
         ``closed_form`` raises ConfigError before anything is evaluated."""
         if not self.closed_form():
             raise ConfigError(f"no jets for a {self.kind!r} tree with a series node")
-        return tuple(self._blockwise(z, None, (complex, complex),
+        return tuple(self._blockwise(z, (complex, complex),
                                      lambda w, ctx: self._eval(w, ctx, _SLOPE)))
 
     def values(self, z) -> np.ndarray:
@@ -1170,9 +1156,9 @@ class Sharp(FunctionExpr):
 # public operations
 # ---------------------------------------------------------------------------
 
-def evaluate(f: FunctionExpr, z, max_terms: int | None = None) -> EvalResult:
+def evaluate(f: FunctionExpr, z) -> EvalResult:
     """Evaluate ``f`` at a single point with an absolute-error estimate."""
-    v, e = f.eval_array(complex(z), max_terms)
+    v, e = f.eval_array(complex(z))
     return EvalResult(complex(v), float(e))
 
 
@@ -1278,8 +1264,8 @@ _DECODERS: Dict[str, Callable[[dict], FunctionExpr]] = {
     "sum": lambda d: Sum(_children(d)),
     "product": lambda d: Product(_children(d)),
     "quotient": lambda d: Quotient(_child(d, "num"), _child(d, "den")),
-    "power": lambda d: Power(_child(d), _finite(_field(d, "exponent", (int, float)),
-                                                "power exponent")),
+    "power": lambda d: Power(_child(d), finite(_field(d, "exponent", (int, float)),
+                                               "power exponent")),
     "sharp": lambda d: _child(d).sharp(),
     "canonical-product": lambda d: CanonicalProduct(zero_sequence_from_spec(_field(d, "zeros"))),
     "partial-fractions": lambda d: PartialFractions(pole_sequence_from_spec(_field(d, "poles"))),

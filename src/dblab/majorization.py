@@ -153,11 +153,17 @@ def test_majorization(f: FunctionExpr, m: Majorant) -> MajorizationReport:
     such point; a zero of ``m`` under a finite ``F`` gives an infinite
     ratio.
     """
+    return _majorize(f, m, m.domain.points())
+
+
+def _majorize(f: FunctionExpr, m: Majorant, z: np.ndarray,
+              mv: np.ndarray | None = None) -> MajorizationReport:
+    """``test_majorization`` on the samples ``z`` of ``m.domain``, reading
+    the majorant from ``mv``, its values at ``z``, when given."""
     s_maj = DEFAULTS["slope_majorized"]
     s_not = DEFAULTS["slope_not_majorized"]
     cap = DEFAULTS["sup_ratio_cap"]
 
-    z = m.domain.points()
     if isinstance(m.zero_divisor, str):
         raise AllPointsExcluded(
             "majorant declares an infinite zero divisor; no usable samples")
@@ -169,6 +175,7 @@ def test_majorization(f: FunctionExpr, m: Majorant) -> MajorizationReport:
         raise AllPointsExcluded("every sample lies in a zero-divisor exclusion ball")
     if not np.all(mask):
         z = z[mask]
+        mv = None if mv is None else mv[mask]
     del mask
 
     moduli = _moduli_max(f)
@@ -176,11 +183,11 @@ def test_majorization(f: FunctionExpr, m: Majorant) -> MajorizationReport:
     for i in range(0, z.size, _POINTS):
         zb = z[i:i + _POINTS]
         fv = moduli(zb)
-        mv = m.values(zb)
-        require_finite(np.isfinite(fv) & np.isfinite(mv), zb,
+        mv_b = m.values(zb) if mv is None else mv[i:i + _POINTS]
+        require_finite(np.isfinite(fv) & np.isfinite(mv_b), zb,
                        "max(|F|, |F#|) or the majorant at z")
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio[i:i + _POINTS] = np.where(mv > 0, fv / mv, np.inf)
+            ratio[i:i + _POINTS] = np.where(mv_b > 0, fv / mv_b, np.inf)
     sup = float(np.max(ratio))
     if not math.isfinite(sup):
         slope = math.inf  # unbounded ratio: keep verdict and slope consistent
@@ -234,7 +241,8 @@ def admissibility_check(m: Majorant, witnesses: List[FunctionExpr],
     if isinstance(m.zero_divisor, str):
         details["zero-divisor"] = "not supported on the real axis"
         return AdmissibilityReport(False, details)
-    samples = m.values(m.domain.points())
+    z = m.domain.points()
+    samples = m.values(z)
     if float(np.max(samples, initial=0.0)) <= 0.0:
         details["zero-divisor"] = "majorant vanishes on the whole grid"
         return AdmissibilityReport(False, details)
@@ -242,7 +250,7 @@ def admissibility_check(m: Majorant, witnesses: List[FunctionExpr],
         mem = membership(space, w)
         row = {"index": i, "membership": mem.verdict}
         if mem.verdict == "in":
-            rep = test_majorization(w, m)
+            rep = _majorize(w, m, z, samples)
             row["majorization"] = rep.verdict
             details["witnesses"].append(row)
             if rep.verdict == "majorized":

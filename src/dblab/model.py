@@ -30,8 +30,8 @@ import numpy as np
 
 from .defaults import DEFAULTS
 from .errors import (ConfigError, DegenerateInner, EnvelopeNotDecaying,
-                     NegativeRealPart, require_finite)
-from .expressions import (Const, FunctionExpr, Poly, Product, Quotient,
+                     NegativeRealPart, finite, require_finite)
+from .expressions import (Const, FunctionExpr, Poly, Product, Quotient, _pair2c,
                           expr_from_json, expr_to_json)
 from .space import DbSpace, _ls_slope
 
@@ -110,12 +110,12 @@ class InnerFunction:
             return cls.from_json(d)
         k = d.get("kind")
         if k == "exp":
-            return cls.exponential(float(d["a"]))
+            return cls.exponential(finite(d["a"], "'a'", float))
         if k == "blaschke":
-            return cls.blaschke([complex(z[0], z[1]) for z in d["zeros"]])
+            return cls.blaschke([_pair2c(z) for z in d["zeros"]])
         if k == "ratio":
             return cls.from_space(DbSpace.from_json(d["space"]),
-                                  float(d.get("alpha", 0.0)))
+                                  finite(d.get("alpha", 0.0), "'alpha'", float))
         raise ConfigError(f"bad inner-function spec: {d!r}")
 
 
@@ -442,20 +442,19 @@ class A60ScanReport:
                    w.residual_max if w.residual_max is not None else math.nan)
 
 
-def theorem_a60_scan(theta: InnerFunction, y0: float, c: float,
-                     r_grid: Sequence[float], f: FunctionExpr | None = None,
-                     samples_per_r: int = 2000) -> A60ScanReport:
+def theorem_a60_scan(theta: InnerFunction, y0: float, c: float, r_grid: Sequence[float],
+                     f: FunctionExpr | None = None) -> A60ScanReport:
     """Per-octave measure of the near-1 set of Theta on a horizontal line.
 
     For each ``r`` it measures ``{x in [r, 2r]: |1 - Theta(x + i y0)| <=
-    c / |x + i y0|}`` by fine sampling and reports ``measure / r``.  When
+    c / |x + i y0|}`` from 2000 samples and reports ``measure / r``.  When
     ``f`` is given, the hypothesis residual ``|f + 1 - Theta| |x + i y0|``
     is maximized over the same window.
     """
     rows = []
     for r in r_grid:
         r = float(r)
-        xs = np.linspace(r, 2.0 * r, samples_per_r)
+        xs = np.linspace(r, 2.0 * r, 2000)
         zline = xs + 1j * y0
         tv = theta.expr.values(zline)
         inside = np.abs(1.0 - tv) <= c / np.abs(zline)

@@ -35,7 +35,7 @@ import numpy as np
 from .defaults import DEFAULTS
 from .errors import (AllPointsDiscarded, ConfigError, MissingZeroData,
                      NegativeRadicand, NonConvergentTail, Overflow, ZeroOnAxis,
-                     require_finite)
+                     finite, require_finite)
 from .expressions import (_CHUNK, _POINTS, CanonicalProduct, Const, EvalResult, FunctionExpr,
                           Poly, Product, Quotient, ZeroSequence, cached, expr_from_json,
                           expr_to_json, ring_derivatives, zero_sequence_from_spec)
@@ -89,8 +89,8 @@ class DbSpace:
         if d.get("zeros") is not None:
             zeros = zero_sequence_from_spec(d["zeros"])
         return cls(expr_from_json(d["E"]), zeros,
-                   float(d.get("declared-order", 1.0)),
-                   float(d.get("declared-exp-type", 0.0)),
+                   finite(d.get("declared-order", 1.0), "'declared-order'", float),
+                   finite(d.get("declared-exp-type", 0.0), "'declared-exp-type'", float),
                    str(d.get("label", "")))
 
 
@@ -113,21 +113,15 @@ class MembershipResult:
 # Hermite-Biehler check
 # ---------------------------------------------------------------------------
 
-def default_hb_grid() -> np.ndarray:
-    x = np.linspace(-20.0, 20.0, 10)
-    y = np.geomspace(0.1, 10.0, 10)
-    return (x[:, None] + 1j * y[None, :]).ravel()
-
-
-def hb_check(space: DbSpace, grid: np.ndarray | None = None):
-    """True iff |E#| < |E| at every grid point; also reports the worst margin.
+def hb_check(space: DbSpace):
+    """True iff |E#| < |E| at every point of a 10 x 10 grid over
+    [-20, 20] x i[0.1, 10]; also reports the worst margin.
 
     Sets ``space.hb_verified`` on success.  Raises :class:`Overflow` when
     |E| or |E#| is not finite at a grid point.
     """
-    grid = default_hb_grid() if grid is None else np.asarray(grid, dtype=complex)
-    if grid.size == 0 or np.any(np.imag(grid) <= 0):
-        raise ConfigError("hb_check grid must be nonempty with Im z > 0")
+    grid = (np.linspace(-20.0, 20.0, 10)[:, None]
+            + 1j * np.geomspace(0.1, 10.0, 10)[None, :]).ravel()
     ev = space.e.moduli(grid)
     es = space.e_sharp.moduli(grid)
     require_finite(np.isfinite(ev) & np.isfinite(es), grid, "|E| or |E#| at z")

@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dblab
 from dblab.cli import _jsonable, build_parser, main, parse_complex
@@ -311,12 +315,30 @@ def _main_json(capsys, args):
     return rc, json.loads(captured.out)
 
 
-@pytest.mark.parametrize("args", [["derivative", "--z", "1"],      # unknown subcommand
-                                  ["eval", "--z"],                  # missing value
-                                  ["phase", "--route", "bogus"]])   # invalid choice
+_UNIT_MAJORANT = '{"type":"expr","f":{"kind":"const","value":1}}'
+
+
+def _pw1_with(**fields):
+    return json.dumps({**pw_space(1.0).to_json(), **fields})
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args", [
+    ["derivative", "--z", "1"],      # unknown subcommand
+    ["eval", "--z"],                 # missing value
+    ["phase", "--route", "bogus"],   # invalid choice
+    ["admissible", "--majorant", _UNIT_MAJORANT, "--domain", '{"kind":"line","rmax":50}',
+     "--space", _pw1_with(), "--witnesses", "[3]"],
+    ["meantype", "--f", '{"kind":"z"}', "--rmin", "-1"],
+    ["meantype", "--f", '{"kind":"z"}', "--rmin", "0"],
+    ["weaktype", "--q", '{"kind":"const","value":[0,1]}', "--a-grid", "0:1:0"],
+])
 def test_malformed_command_line_is_a_config_error(capsys, args):
-    rc, doc = _main_json(capsys, args)
+    rc = main(args)
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
     assert rc == 2 and doc["error"]["kind"] == "config-error" and doc["error"]["detail"]
+    assert err == ""
 
 
 def test_help_exits_zero(capsys):
@@ -459,11 +481,92 @@ def test_zero_sum_phase_next_to_a_zero_does_not_underflow(capsys):
         '{"kind":"canonical-product","zeros":{"kind":"named","name":"a38_g","params":{"n":1e400}}}',
         '{"kind":"partial-fractions","poles":{"kind":"named","name":"a41",'
         '"params":{"alpha":NaN,"n":10}}}')),
+    *(["majorize", "--f", '{"kind":"sinc"}', "--majorant", _UNIT_MAJORANT, "--domain", spec]
+      for spec in ('{"kind":"line","ratio":NaN,"rmax":50}', '{"kind":"line","rmax":1e400}',
+                   '{"kind":"ray","beta":true,"rmax":50}', '{"kind":"line","h":NaN,"rmax":50}',
+                   '{"kind":"hray","y0":NaN,"rmax":50}', '{"kind":"union","parts":[]}')),
+    *(["phase", "--space", _pw1_with(**{key: value}), "--t", "1"]
+      for key, value in (("declared-exp-type", math.nan), ("declared-order", True))),
+    *(["clark", "--theta", spec] for spec in (
+        '{"kind":"exp","a":NaN}',
+        json.dumps({"kind": "ratio", "space": json.loads(_pw1_with()), "alpha": math.inf}),
+        '{"kind":"blaschke","zeros":[[0,NaN]]}')),
+    *(["majorize", "--f", '{"kind":"sinc"}', "--domain", '{"kind":"line","rmax":50}',
+       "--majorant", '{"type":"expr","f":{"kind":"const","value":1},"zero-divisor":[%s]}' % zd]
+      for zd in ("[NaN,1]", "[0,Infinity]")),
+    ["weaktype", "--q", '{"kind":"const","value":[0,1]}', "--a-grid", "[0.5,Infinity]"],
+    ["a60scan", "--theta", '{"kind":"exp","a":1}', "--r-grid", "[4,NaN]"],
+    ["example", "pw(nan)"],
+    ["example", "pw(x)"],
 ])
 def test_non_finite_numeric_input_is_a_config_error(capsys, args):
-    rc, doc = _main_json(capsys, args)
-    assert rc == 2 and doc["error"]["kind"] == "config-error"
-    assert "must be finite" in doc["error"]["detail"]
+    rc = main(args)
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert rc == 2 and doc["error"]["kind"] == "config-error" and err == ""
+    assert ("must be finite and not boolean" in doc["error"]["detail"]
+            or doc["error"]["detail"] == "a union needs at least one part")
+
+
+def _shipped_specs():
+    """(command line with ``None`` for the spec, spec) for the pw1 and a20
+    spaces, each domain kind, each inner-function kind and each majorant
+    type."""
+    pw1, a20 = pw_space(1.0).to_json(), build_a20().spaces["H"].to_json()
+    sinc = {"kind": "sinc"}
+    line = {"kind": "line", "y0": 1.0, "rmax": 20.0}
+    hray = {"kind": "hray", "y0": 1.0, "h": 2.0, "ratio": 1.5, "rmax": 20.0}
+    domains = [{"kind": "ray", "beta": 0.5, "h": 1.0, "rmax": 20.0}, line,
+               {"kind": "axis", "ratio": 1.1, "rmax": 20.0}, hray,
+               {"kind": "union", "parts": [line, hray]}]
+    inners = [{"kind": "exp", "a": 1.0}, {"kind": "blaschke", "zeros": [[0.0, 1.0], [1, 2]]},
+              {"kind": "ratio", "space": pw1, "alpha": 0.5},
+              {"kind": "expr", "inner": {"kind": "exp", "coeff": [0.0, 1.0]}}]
+    majorants = [{"type": "expr", "f": {"kind": "const", "value": 1}, "zero-divisor": [[0, 1]]},
+                 {"type": "mS", "S": sinc, "zero-divisor": [[3.0, 1], [-3.0, 2]]},
+                 {"type": "nabla", "space": pw1}]
+    majorize = ["majorize", "--f", json.dumps(sinc)]
+    return ([(["phase", "--space", None, "--t", "1"], sp) for sp in (pw1, a20)]
+            + [(majorize + ["--majorant", _UNIT_MAJORANT, "--domain", None], d) for d in domains]
+            + [(["clark", "--theta", None], th) for th in inners]
+            + [(majorize + ["--domain", json.dumps(line), "--majorant", None], m)
+               for m in majorants])
+
+
+def _numeric_leaves(spec, path=()):
+    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
+        yield path
+    elif isinstance(spec, (dict, list)):
+        for k, v in (spec.items() if isinstance(spec, dict) else enumerate(spec)):
+            yield from _numeric_leaves(v, path + (k,))
+
+
+def _with_leaf(spec, path, marker):
+    if not path:
+        return marker
+    out = dict(spec) if isinstance(spec, dict) else list(spec)
+    out[path[0]] = _with_leaf(spec[path[0]], path[1:], marker)
+    return out
+
+
+_SPECS = _shipped_specs()
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=150, deadline=None)
+@given(case=st.sampled_from(_SPECS), pick=st.integers(0, 10**6),
+       bad=st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "true"]))
+def test_one_bad_number_anywhere_in_a_shipped_spec_is_a_config_error(case, pick, bad):
+    args, spec = case
+    leaves = list(_numeric_leaves(spec))
+    text = json.dumps(_with_leaf(spec, leaves[pick % len(leaves)], "@BAD@"))
+    args = [text.replace('"@BAD@"', bad) if a is None else a for a in args]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(args)
+    lines = out.getvalue().splitlines()
+    assert rc == 2 and err.getvalue() == "" and len(lines) == 1
+    assert json.loads(lines[0])["error"]["kind"] == "config-error"
 
 
 def test_jsonable_flags_non_finite_floats_and_complex_parts():

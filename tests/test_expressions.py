@@ -204,10 +204,11 @@ def test_genus1_product_stabilizes_under_truncation():
     assert abs(v1 - v2) < 1e-3 * abs(v2)
 
 
-def test_truncation_budget():
+def test_truncation_budget(monkeypatch):
+    monkeypatch.setitem(DEFAULTS, "max_series_terms", 1000)
     g = CanonicalProduct(a38_g_sequence(2000))
     with pytest.raises(TruncationBudgetExceeded):
-        evaluate(g, 1.0, max_terms=1000)
+        evaluate(g, 1.0)
 
 
 def test_pole_exclusion_radius():
@@ -590,9 +591,9 @@ def test_value_path_of_an_overflowing_exp():
 
 def test_value_path_keeps_the_truncation_budget(monkeypatch):
     g = CanonicalProduct(a38_g_sequence(2000))
-    with pytest.raises(TruncationBudgetExceeded):
-        g.eval_array(np.array([1.0]), 1000, error=False)
     monkeypatch.setitem(DEFAULTS, "max_series_terms", 1000)
+    with pytest.raises(TruncationBudgetExceeded):
+        g.eval_array(np.array([1.0]), error=False)
     for f in (g, Sharp(g), Sum([Z(), PartialFractions(a41_pole_sequence(2.0, 2000))])):
         with pytest.raises(TruncationBudgetExceeded):
             f.values(np.array([1.0, 2.0j]))
@@ -1265,7 +1266,8 @@ def test_series_errors_do_not_depend_on_the_tables_built_before(f, rng):
 
 
 @pytest.mark.parametrize("points", [5, 2 * _POINTS + 5])
-def test_series_value_path_raises_what_eval_array_raises_at_the_same_point(points, rng):
+def test_series_value_path_raises_what_eval_array_raises_at_the_same_point(points, rng,
+                                                                          monkeypatch):
     seq = a41_pole_sequence(2.0, 3000)
     z = _series_points(rng, points)
     z[-2:] = [seq.poles[7], seq.poles[3]]       # in the last block
@@ -1276,11 +1278,12 @@ def test_series_value_path_raises_what_eval_array_raises_at_the_same_point(point
             run()
         raised.append((complex(exc.value.z), str(exc.value)))
     assert raised[0] == raised[1] == raised[2] and raised[0][0] in seq.poles[[3, 7]]
+    monkeypatch.setitem(DEFAULTS, "max_series_terms", 2999)
     for g in (f, CanonicalProduct(a38_g_sequence(3000))):
         messages = set()
         for error in (True, False):
             with pytest.raises(TruncationBudgetExceeded) as exc:
-                g.eval_array(z, 2999, error=error)
+                g.eval_array(z, error=error)
             messages.add(str(exc.value))
         assert len(messages) == 1
 

@@ -336,7 +336,7 @@ def test_a60_scan_a41_diagnostic():
     # sets stay small while 1 - |Theta|^2 dominates |1 + Theta|^2
     inst = build_a41(2.0, 1.0, 10_000)
     th = InnerFunction("expr", inst.extras["theta"])
-    rep = theorem_a60_scan(th, 1.0, 10.0, [16.0, 64.0], f=None, samples_per_r=500)
+    rep = theorem_a60_scan(th, 1.0, 10.0, [16.0, 64.0], f=None)
     assert all(row.ratio < 0.2 for row in rep.rows)
     xs = np.linspace(16, 128, 200)
     tv = inst.extras["theta"].values(xs + 1j)

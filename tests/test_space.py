@@ -24,7 +24,7 @@ from dblab.expressions import (Affine, CanonicalProduct, Const, Cos, ExpCZ,
                                Sum, ZeroSequence, expr_from_json)
 from dblab.majorization import nabla_majorant
 from dblab.quadrature import integrate_real_line
-from dblab.space import (DbSpace, default_hb_grid, hb_check, inner_product,
+from dblab.space import (DbSpace, hb_check, inner_product,
                          kernel, kernel_diagonal, kernel_diagonal_values,
                          mean_type, membership,
                          nabla, nabla_values, norm_squared, phase_derivative,
@@ -38,7 +38,7 @@ SQRT_PI = math.sqrt(math.pi)
 # ---------------------------------------------------------------------------
 
 def test_hb_exponential(pw1):
-    ok, margin = hb_check(pw1, default_hb_grid())
+    ok, margin = hb_check(pw1)
     assert ok and margin > 0
 
 
@@ -52,11 +52,6 @@ def test_hb_reversed_exponential_fails():
     bad = DbSpace(ExpCZ(1j), None, 1.0, 1.0, "anti")
     ok, margin = hb_check(bad)
     assert not ok and margin < 0
-
-
-def test_hb_grid_validation(pw1):
-    with pytest.raises(ConfigError):
-        hb_check(pw1, np.array([1.0 - 1j]))
 
 
 def test_hb_check_overflow_is_an_overflow():

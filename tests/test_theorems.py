@@ -40,9 +40,9 @@ def test_verify_checks_only_the_space_its_majorant_uses(monkeypatch, instance, c
     calls = []
     real = space.hb_check
 
-    def counting(sp, grid=None):
+    def counting(sp):
         calls.append(sp.label)
-        return real(sp, grid)
+        return real(sp)
 
     # whichever module holds a binding of hb_check
     monkeypatch.setattr(space, "hb_check", counting)
