@@ -130,13 +130,16 @@ class ConfigError(Exception):
 def finite(x, what: str, kind=None):
     """``x``, or ``kind(x)`` when ``kind`` is given: a number from a flag, a
     config file or a spec.  A bool, NaN, an infinity (a literal such as
-    1e400 reads as one), a number beyond double range, or anything that is
-    not a number or that ``kind`` cannot read is a ConfigError."""
+    1e400 reads as one), a number beyond double range, a non-integral
+    number for ``kind=int``, or anything that is not a number or that
+    ``kind`` cannot read is a ConfigError."""
     try:
         y = x if kind is None else kind(x)
-        ok = not isinstance(x, bool) and cmath.isfinite(y)
+        ok = (not isinstance(x, bool) and cmath.isfinite(y)
+              and (kind is not int or isinstance(x, str) or y == x))
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
-        raise ConfigError(f"{what} must be finite and not boolean, got {x!r}")
+        raise ConfigError(f"{what} must be finite and not boolean"
+                          f"{', and a whole number' if kind is int else ''}, got {x!r}")
     return y

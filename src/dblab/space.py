@@ -13,15 +13,15 @@ here reduces to four primitives:
 * the kernel norm ``nabla(z) = K(z, z)**0.5`` computed off the real axis
   from the half-plane modulus difference quotient,
 * the inner product ``(F, G) = int F conj(G) / |E|**2`` over the real
-  line, by one of two routes: orthogonal sampling, the sum of
-  ``F conj(G) / K(t, t)`` over the real points where the phase of E is
-  ``alpha`` mod pi (the default for a closed-form E of positive declared
-  exponential type), or adaptive quadrature of the integral, and
+  line: for a closed-form E of positive declared exponential type the
+  sum of ``F conj(G) / K(t, t)`` over the real points where the phase of
+  E is ``alpha`` mod pi (orthogonal sampling), otherwise adaptive
+  quadrature of the integral, and
 * ray-wise mean-type slope fits.
 
-Membership verdicts combine the mean-type fits with convergence of the
-norm integral by quadrature and may return ``undecided`` when the
-regression cannot separate the slope from zero.
+Membership verdicts combine the mean-type fits with a finite norm and
+may return ``undecided`` when the regression cannot separate the slope
+from zero.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ import numpy as np
 
 from .defaults import DEFAULTS
 from .errors import (AllPointsDiscarded, ConfigError, MissingZeroData,
-                     NegativeRadicand, NonConvergentTail, Overflow, ZeroOnAxis,
-                     finite, require_finite)
+                     NegativeRadicand, NonConvergentTail, Overflow,
+                     SamplingDisagreement, ZeroOnAxis, finite, require_finite)
 from .expressions import (_CHUNK, _POINTS, CanonicalProduct, Const, EvalResult, FunctionExpr,
                           Poly, Product, Quotient, ZeroSequence, cached, expr_from_json,
                           expr_to_json, ring_derivatives, zero_sequence_from_spec)
@@ -465,10 +465,11 @@ def phase_derivative(space: DbSpace, t: float, route: str = "kernel") -> float:
 # ---------------------------------------------------------------------------
 
 def inner_product(space: DbSpace, f: FunctionExpr, g: FunctionExpr,
-                  rel_tol: float | None = None, route: str = "auto") -> EvalResult:
+                  rel_tol: float | None = None) -> EvalResult:
     """``(F, G)`` in H(E), with an absolute-error estimate.
 
-    ``sampling`` route (``dblab.sampling``; de Branges, Theorem 22):
+    For a closed-form E of positive declared exponential type, by
+    orthogonal sampling (``dblab.sampling``; de Branges, Theorem 22):
     ``sum F(t_n) conj G(t_n) / K(t_n, t_n)`` over the points ``t_n`` where
     the phase of E is ``alpha`` mod pi, in order of ``|t_n|``, with a
     Richardson tail in ``1/N``.  At most one ``alpha`` mod pi is
@@ -478,30 +479,22 @@ def inner_product(space: DbSpace, f: FunctionExpr, g: FunctionExpr,
     one of them when they disagree; ``abs_error`` is the larger of their
     Richardson spreads and their distance, plus ``8 eps`` times the sum
     of ``|terms|``.  Terms that decay no faster than ``1/n`` raise
-    NonConvergentTail, and three sums that disagree pairwise raise
-    SamplingDisagreement.
+    NonConvergentTail, three sums that disagree pairwise raise
+    SamplingDisagreement, and a phase that cannot back the declared type
+    raises ConfigError.
 
-    ``quadrature`` route: adaptive quadrature of ``F(t) conj(G(t)) /
-    |E(t)|**2`` over R (``integrate_real_line``), which raises
-    NonConvergentTail when the octave envelope decays too slowly.
+    Otherwise (a series or polynomial E, or no declared type), by
+    adaptive quadrature of ``F(t) conj(G(t)) / |E(t)|**2`` over R
+    (``integrate_real_line``), which raises NonConvergentTail when the
+    octave envelope decays too slowly.
 
-    ``auto`` takes ``sampling`` when E is ``closed_form`` and the space
-    declares a positive exponential type, and ``quadrature`` otherwise.
-    Both routes aim at ``max(quad_abs_tol, rel |value|)``, ``rel`` being
+    Either way the aim is ``max(quad_abs_tol, rel |value|)``, ``rel`` being
     ``rel_tol`` or ``quad_rel_tol``.
     """
-    can_sample = space.e.closed_form() and space.declared_exp_type > 0
-    if route == "auto":
-        route = "sampling" if can_sample else "quadrature"
-    if route == "sampling":
-        if not can_sample:
-            raise ConfigError("the sampling route needs a closed-form E and a positive "
-                              "declared exponential type")
+    if space.e.closed_form() and space.declared_exp_type > 0:
         from .sampling import sampled_inner_product   # compiled on first use only
         rel = DEFAULTS["quad_rel_tol"] if rel_tol is None else rel_tol
         return sampled_inner_product(space, f, g, rel)
-    if route != "quadrature":
-        raise ConfigError(f"unknown inner-product route {route!r}")
 
     def integrand(t):
         tc = np.asarray(t, dtype=float).astype(complex)
@@ -571,9 +564,10 @@ def membership(space: DbSpace, f: FunctionExpr) -> MembershipResult:
     """Decide membership of ``f`` in the space.
 
     ``in`` needs nonpositive mean type (within tolerance) for both
-    ``F/E`` and ``F#/E`` plus a convergent norm integral; a clear failure
-    gives ``out``; slopes inside the regression noise band give
-    ``undecided``.
+    ``F/E`` and ``F#/E`` plus a norm from ``inner_product``; a clear
+    failure, or a norm that raises NonConvergentTail or
+    SamplingDisagreement (message under ``norm_failure``), gives ``out``;
+    slopes inside the regression noise band give ``undecided``.
     """
     tol = DEFAULTS["membership_tol"]
     diag: dict = {}
@@ -589,13 +583,13 @@ def membership(space: DbSpace, f: FunctionExpr) -> MembershipResult:
         else:
             verdicts.append("fail")
     try:
-        ip = inner_product(space, f, f, rel_tol=1e-4, route="quadrature")
+        ip = inner_product(space, f, f, rel_tol=1e-4)
         diag["norm_squared"] = ip.value.real
         diag["norm_error"] = ip.abs_error
         verdicts.append("pass")
-    except NonConvergentTail as exc:
+    except (NonConvergentTail, SamplingDisagreement) as exc:
         diag["norm_squared"] = None
-        diag["quadrature"] = str(exc)
+        diag["norm_failure"] = str(exc)
         verdicts.append("fail")
     if "fail" in verdicts:
         return MembershipResult("out", diag)

@@ -15,6 +15,13 @@ def pw1() -> DbSpace:
 
 
 @pytest.fixture(scope="session")
+def pw1_untyped() -> DbSpace:
+    """The E of PW_1 with no declared exponential type: ``inner_product``
+    integrates its norms by quadrature instead of sampling them."""
+    return DbSpace(pw_space(1.0).e, None, 1.0, 0.0, "pw1 untyped")
+
+
+@pytest.fixture(scope="session")
 def zpi() -> DbSpace:
     """H(z + i): the one-dimensional space with constant kernel 1/pi."""
     return DbSpace(Poly([1j, 1.0]), ZeroSequence("zi", np.array([-1j])),

@@ -493,7 +493,7 @@ def test_zero_sum_phase_next_to_a_zero_does_not_underflow(capsys):
         '{"kind":"blaschke","zeros":[[0,NaN]]}')),
     *(["majorize", "--f", '{"kind":"sinc"}', "--domain", '{"kind":"line","rmax":50}',
        "--majorant", '{"type":"expr","f":{"kind":"const","value":1},"zero-divisor":[%s]}' % zd]
-      for zd in ("[NaN,1]", "[0,Infinity]")),
+      for zd in ("[NaN,1]", "[0,Infinity]", "[0,1.5]")),
     ["weaktype", "--q", '{"kind":"const","value":[0,1]}', "--a-grid", "[0.5,Infinity]"],
     ["a60scan", "--theta", '{"kind":"exp","a":1}', "--r-grid", "[4,NaN]"],
     ["example", "pw(nan)"],
@@ -506,6 +506,30 @@ def test_non_finite_numeric_input_is_a_config_error(capsys, args):
     assert rc == 2 and doc["error"]["kind"] == "config-error" and err == ""
     assert ("must be finite and not boolean" in doc["error"]["detail"]
             or doc["error"]["detail"] == "a union needs at least one part")
+
+
+def _zero_divisor_majorize(order):
+    return ["majorize", "--f", '{"kind":"sinc"}', "--domain", '{"kind":"line","rmax":50}',
+            "--majorant", '{"type":"expr","f":{"kind":"const","value":1},'
+                          '"zero-divisor":[[0,%s]]}' % order]
+
+
+@pytest.mark.parametrize("stdin, args, rc", [
+    ('{"f":{"kind":"sin"},"z":"1","order":1.7}', ["eval", "--config", "-"], 2),
+    ('{"f":{"kind":"sin"},"z":"1","order":2}', ["eval", "--config", "-"], 0),
+    ('{"f":{"kind":"sin"},"z":"1","order":2.0}', ["eval", "--config", "-"], 0),
+    ("", _zero_divisor_majorize("2.0"), 0),
+], ids=["order-1.7", "order-2", "order-2.0", "zero-divisor-2.0"])
+def test_an_integer_field_rejects_a_non_integral_number(capsys, monkeypatch, stdin, args, rc):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    assert main(args) == rc
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert err == ""
+    if rc == 2:
+        assert doc["error"]["kind"] == "config-error" and "whole number" in doc["error"]["detail"]
+    else:
+        assert "error" not in doc
 
 
 def _shipped_specs():

@@ -1,11 +1,12 @@
-"""CLI outputs that the sampling route of ``inner_product`` must not move.
+"""CLI outputs that changes to the norm code must not move.
 
-``member`` on every row of the pw and a20 claim tables (membership keeps
-the quadrature route), ``verify all``, ``defaults`` and the criterion-11
-battery are compared byte for byte, the timestamp aside, with
-``data/cli_golden.json``.  That file holds the outputs of the code before
-``inner_product`` had a sampling route; ``python tests/test_cli_golden.py``
-writes it from the ``dblab`` on the path.
+``member`` on every row of the pw and a20 claim tables, ``verify all``,
+``defaults`` and the criterion-11 battery are compared byte for byte, the
+timestamp aside, with ``data/cli_golden.json``.  The ``member`` entries
+hold the norms that ``membership`` takes by orthogonal sampling on these
+closed-form spaces; every other entry holds the outputs of the code
+before ``inner_product`` could sample.  ``python tests/test_cli_golden.py``
+writes the file from the ``dblab`` on the path.
 """
 
 import contextlib

@@ -76,6 +76,25 @@ def test_a20_claims_table():
     assert all(r["ok"] for r in rows), rows
 
 
+def _member_rows():
+    """(example, label, f, space key, closed-form norm squared) for every
+    shipped member of the pw and a20 tables.  PW_1 sits isometrically in
+    the a20 space, so ``sin z/(pi z)`` has norm squared 1/pi in H and in L,
+    and ``||cos||^2 = pi`` there."""
+    pw, a20 = build_pw(1.0), build_a20()
+    a20_norms2 = {"sin z/(pi z)": 1.0 / math.pi, "cos z": math.pi}
+    rows = [(pw, label, f, key, ref)
+            for (label, f, key), ref in zip(pw.members, pw.extras["member_norms2"])]
+    rows += [(a20, label, f, key, a20_norms2[label]) for label, f, key in a20.members]
+    return [pytest.param(*row, id=f"{row[0].id} {row[1]} in {row[3]}") for row in rows]
+
+
+@pytest.mark.parametrize("inst, label, f, key, ref", _member_rows())
+def test_member_norm_error_covers_the_closed_form(inst, label, f, key, ref):
+    diag = membership(inst.spaces[key], f).diagnostics
+    assert abs(diag["norm_squared"] - ref) <= diag["norm_error"], diag
+
+
 def test_a20_modulus_decomposition(rng):
     # |E(t)|^2 = A(t)^2 + B(t)^2 on the real axis
     inst = build_a20()

@@ -15,7 +15,7 @@ from dblab.examples import build_pw, pw_space
 from dblab.expressions import _POINTS, csinc, expr_from_json
 from dblab.model import InnerFunction, clark_kernel
 from dblab.quadrature import _gl, integrate_interval, integrate_real_line
-from dblab.space import inner_product, membership
+from dblab.space import DbSpace, inner_product, membership
 
 
 def test_gaussian():
@@ -96,9 +96,14 @@ def _clark_cross(w=0.3 + 0.7j, z=-0.4 + 1.1j):
     return cross
 
 
+def _pw_untyped():
+    """The E of PW_1 with no declared type, whose norms are integrated."""
+    return DbSpace(pw_space(1.0).e, None, 1.0, 0.0, "pw1 untyped")
+
+
 def _pw_difference():
     pw = build_pw(1.0)
-    return pw.spaces["H"], next(f for label, f, _ in pw.members if label == "k[0]-k[1.3]")
+    return _pw_untyped(), next(f for label, f, _ in pw.members if label == "k[0]-k[1.3]")
 
 
 def test_clark_integrand_sees_every_node_in_blocks_of_whole_panels(monkeypatch):
@@ -151,7 +156,7 @@ def _pw_inner_product():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(space_module, "integrate_real_line", spy)
-        inner_product(space, f, f, route="quadrature")
+        inner_product(space, f, f)
     return seen[0]
 
 
@@ -210,7 +215,7 @@ def test_clark_integral_working_memory_is_one_block_of_nodes():
 def test_pw_inner_product_working_memory_is_one_block_of_nodes():
     # one call per batch took 14.5 MiB
     space, f = _pw_difference()
-    assert _traced_peak(lambda: inner_product(space, f, f, route="quadrature")) < 8 * 2 ** 20
+    assert _traced_peak(lambda: inner_product(space, f, f)) < 8 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +251,7 @@ def test_nan_at_an_isolated_node_is_refined_away():
 def test_overflowing_norm_integral_raises_overflow():
     f = expr_from_json({"kind": "exp", "coeff": [800, 0]})
     with np.errstate(all="ignore"), pytest.raises(Overflow, match="halfwidth 16 "):
-        membership(pw_space(1.0), f)
+        membership(_pw_untyped(), f)
 
 
 def test_cli_overflowing_norm_integral_is_a_computation_error(tmp_path):

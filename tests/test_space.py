@@ -520,7 +520,7 @@ def test_pw_orthogonality_of_integer_shifts(pw1):
     assert abs(ip.value) < 1e-8
 
 
-def test_norm_integral_evaluates_f_once_per_batch(pw1, monkeypatch):
+def test_norm_integral_evaluates_f_once_per_batch(pw1_untyped, monkeypatch):
     batches = []
 
     def counting_quadrature(fn, **kw):
@@ -533,15 +533,15 @@ def test_norm_integral_evaluates_f_once_per_batch(pw1, monkeypatch):
     f = pw_kernel_expr(1.0, 0.3)
     f_values, calls = f.values, []
     f.values = lambda z: calls.append(np.size(z)) or f_values(z)
-    ip = inner_product(pw1, f, f, route="quadrature")
+    ip = inner_product(pw1_untyped, f, f)
     assert calls == batches and batches
     # a structurally equal but distinct tree gives the same bits
     g = expr_from_json(f.to_json())
-    other = inner_product(pw1, f, g, route="quadrature")
+    other = inner_product(pw1_untyped, f, g)
     assert (other.value, other.abs_error) == (ip.value, ip.abs_error)
 
 
-# -- the sampling route ------------------------------------------------------
+# -- orthogonal sampling ----------------------------------------------------
 
 _PW = build_pw(1.0)
 PW_NORMS = {label: (f, ref) for (label, f, _), ref
@@ -576,10 +576,10 @@ def test_sampled_pw_member_norms_have_a_positive_band(pw1, label):
 
 
 @pytest.mark.parametrize("label", ["k[0]", "k[3.14159]", "k[1.3]", "k[0]-k[1.3]"])
-def test_sampling_and_quadrature_agree_within_their_bands(pw1, label):
+def test_sampling_and_quadrature_agree_within_their_bands(pw1, pw1_untyped, label):
     f = PW_NORMS[label][0]
-    sampled = inner_product(pw1, f, f, route="sampling")
-    quad = inner_product(pw1, f, f, route="quadrature")
+    sampled = inner_product(pw1, f, f)
+    quad = inner_product(pw1_untyped, f, f)
     assert abs(sampled.value - quad.value) <= sampled.abs_error + quad.abs_error
 
 
@@ -630,7 +630,9 @@ def test_a_polynomial_phase_runs_out():
     typed = DbSpace(Poly([1j, 1.0]), None, 0.0, 1.0, "z+i typed 1")
     with pytest.raises(ConfigError, match="runs out"):
         inner_product(typed, Const(1.0), Const(1.0))
-    # without a declared type the default route is quadrature: ||1||^2 = pi
+    with pytest.raises(ConfigError, match="runs out"):
+        membership(typed, Const(1.0))
+    # without a declared type the norm is integrated: ||1||^2 = pi
     ip = inner_product(DbSpace(Poly([1j, 1.0]), None, 0.0, 0.0, "z+i"), Const(1.0), Const(1.0))
     assert abs(ip.value - math.pi) <= ip.abs_error
 
@@ -703,13 +705,6 @@ def test_import_leaves_the_sampling_module_to_its_first_use():
             "dblab.inner_product(pw_space(1.0), k, k); print('dblab.sampling' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["False", "True"]
-
-
-def test_unknown_or_unsupported_route_is_a_config_error(zpi):
-    with pytest.raises(ConfigError, match="route"):
-        inner_product(zpi, Const(1.0), Const(1.0), route="sum")
-    with pytest.raises(ConfigError, match="sampling route"):
-        inner_product(zpi, Const(1.0), Const(1.0), route="sampling")
 
 
 def test_zero_function_has_zero_norm(pw1):
@@ -830,7 +825,7 @@ def test_membership_sinc_in_pw1(pw1):
 def test_membership_cos_out_of_pw1(pw1):
     res = membership(pw1, Cos())
     assert res.verdict == "out"
-    assert "quadrature" in res.diagnostics
+    assert "norm_failure" in res.diagnostics
 
 
 def test_membership_doubled_type_out_of_pw1(pw1):
