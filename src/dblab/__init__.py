@@ -26,7 +26,7 @@ from .model import (HerglotzData, InnerFunction, WeakTypeReport,
 from .space import (DbSpace, MeanTypeEstimate, MembershipResult, hb_check,
                     inner_product, kernel, kernel_diagonal, mean_type,
                     membership, nabla, nabla_values, norm_squared,
-                    phase_derivative, zero_sum_phase)
+                    phase_derivative, phase_route, zero_sum_phase)
 from .theorems import TheoremReport, verify_all, verify_theorem
 
 __version__ = "0.1.0"

@@ -40,7 +40,7 @@ from .majorization import (Majorant, admissibility_check, expr_majorant,
 from .model import (InnerFunction, clark_kernel, clark_kernel_diag,
                     herglotz_extract, theorem_a60_scan, weak_type_test)
 from .space import (DbSpace, kernel, mean_type, membership, nabla,
-                    phase_derivative)
+                    phase_derivative, phase_route)
 
 
 @contextlib.contextmanager
@@ -241,9 +241,8 @@ def _cmd_nabla(args):
 def _cmd_phase(args):
     cfg = _merged(args)
     sp = _space(cfg)
-    route = cfg.get("route", "kernel")
-    _emit("phase", cfg, {"value": phase_derivative(sp, _num(cfg, "t", 0.0), route),
-                         "route": route})
+    _emit("phase", cfg, {"value": phase_derivative(sp, _num(cfg, "t", 0.0)),
+                         "route": phase_route(sp)[0]})
 
 
 def _cmd_meantype(args):
@@ -409,8 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("eval", _cmd_eval, [("--f", {}), ("--z", {}), ("--order", {"type": int})])
     add("kernel", _cmd_kernel, [("--space", {}), ("--w", {}), ("--z", {})])
     add("nabla", _cmd_nabla, [("--space", {}), ("--z", {})])
-    add("phase", _cmd_phase, [("--space", {}), ("--t", {"type": float}),
-                              ("--route", {"choices": ["kernel", "zero-sum"]})])
+    add("phase", _cmd_phase, [("--space", {}), ("--t", {"type": float})])
     add("meantype", _cmd_meantype, [("--f", {}), ("--theta", {"type": float}),
                                     ("--rmin", {"type": float}),
                                     ("--rmax", {"type": float}),

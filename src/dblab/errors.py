@@ -74,12 +74,6 @@ class ZeroOnAxis(DblabError):
     kind = "zero-of-E-on-axis"
 
 
-class MissingZeroData(DblabError):
-    """Zero-sum phase-derivative route requested without a zero set."""
-
-    kind = "missing-zero-data"
-
-
 class NegativeRadicand(DblabError):
     """Kernel-norm radicand significantly negative: input is not Hermite-Biehler."""
 

@@ -67,21 +67,13 @@ def _zeta_tail(s: int, n: int) -> float:
     return head + rest
 
 
-def _a38_g_tail_inv_sum(n: int) -> complex:
-    # sum_{k>n} 1/(k^2 - i) = sum_j i^j * zeta(2j+2, n+1)
+def _zeta_series(terms, n: int) -> complex:
+    """``sum c_j zeta_tail(s_j, n)`` over the pairs ``(c_j, s_j)`` of
+    ``terms``, in order, up to and including the first term of modulus
+    below 1e-22."""
     total = 0.0 + 0.0j
-    for j in range(8):
-        term = (1j ** j) * _zeta_tail(2 * j + 2, n)
-        total += term
-        if abs(term) < 1e-22:
-            break
-    return total
-
-def _a38_gtilde_tail_inv_sum(n: int) -> complex:
-    # sum_{k>n} 1/(k(k - i)) = sum_j i^j * zeta(j+2, n+1)
-    total = 0.0 + 0.0j
-    for j in range(40):
-        term = (1j ** j) * _zeta_tail(j + 2, n)
+    for c, s in terms:
+        term = c * _zeta_tail(s, n)
         total += term
         if abs(term) < 1e-22:
             break
@@ -107,37 +99,36 @@ def _second_order_tail_bound(n: int, zmin_next: float) -> Callable:
 # named sequences (registered for the JSON codec)
 # ---------------------------------------------------------------------------
 
-def a38_g_sequence(n: int) -> ZeroSequence:
-    """Zeros ``k^2 - i``, k = 1..n, with first-order tail correction."""
+def _a38_sequence(name: str, n: int, p: int) -> ZeroSequence:
+    """Zeros ``k^2 - i k^p``, k = 1..n, with first-order tail correction:
+    ``sum_{k>n} 1/(k^2 - i k^p) = sum_j i^j zeta(j (2 - p) + 2, n + 1)``."""
     n = int(n)
     if n < 1:
         raise ConfigError("a38 truncation must be >= 1")
     k = np.arange(1, n + 1, dtype=float)
-    # filled part by part, with the bits of k * k - 1j and no temporary of size n
+    # filled part by part, with the bits of k * k - 1j * k^p and no temporary of size n
     zeros = np.empty(n, dtype=complex)
     np.multiply(k, k, out=zeros.real)
-    zeros.imag = -1.0
-    return ZeroSequence("a38_g", zeros, 0,
-                        _second_order_tail_bound(n, (n + 1) ** 2),
-                        _a38_g_tail_inv_sum(n),
-                        {"kind": "named", "name": "a38_g", "params": {"n": n}})
+    if p:
+        np.negative(k, out=zeros.imag)
+        zmin_next = (n + 1) * math.hypot(n + 1.0, 1.0)
+    else:
+        zeros.imag = -1.0
+        zmin_next = (n + 1) ** 2
+    terms = ((1j ** j, j * (2 - p) + 2) for j in range(40 if p else 8))
+    return ZeroSequence(name, zeros, 0, _second_order_tail_bound(n, zmin_next),
+                        _zeta_series(terms, n),
+                        {"kind": "named", "name": name, "params": {"n": n}})
+
+
+def a38_g_sequence(n: int) -> ZeroSequence:
+    """Zeros ``k^2 - i``, k = 1..n, with first-order tail correction."""
+    return _a38_sequence("a38_g", n, 0)
 
 
 def a38_gtilde_sequence(n: int) -> ZeroSequence:
-    """Zeros ``k^2 - ik``, k = 1..n."""
-    n = int(n)
-    if n < 1:
-        raise ConfigError("a38 truncation must be >= 1")
-    k = np.arange(1, n + 1, dtype=float)
-    # filled part by part, with the bits of k * k - 1j * k and no temporary of size n
-    zeros = np.empty(n, dtype=complex)
-    np.multiply(k, k, out=zeros.real)
-    np.negative(k, out=zeros.imag)
-    zmin_next = (n + 1) * math.hypot(n + 1.0, 1.0)
-    return ZeroSequence("a38_gtilde", zeros, 0,
-                        _second_order_tail_bound(n, zmin_next),
-                        _a38_gtilde_tail_inv_sum(n),
-                        {"kind": "named", "name": "a38_gtilde", "params": {"n": n}})
+    """Zeros ``k^2 - ik``, k = 1..n, with first-order tail correction."""
+    return _a38_sequence("a38_gtilde", n, 1)
 
 
 def a45_zero_sequence(n: int) -> ZeroSequence:
@@ -293,12 +284,8 @@ def a38_constant(n: int = 100_000) -> complex:
     zeta-series tail, so the value is machine accurate for any n >= 1000."""
     k = np.arange(1, n + 1, dtype=float)
     logs = np.log(1.0 - 1j / (k * k))
-    tail = 0.0 + 0.0j
-    for j in range(1, 10):
-        term = -(1j ** j) / j * _zeta_tail(2 * j, n)
-        tail += term
-        if abs(term) < 1e-22:
-            break
+    # log(1 - i/k^2) = -sum_j i^j / (j k^(2j))
+    tail = _zeta_series(((-(1j ** j) / j, 2 * j) for j in range(1, 10)), n)
     return complex(np.exp(np.sum(logs) + tail))
 
 

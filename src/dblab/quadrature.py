@@ -52,8 +52,6 @@ class QuadResult:
     value: complex
     error: float
     halfwidth: float
-    tail: complex
-    tail_exponent: float
     octave_sums: list
 
 
@@ -161,7 +159,6 @@ def integrate_real_line(fn, *, rel_tol: float | None = None) -> QuadResult:
     total, toterr = integrate_interval(fn, -t0, t0, tol_now(1.0))
     _check_finite(total, toterr, t0)
     sums, t = [], t0
-    tail, tail_exp = 0.0 + 0.0j, -np.inf
     while t < tmax:
         vp, ep = integrate_interval(fn, t, 2 * t, tol_now(total))
         _check_finite(total + vp, toterr + ep, 2 * t)
@@ -176,7 +173,6 @@ def integrate_real_line(fn, *, rel_tol: float | None = None) -> QuadResult:
             continue
         arr = np.array(sums[-fit_k:], dtype=complex)
         if np.all(np.abs(arr) < 1e-300):
-            tail, tail_exp = 0.0 + 0.0j, -np.inf
             break
         r, scatter = _ar_ratio(arr)
         rr = abs(r)
@@ -204,6 +200,4 @@ def integrate_real_line(fn, *, rel_tol: float | None = None) -> QuadResult:
                 toterr += abs(tail) * max(scatter / (1.0 - abs(r)), 0.25)
             else:
                 toterr += 2.0 * abs(sums[-1])
-            tail_exp = math.log2(abs(r)) if abs(r) > 0 else -np.inf
-    return QuadResult(complex(total), float(toterr), float(t), complex(tail),
-                      float(tail_exp), [complex(s) for s in sums])
+    return QuadResult(complex(total), float(toterr), float(t), [complex(s) for s in sums])

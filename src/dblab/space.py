@@ -33,12 +33,13 @@ from typing import Optional
 import numpy as np
 
 from .defaults import DEFAULTS
-from .errors import (AllPointsDiscarded, ConfigError, MissingZeroData,
-                     NegativeRadicand, NonConvergentTail, Overflow,
-                     SamplingDisagreement, ZeroOnAxis, finite, require_finite)
-from .expressions import (_CHUNK, _POINTS, CanonicalProduct, Const, EvalResult, FunctionExpr,
-                          Poly, Product, Quotient, ZeroSequence, cached, expr_from_json,
-                          expr_to_json, ring_derivatives, zero_sequence_from_spec)
+from .errors import (AllPointsDiscarded, ConfigError, NegativeRadicand,
+                     NonConvergentTail, Overflow, SamplingDisagreement, ZeroOnAxis,
+                     finite, require_finite)
+from .expressions import (_CHUNK, _POINTS, CanonicalProduct, Const, EvalResult, ExpCZ,
+                          FunctionExpr, Poly, Power, Product, Quotient, Z, ZeroSequence,
+                          cached, expr_from_json, expr_to_json, ring_derivatives,
+                          zero_sequence_from_spec)
 from .quadrature import integrate_real_line
 
 TWO_PI_I = 2.0j * math.pi
@@ -408,56 +409,56 @@ def zero_sum_phase(seq: ZeroSequence, t, constant: float = 0.0):
     return out.reshape(tt.shape) if tt.shape else float(out[0])
 
 
-def phase_constant(space: DbSpace) -> float:
-    """Constant term of the zero-sum phase-derivative formula.
-
-    Taken as ``-mt(E^{-1} E#) / 2``, which reconciles the zero-sum route
-    with the kernel identity on the pure-exponential spaces (the kernel
-    route is the ground truth in tests).
-    """
-    if "phase_constant" not in space._cache:
-        e = space.e
-        if (isinstance(e, CanonicalProduct) and e.seq.genus == 0
-                and e.seq.tail_inv_sum is None):
-            # pair conjugate factors: the plain quotient of two long products
-            # overflows long before the slope window is reached
-            ratio = Product([Quotient(Poly([1.0, -1.0 / np.conj(w)]),
-                                      Poly([1.0, -1.0 / w]))
-                             for w in e.seq.zeros])
-        else:
-            ratio = Quotient(space.e_sharp, space.e)
-        # wide radius window: the Blaschke part of E^{-1}E# decays like 1/y,
-        # so the slope bias falls off with the top radius
-        radii = np.geomspace(1.0, 1e8, 64)
-        mt = mean_type(ratio, math.pi / 2, radii=radii)
-        space._cache["phase_constant"] = -0.5 * mt.value
-    return space._cache["phase_constant"]
+def _exp_phase(e: FunctionExpr) -> Optional[float]:
+    """The slope of the phase of E's exponential part, exact from its tree
+    (a polynomial or genus-0 product has none, ``e^(cz)`` has ``-Im c``);
+    ``None`` where the tree does not show it."""
+    if isinstance(e, (Const, Z, Poly)):
+        return 0.0
+    if isinstance(e, CanonicalProduct):
+        return 0.0 if e.seq.genus == 0 and e.seq.tail_inv_sum is None else None
+    if isinstance(e, ExpCZ):
+        return -e.coeff.imag
+    if isinstance(e, Power):
+        h = _exp_phase(e.child)
+        return None if h is None else e.exponent * h
+    if isinstance(e, Product):
+        hs = [_exp_phase(c) for c in e.children]
+        return None if None in hs else math.fsum(hs)
+    return None
 
 
-def phase_derivative(space: DbSpace, t: float, route: str = "kernel") -> float:
+def phase_route(space: DbSpace) -> tuple[str, Optional[float]]:
+    """``("zero-sum", h)`` when the space declares its zeros and E's tree
+    shows the phase slope ``h`` of its exponential part (``_exp_phase``),
+    else ``("kernel", None)``: the formula ``phase_derivative`` uses."""
+    h = None if space.zeros is None else _exp_phase(space.e)
+    return ("kernel", None) if h is None else ("zero-sum", h)
+
+
+def phase_derivative(space: DbSpace, t: float) -> float:
     """Derivative of the phase function of E at real t.
 
-    ``kernel`` route: ``pi K(t, t) / |E(t)|**2``.  ``zero-sum`` route:
-    the constant plus the Poisson-type sum over the declared zeros.
+    On the ``zero-sum`` route of ``phase_route``, ``h + sum |Im z_n| /
+    |t - z_n|**2`` over the declared zeros (E in the Polya class);
+    otherwise ``pi K(t, t) / |E(t)|**2``, which raises ZeroOnAxis where
+    |E(t)| underflows and Overflow where the ratio is not finite.
     """
     t = float(t)
-    if route == "kernel":
-        # |E| may be exponentially small between near-axis zeros and the
-        # K/|E|^2 ratio is still fine; only an underflow-level modulus is fatal
-        e = space.e.at(t)
-        e_abs = np.hypot(e.real, e.imag)
-        if e_abs <= 1e-140 * (1.0 + abs(t)):
-            raise ZeroOnAxis(f"E vanishes at t={t}; phase derivative undefined there")
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = float(math.pi * kernel_diagonal(space, t).real / e_abs ** 2)
-        if not math.isfinite(value):
-            raise Overflow(f"the phase derivative at t={t} is not finite in double precision")
-        return value
+    route, h = phase_route(space)
     if route == "zero-sum":
-        if space.zeros is None:
-            raise MissingZeroData("zero-sum route requires a declared zero sequence")
-        return zero_sum_phase(space.zeros, t, phase_constant(space))
-    raise ConfigError(f"unknown phase-derivative route {route!r}")
+        return zero_sum_phase(space.zeros, t, h)
+    # |E| may be exponentially small between near-axis zeros and the
+    # K/|E|^2 ratio is still fine; only an underflow-level modulus is fatal
+    e = space.e.at(t)
+    e_abs = np.hypot(e.real, e.imag)
+    if e_abs <= 1e-140 * (1.0 + abs(t)):
+        raise ZeroOnAxis(f"E vanishes at t={t}; phase derivative undefined there")
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(math.pi * kernel_diagonal(space, t).real / e_abs ** 2)
+    if not math.isfinite(value):
+        raise Overflow(f"the phase derivative at t={t} is not finite in double precision")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import dblab
 from dblab.cli import _jsonable, build_parser, main, parse_complex
-from dblab.examples import build_a20, pw_space
+from dblab.examples import a45_truncated_space, build_a20, pw_space
 from dblab.expressions import expr_from_json
 from dblab.model import InnerFunction, clark_kernel
 
@@ -326,7 +327,9 @@ def _pw1_with(**fields):
 @pytest.mark.parametrize("args", [
     ["derivative", "--z", "1"],      # unknown subcommand
     ["eval", "--z"],                 # missing value
-    ["phase", "--route", "bogus"],   # invalid choice
+    ["phase", "--route", "bogus"],   # removed flag
+    ["phase", "--space", _pw1_with(), "--t", "1", "--route", "kernel"],
+    ["weaktype", "--measure", "bogus"],   # invalid choice
     ["admissible", "--majorant", _UNIT_MAJORANT, "--domain", '{"kind":"line","rmax":50}',
      "--space", _pw1_with(), "--witnesses", "[3]"],
     ["meantype", "--f", '{"kind":"z"}', "--rmin", "-1"],
@@ -343,6 +346,28 @@ def test_malformed_command_line_is_a_config_error(capsys, args):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0 and "usage" in capsys.readouterr().out
+
+
+def _readme_usage_commands():
+    """The arguments of each ``dblab`` command in README's usage block (the
+    first fenced block under "## Command line"), continuation lines joined
+    and ``#`` comments dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```\n", 2)[1]
+    commands = [shlex.split(line, comments=True)
+                for line in block.replace("\\\n", " ").splitlines()]
+    return [argv for argv in commands if argv]
+
+
+def test_readme_usage_block_has_its_commands():
+    commands = _readme_usage_commands()
+    assert len(commands) >= 10 and all(argv[0] == "dblab" for argv in commands)
+
+
+@pytest.mark.parametrize("argv", _readme_usage_commands())
+def test_readme_usage_parses(argv):
+    # parsing only: a flag the docs name that the parser lacks is a ConfigError
+    build_parser().parse_args(argv[1:])
 
 
 def test_overflowing_value_is_a_computation_error(capsys):
@@ -446,8 +471,7 @@ def _one_zero_space(zero):
                                         ([1, -5e-324], "overflow")])
 def test_zero_sum_phase_at_a_zero_is_a_computation_error(capsys, zero, kind):
     # a real zero at t is 0/0; a subnormal height gives 1/5e-324, past double range
-    rc, doc = _main_json(capsys, ["phase", "--space", _one_zero_space(zero),
-                                  "--t", "1", "--route", "zero-sum"])
+    rc, doc = _main_json(capsys, ["phase", "--space", _one_zero_space(zero), "--t", "1"])
     assert rc == 1 and doc["error"]["kind"] == kind
 
 
@@ -455,14 +479,26 @@ def test_zero_sum_phase_at_a_zero_is_a_computation_error(capsys, zero, kind):
 def test_zero_sum_phase_next_to_a_zero_does_not_underflow(capsys):
     # |t - z|^2 = 1e-400 underflows; (|y|/|t - z|)/|t - z| is 1e200
     rc, doc = _main_json(capsys, ["phase", "--space", _one_zero_space([1, -1e-200]),
-                                  "--t", "1", "--route", "zero-sum"])
+                                  "--t", "1"])
     assert rc == 0 and math.isclose(doc["result"]["value"], 1e200, rel_tol=1e-12)
+
+
+def test_phase_on_a45_truncation_takes_the_zero_sum(capsys, tmp_path):
+    # |E| underflows at t = 3, where the kernel formula gave a false zero-of-E-on-axis
+    zeros = {"kind": "list", "genus": 0,
+             "zeros": [[z.real, z.imag] for z in a45_truncated_space(5002).zeros.zeros]}
+    path = tmp_path / "a45.json"
+    path.write_text(json.dumps({"E": {"kind": "canonical-product", "zeros": zeros},
+                                "zeros": zeros}))
+    rc, doc = _main_json(capsys, ["phase", "--space", str(path), "--t", "3"])
+    assert rc == 0 and doc["result"]["route"] == "zero-sum"
+    assert math.isclose(doc["result"]["value"], 120.87, rel_tol=1e-4)
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("args", [
-    ["phase", "--space", _one_zero_space([0, -1]), "--t", "nan", "--route", "kernel"],
-    ["phase", "--space", _one_zero_space([0, -1]), "--t", "nan", "--route", "zero-sum"],
+    ["phase", "--space", '{"E":{"kind":"poly","coeffs":[[1,0],[-1,0]]}}', "--t", "nan"],
+    ["phase", "--space", _one_zero_space([0, -1]), "--t", "nan"],
     ["phase", "--space", _one_zero_space([0, -1]), "--t", "1e400"],
     ["eval", "--f", '{"kind":"z"}', "--z", "nan"],
     ["eval", "--f", '{"kind":"z"}', "--z", "1+1e400i"],

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -135,6 +136,31 @@ def test_a38_zero_sets_have_the_bits_of_their_formulas(n):
 
 def test_a38_constant_is_truncation_independent():
     assert abs(a38_constant(2000) - a38_constant(100_000)) < 1e-12
+
+
+def _hex(c):
+    return complex(c).real.hex(), complex(c).imag.hex()
+
+
+def test_a38_zeta_series_keep_their_bits():
+    # the bits the sums, zeros and tail bounds had when each series had its
+    # own loop and each sequence its own builder
+    g, gtilde = a38_g_sequence(1000), a38_gtilde_sequence(1000)
+    assert _hex(g.tail_inv_sum) == ("0x1.0603521cdaeccp-10", "0x1.6df4593c1bd0bp-32")
+    assert _hex(gtilde.tail_inv_sum) == ("0x1.06034c6509fadp-10", "0x1.0c2ac1e03e645p-21")
+    assert _hex(a38_constant(1000)) == ("0x1.b6cc80dbc3d2ep-3", "-0x1.74de956276b18p+0")
+    assert _hex(a38_constant()) == ("0x1.b6cc80dbc3d3ap-3", "-0x1.74de956276b18p+0")
+    assert (hashlib.sha256(g.zeros.tobytes()).hexdigest()
+            == "7b8ba82f171bdfa48ca89f1406fa4e327d72d6d70259f9d94346ef8c1c2b16e7")
+    assert (hashlib.sha256(gtilde.zeros.tobytes()).hexdigest()
+            == "302a7861c2ae9bfc13f60a929b82cfe98a57ee33fda9bba4de0c6a3f23b98188")
+    r = [0.0, 1.0, 1e5, 3e5, 1e7]
+    bound = ["0x0.0p+0", "0x1.6df4593c1c7cdp-32", "0x1.aa06ef96b3b0bp+1",
+             "0x1.df47cd898a26cp+4", "0x1.a034bd70a3422p+15"]
+    for seq, name in ((g, "a38_g"), (gtilde, "a38_gtilde")):
+        assert [float(x).hex() for x in seq.tail_bound_at(r)] == bound
+        assert seq.label == name and seq.genus == 0
+        assert seq.spec == {"kind": "named", "name": name, "params": {"n": 1000}}
 
 
 def test_a38_gtilde_decay_window(a38):

@@ -141,8 +141,7 @@ def _bits(res):
     if isinstance(res, tuple):
         value, error = res
         return complex(value).real.hex(), complex(value).imag.hex(), float(error).hex()
-    return ([x.hex() for x in (res.value.real, res.value.imag, res.error,
-                               res.tail.real, res.tail.imag)]
+    return ([x.hex() for x in (res.value.real, res.value.imag, res.error)]
             + [x.hex() for s in res.octave_sums for x in (s.real, s.imag)])
 
 

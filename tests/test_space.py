@@ -13,22 +13,21 @@ import dblab.sampling as sampling_module
 import dblab.space as space_module
 from dblab import domains as dom
 from dblab.defaults import DEFAULTS
-from dblab.errors import (ConfigError, MissingZeroData, NegativeRadicand,
-                          NonConvergentTail, Overflow, SamplingDisagreement,
-                          ZeroOnAxis)
+from dblab.errors import (ConfigError, NegativeRadicand, NonConvergentTail, Overflow,
+                          SamplingDisagreement, ZeroOnAxis)
 from dblab.examples import (a20_structure_function, a45_truncated_space,
                             a45_zero_sequence, build_a20, build_a38, build_pw,
                             pw_kernel_closed, pw_kernel_expr, pw_space)
 from dblab.expressions import (Affine, CanonicalProduct, Const, Cos, ExpCZ,
-                               FunctionExpr, Poly, Product, Quotient, Sin, Sinc,
-                               Sum, ZeroSequence, expr_from_json)
+                               FunctionExpr, Poly, Power, Product, Quotient, Sharp,
+                               Sin, Sinc, Sum, Z, ZeroSequence, expr_from_json)
 from dblab.majorization import nabla_majorant
 from dblab.quadrature import integrate_real_line
 from dblab.space import (DbSpace, hb_check, inner_product,
                          kernel, kernel_diagonal, kernel_diagonal_values,
                          mean_type, membership,
                          nabla, nabla_values, norm_squared, phase_derivative,
-                         zero_sum_phase)
+                         phase_route, zero_sum_phase)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -342,40 +341,59 @@ def test_nabla_keeps_its_negative_radicand_messages():
 def test_pw_phase_derivative_is_type(a):
     sp = pw_space(a)
     for t in (0.0, 0.7, -3.3):
-        assert abs(phase_derivative(sp, t, "kernel") - a) < 1e-10 * a
+        assert abs(phase_derivative(sp, t) - a) < 1e-10 * a
 
 
 def test_pw_phase_zero_sum_reconciles_with_kernel():
     sp = DbSpace(ExpCZ(-2j), ZeroSequence("none", np.array([], dtype=complex)),
                  1.0, 2.0, "pw2")
-    assert abs(phase_derivative(sp, 1.234, "zero-sum") - 2.0) < 1e-8
+    assert phase_route(sp) == ("zero-sum", 2.0)
+    assert abs(phase_derivative(sp, 1.234) - 2.0) < 1e-8
+    assert phase_derivative(sp, 1.234) == 2.0
 
 
 def test_zpi_phase_derivative(zpi):
+    kernel_only = DbSpace(zpi.e, None, 0.0, 0.0, "zpi without zeros")
     for t in (0.0, 2.0, -5.0):
         expect = 1.0 / (t * t + 1.0)
-        assert abs(phase_derivative(zpi, t, "kernel") - expect) < 1e-10 * expect
-        assert abs(phase_derivative(zpi, t, "zero-sum") - expect) < 1e-6 * expect
+        assert abs(phase_derivative(kernel_only, t) - expect) < 1e-10 * expect
+        assert abs(phase_derivative(zpi, t) - expect) < 1e-6 * expect
+        assert abs(phase_derivative(zpi, t) - expect) <= 4 * np.spacing(expect)
 
 
 def test_phase_routes_agree_on_finite_truncation():
     sp = a45_truncated_space(200)
+    kernel_only = DbSpace(sp.e, None, 0.0, 0.0, "a45-trunc-200 without zeros")
     for t in (0.0, 0.7, 1.5, 3.0):
-        k = phase_derivative(sp, t, "kernel")
-        z = phase_derivative(sp, t, "zero-sum")
-        assert abs(k - z) / k < 1e-6
-
-
-def test_phase_zero_sum_requires_zero_data(pw1):
-    with pytest.raises(MissingZeroData):
-        phase_derivative(pw1, 0.0, "zero-sum")
+        k = phase_derivative(kernel_only, t)
+        z = phase_derivative(sp, t)
+        assert abs(k - z) / k < 1e-12
 
 
 def test_phase_kernel_flags_underflowed_modulus():
     # between the densely packed zeros |E| drops below double range
     sp = a45_truncated_space(200)
     with pytest.raises(ZeroOnAxis):
-        phase_derivative(sp, 5.0, "kernel")
+        phase_derivative(DbSpace(sp.e, None, 0.0, 0.0, "a45-trunc-200 without zeros"), 5.0)
+
+
+def test_phase_derivative_takes_its_route_from_the_space(zpi, pw1):
+    # the zero sum where the zeros are declared and E's tree shows its
+    # exponential part, the kernel formula everywhere else
+    seq = ZeroSequence("zi", np.array([-1j]))
+    shown = [(zpi.e, 0.0), (ExpCZ(0.5 - 2j), 2.0), (Const(3.0), 0.0), (Z(), 0.0),
+             (CanonicalProduct(seq), 0.0), (Power(ExpCZ(-1j), 3), 3.0),
+             (Product([Poly([1j, 1.0]), Power(ExpCZ(-0.5j), 2), ExpCZ(-1j)]), 2.0)]
+    for e, h in shown:
+        assert phase_route(DbSpace(e, seq)) == ("zero-sum", h)
+    hidden = [Sum([ExpCZ(-1j), Const(1.0)]), Quotient(Poly([1j, 1.0]), Const(2.0)),
+              CanonicalProduct(ZeroSequence("g1", np.array([-1j]), 1)),
+              CanonicalProduct(ZeroSequence("tail", np.array([-1j]), 0, None, 0.1j)),
+              Product([ExpCZ(-1j), Sharp(ExpCZ(1j))]), Power(Cos(), 2)]
+    for e in hidden:
+        assert phase_route(DbSpace(e, seq)) == ("kernel", None)
+    assert phase_route(pw1) == ("kernel", None)
+    assert phase_route(a45_truncated_space(200))[0] == "zero-sum"
 
 
 def test_phase_kernel_of_a_nan_modulus_is_an_overflow(erange):
@@ -384,7 +402,7 @@ def test_phase_kernel_of_a_nan_modulus_is_an_overflow(erange):
     sp = DbSpace(Product([ExpCZ(800.0), ExpCZ(-800.0)]), None, 0.0, 0.0, "nan-E")
     erange()
     with pytest.raises(Overflow, match="phase derivative at t=1.0"):
-        phase_derivative(sp, 1.0, "kernel")
+        phase_derivative(sp, 1.0)
 
 
 # the tree's truncation bound plus the rounding of both sums (a few ulps a
