@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Every subcommand reads either flags, a JSON config (``--config path`` or
-``-`` for stdin), or both (flags win), echoes the merged config in its
-output for provenance, and writes a single JSON object to stdout.  Series
-results can additionally be written as CSV via ``--out``.
+Each subcommand is one row of ``COMMANDS``.  It reads flags, a JSON config
+(``--config path`` or ``-`` for stdin) keyed by the flag names, or both
+(flags win), echoes the merged config in its output for provenance, and
+writes a single JSON object to stdout.  A subcommand whose row names an
+output also writes it to ``--out``: CSV series, or the ``example`` JSON.
 
 Exit codes: 0 success, 1 computation error (structured ``error`` object),
 2 malformed configuration.  ``verify`` exits 0 only when every witness
@@ -111,24 +112,22 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(command: str, config: dict, result: dict, out_rows=None,
-          out_path: str | None = None, header=None) -> None:
-    if out_path and out_rows is not None:
-        with open(out_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            if header:
-                w.writerow(header)
-            for row in out_rows:
-                w.writerow(row)
-    payload = {"command": command, "config": _jsonable(config),
-               "result": _jsonable(result),
-               "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()}
-    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+def _write(path: str, out, artifact) -> None:
+    """``artifact`` written to ``path``: CSV rows under the header ``out``,
+    or one JSON document when ``out`` is ``"json"``."""
+    if out == "json":
+        Path(path).write_text(json.dumps(_jsonable(artifact), sort_keys=True, indent=1))
+        return
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(out)
+        w.writerows(artifact)
 
 
-def _merged(args) -> dict:
+def _merged(args, names) -> dict:
     """The config file (if any) overlaid with every flag given on the
-    command line, keyed by flag name (``--a-grid`` as ``a-grid``)."""
+    command line, keyed by flag name (``--a-grid`` as ``a-grid``).  A config
+    key that is none of ``names``, the subcommand's flag names, is an error."""
     cfg = {}
     if args.config:
         if args.config == "-":
@@ -137,9 +136,14 @@ def _merged(args) -> dict:
             cfg = json.loads(Path(args.config).read_text())
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a JSON object")
-    for k, v in vars(args).items():
-        if k not in ("cmd", "fn", "config", "out") and v is not None:
-            cfg[k.replace("_", "-")] = v
+        unknown = sorted(set(cfg) - set(names))
+        if unknown:
+            raise ConfigError(f"unknown config keys {unknown}; "
+                              f"{args.cmd} accepts {sorted(names)}")
+    for name in names:
+        v = getattr(args, name.replace("-", "_"))
+        if v is not None and v != []:   # an absent positional parses as [] or None
+            cfg[name] = v
     return cfg
 
 
@@ -179,19 +183,23 @@ def _inner(cfg, key="theta") -> InnerFunction:
     return _decode(cfg, key, "inner function", InnerFunction.from_spec)
 
 
+# majorant type -> builder(spec, domain, zero divisor)
+_MAJORANTS = {
+    "nabla": lambda spec, domain, zd: nabla_majorant(DbSpace.from_json(spec["space"]), domain),
+    "mS": lambda spec, domain, zd: mS_majorant(expr_from_json(spec["S"]), domain, zd),
+    "expr": lambda spec, domain, zd: expr_majorant(expr_from_json(spec["f"]), domain, zd),
+}
+
+
 def _majorant(cfg, domain: SampledDomain) -> Majorant:
     def decoder(spec):
         if not isinstance(spec, dict) or "type" not in spec:
             raise ConfigError("majorant spec must be an object with a 'type'")
         zd = tuple((finite(x, "zero-divisor location", float), finite(k, "zero-divisor order", int))
                    for x, k in spec.get("zero-divisor", []))
-        if spec["type"] == "nabla":
-            return nabla_majorant(DbSpace.from_json(spec["space"]), domain)
-        if spec["type"] == "mS":
-            return mS_majorant(expr_from_json(spec["S"]), domain, zd)
-        if spec["type"] == "expr":
-            return expr_majorant(expr_from_json(spec["f"]), domain, zd)
-        raise ConfigError(f"unknown majorant type {spec['type']!r}")
+        if spec["type"] not in _MAJORANTS:
+            raise ConfigError(f"unknown majorant type {spec['type']!r}")
+        return _MAJORANTS[spec["type"]](spec, domain, zd)
     return _decode(cfg, "majorant", "input", decoder)
 
 
@@ -209,44 +217,33 @@ def _grid(cfg, key, default=None) -> np.ndarray:
         return np.array([finite(x, f"grid {key!r} entry", float) for x in spec])
 
 
-# ---------------------------------------------------------------------------
-# subcommand implementations
-# ---------------------------------------------------------------------------
+# subcommands: each takes the merged config and returns its result, or
+# (result, artifact) when its row in COMMANDS names an output
 
-def _cmd_eval(args):
-    cfg = _merged(args)
+def _cmd_eval(cfg):
     f = _expr(cfg, "f")
     z = parse_complex(cfg.get("z", "0"))
     order = _num(cfg, "order", 0, int)
-    if order:
-        r = derivative(f, z, order)
-    else:
-        r = evaluate(f, z)
-    _emit("eval", cfg, {"value": r.value, "abs-error": r.abs_error})
+    r = derivative(f, z, order) if order else evaluate(f, z)
+    return {"value": r.value, "abs-error": r.abs_error}
 
 
-def _cmd_kernel(args):
-    cfg = _merged(args)
+def _cmd_kernel(cfg):
     sp = _space(cfg)
     w, z = parse_complex(cfg.get("w", "0")), parse_complex(cfg.get("z", "0"))
-    _emit("kernel", cfg, {"value": complex(kernel(sp, w, z))})
+    return {"value": complex(kernel(sp, w, z))}
 
 
-def _cmd_nabla(args):
-    cfg = _merged(args)
+def _cmd_nabla(cfg):
+    return {"value": nabla(_space(cfg), parse_complex(cfg.get("z", "0")))}
+
+
+def _cmd_phase(cfg):
     sp = _space(cfg)
-    _emit("nabla", cfg, {"value": nabla(sp, parse_complex(cfg.get("z", "0")))})
+    return {"value": phase_derivative(sp, _num(cfg, "t", 0.0)), "route": phase_route(sp)[0]}
 
 
-def _cmd_phase(args):
-    cfg = _merged(args)
-    sp = _space(cfg)
-    _emit("phase", cfg, {"value": phase_derivative(sp, _num(cfg, "t", 0.0)),
-                         "route": phase_route(sp)[0]})
-
-
-def _cmd_meantype(args):
-    cfg = _merged(args)
+def _cmd_meantype(cfg):
     f = _expr(cfg, "f")
     theta = _num(cfg, "theta", math.pi / 2)
     radii = None
@@ -257,31 +254,23 @@ def _cmd_meantype(args):
             raise ConfigError(f"the radius grid ends {ends} must be positive")
         radii = np.geomspace(*ends, max(_num(cfg, "rcount", n, int), 0))
     est = mean_type(f, theta, radii)
-    _emit("meantype", cfg, {"value": est.value, "residual": est.residual,
-                            "radii": [float(est.radii[0]), float(est.radii[-1]),
-                                      int(est.radii.size)]})
+    return {"value": est.value, "residual": est.residual,
+            "radii": [float(est.radii[0]), float(est.radii[-1]), int(est.radii.size)]}
 
 
-def _cmd_member(args):
-    cfg = _merged(args)
-    sp = _space(cfg)
-    res = membership(sp, _expr(cfg, "f"))
-    _emit("member", cfg, {"verdict": res.verdict, "diagnostics": res.diagnostics})
+def _cmd_member(cfg):
+    res = membership(_space(cfg), _expr(cfg, "f"))
+    return {"verdict": res.verdict, "diagnostics": res.diagnostics}
 
 
-def _cmd_majorize(args):
-    cfg = _merged(args)
-    dom = _domain(cfg)
-    m = _majorant(cfg, dom)
+def _cmd_majorize(cfg):
+    m = _majorant(cfg, _domain(cfg))
     rep = test_majorization(_expr(cfg, "f"), m)
-    _emit("majorize", cfg, rep.to_json(), rep.csv_rows(), args.out,
-          ("z_re", "z_im", "ratio"))
+    return rep.to_json(), rep.csv_rows()
 
 
-def _cmd_admissible(args):
-    cfg = _merged(args)
-    dom = _domain(cfg)
-    m = _majorant(cfg, dom)
+def _cmd_admissible(cfg):
+    m = _majorant(cfg, _domain(cfg))
     sp = _space(cfg)
     with _decoding("input 'witnesses'"):
         wspecs = cfg.get("witnesses") or []
@@ -290,89 +279,87 @@ def _cmd_admissible(args):
         witnesses = [expr_from_json(_load_json_arg(w) if isinstance(w, str) else w)
                      for w in wspecs]
     rep = admissibility_check(m, witnesses, sp)
-    _emit("admissible", cfg, {"admissible": rep.ok, "details": rep.details})
+    return {"admissible": rep.ok, "details": rep.details}
 
 
-def _cmd_herglotz(args):
-    cfg = _merged(args)
-    q = _expr(cfg, "q")
-    data = herglotz_extract(q, delta=_num(cfg, "delta"))
-    rows = zip(data.density_grid.tolist(), data.density.tolist())
-    _emit("herglotz", cfg, data.to_json(), rows, args.out, ("t", "density"))
+def _cmd_herglotz(cfg):
+    data = herglotz_extract(_expr(cfg, "q"), delta=_num(cfg, "delta"))
+    return data.to_json(), zip(data.density_grid.tolist(), data.density.tolist())
 
 
-def _cmd_weaktype(args):
-    cfg = _merged(args)
-    q = _expr(cfg, "q")
-    rep = weak_type_test(q, _num(cfg, "y0", 1.0),
-                         _grid(cfg, "a-grid", "0.1:2.0:0.1"),
-                         cfg.get("measure", "lebesgue"))
-    _emit("weaktype", cfg, rep.to_json(), rep.csv_rows(), args.out,
-          ("a", "measure", "a_times_measure", "bound"))
+def _cmd_weaktype(cfg):
+    rep = weak_type_test(_expr(cfg, "q"), _num(cfg, "y0", 1.0),
+                         _grid(cfg, "a-grid", "0.1:2.0:0.1"), cfg.get("measure", "lebesgue"))
+    return rep.to_json(), rep.csv_rows()
 
 
-def _cmd_clark(args):
-    cfg = _merged(args)
+def _cmd_clark(cfg):
     th = _inner(cfg)
     z = parse_complex(cfg.get("z", "1i"))
-    kz = clark_kernel(th, z)
-    _emit("clark", cfg, {"kernel": kz.to_json(), "diagonal": clark_kernel_diag(th, z),
-                         "checks": th.validate()})
+    return {"kernel": clark_kernel(th, z).to_json(), "diagonal": clark_kernel_diag(th, z),
+            "checks": th.validate()}
 
 
-def _cmd_a60scan(args):
-    cfg = _merged(args)
+def _cmd_a60scan(cfg):
     th = _inner(cfg)
     f = _expr(cfg, "f") if cfg.get("f") else None
     rep = theorem_a60_scan(th, _num(cfg, "y0", 1.0), _num(cfg, "c", 1.0),
                            _grid(cfg, "r-grid", "[4,8,16,32,64,128]"), f)
-    _emit("a60scan", cfg, rep.to_json(), rep.csv_rows(), args.out,
-          ("r", "measure", "ratio", "residual_max"))
+    return rep.to_json(), rep.csv_rows()
 
 
-def _cmd_example(args):
-    cfg = _merged(args)
+def _cmd_example(cfg):
     tokens = cfg.get("id") or ["list"]
-    if isinstance(tokens, str):
-        tokens = [tokens]
+    tokens = [tokens] if isinstance(tokens, str) else tokens
     if tokens and tokens[0] == "build":
         tokens = tokens[1:]
-    ex_id = tokens[0] if tokens else "list"
-    cfg["id"] = ex_id
+    ex_id = cfg["id"] = tokens[0] if tokens else "list"
     if ex_id == "list":
-        _emit("example", cfg, {"available": sorted(ex.EXAMPLE_BUILDERS)})
-        return
+        return {"available": sorted(ex.EXAMPLE_BUILDERS)}, None
     params = {key: _num(cfg, key, kind=int if key == "n" else float)
               for key in ("a", "alpha", "y0", "n") if cfg.get(key) is not None}
-    inst = ex.build_example(ex_id, **params)
-    doc = inst.to_json()
-    if args.out:
-        Path(args.out).write_text(json.dumps(_jsonable(doc), sort_keys=True, indent=1))
-    _emit("example", cfg, doc)
+    doc = ex.build_example(ex_id, **params).to_json()
+    return doc, doc
 
 
-def _cmd_verify(args):
-    cfg = _merged(args)
+def _cmd_verify(cfg):
     tid = cfg.get("theorem", "all")
-    if tid == "all":
-        reports = theorems.verify_all()
-    else:
-        reports = [theorems.verify_theorem(tid, cfg.get("instance"))]
-    ok = all(r.ok for r in reports)
-    _emit("verify", cfg, {"ok": ok, "reports": [r.to_json() for r in reports]})
-    if not ok:
-        sys.exit(1)
+    reports = (theorems.verify_all() if tid == "all"
+               else [theorems.verify_theorem(tid, cfg.get("instance"))])
+    return {"ok": all(r.ok for r in reports), "reports": [r.to_json() for r in reports]}
 
 
-def _cmd_defaults(args):
-    _emit("defaults", {}, DEFAULTS)
+_FLOAT, _INT = {"type": float}, {"type": int}
 
-
-# ---------------------------------------------------------------------------
-
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="JSON config file ('-' for stdin)")
-    p.add_argument("--out", help="CSV output path for series results")
+# name -> (run, input flags with their argparse kwargs, output).  A flag's
+# name without its dashes is also its config key.  The output is a CSV
+# header, "json" for a JSON artifact, or None when the subcommand writes no
+# file; only a subcommand with an output takes --out.
+COMMANDS = {
+    "eval": (_cmd_eval, {"--f": {}, "--z": {}, "--order": _INT}, None),
+    "kernel": (_cmd_kernel, {"--space": {}, "--w": {}, "--z": {}}, None),
+    "nabla": (_cmd_nabla, {"--space": {}, "--z": {}}, None),
+    "phase": (_cmd_phase, {"--space": {}, "--t": _FLOAT}, None),
+    "meantype": (_cmd_meantype, {"--f": {}, "--theta": _FLOAT, "--rmin": _FLOAT,
+                                 "--rmax": _FLOAT, "--rcount": _INT}, None),
+    "member": (_cmd_member, {"--space": {}, "--f": {}}, None),
+    "majorize": (_cmd_majorize, {"--f": {}, "--majorant": {}, "--domain": {}},
+                 ("z_re", "z_im", "ratio")),
+    "admissible": (_cmd_admissible, {"--majorant": {}, "--domain": {}, "--space": {},
+                                     "--witnesses": {}}, None),
+    "herglotz": (_cmd_herglotz, {"--q": {}, "--delta": _FLOAT}, ("t", "density")),
+    "weaktype": (_cmd_weaktype, {"--q": {}, "--y0": _FLOAT, "--a-grid": {},
+                                 "--measure": {"choices": ["lebesgue", "poisson"]}},
+                 ("a", "measure", "a_times_measure", "bound")),
+    "clark": (_cmd_clark, {"--theta": {}, "--z": {}}, None),
+    "a60scan": (_cmd_a60scan, {"--theta": {}, "--y0": _FLOAT, "--c": _FLOAT,
+                               "--r-grid": {}, "--f": {}},
+                ("r", "measure", "ratio", "residual_max")),
+    "example": (_cmd_example, {"id": {"nargs": "*"}, "--a": _FLOAT, "--alpha": _FLOAT,
+                               "--y0": _FLOAT, "--n": _INT}, "json"),
+    "verify": (_cmd_verify, {"theorem": {"nargs": "?"}, "--instance": {}}, None),
+    "defaults": (lambda cfg: DEFAULTS, {}, None),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -391,55 +378,36 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built at the first call and shared by every
-    later one: parsing leaves no state on it."""
+    """The command-line parser, built from COMMANDS at the first call and
+    shared by every later one: parsing leaves no state on it."""
     ap = _Parser(prog="dblab",
                  description="numerical laboratory for de Branges spaces of entire functions")
     sub = ap.add_subparsers(dest="cmd", required=True)
-
-    def add(name, fn, flags):
+    for name, (_, flags, out) in COMMANDS.items():
         p = sub.add_parser(name)
-        _add_common(p)
-        for flag, kw in flags:
+        p.add_argument("--config", help="JSON config file ('-' for stdin)")
+        if out == "json":
+            p.add_argument("--out", "--json", help="JSON output path")
+        elif out is not None:
+            p.add_argument("--out", help="CSV output path")
+        for flag, kw in flags.items():
             p.add_argument(flag, **kw)
-        p.set_defaults(fn=fn)
-        return p
-
-    add("eval", _cmd_eval, [("--f", {}), ("--z", {}), ("--order", {"type": int})])
-    add("kernel", _cmd_kernel, [("--space", {}), ("--w", {}), ("--z", {})])
-    add("nabla", _cmd_nabla, [("--space", {}), ("--z", {})])
-    add("phase", _cmd_phase, [("--space", {}), ("--t", {"type": float})])
-    add("meantype", _cmd_meantype, [("--f", {}), ("--theta", {"type": float}),
-                                    ("--rmin", {"type": float}),
-                                    ("--rmax", {"type": float}),
-                                    ("--rcount", {"type": int})])
-    add("member", _cmd_member, [("--space", {}), ("--f", {})])
-    add("majorize", _cmd_majorize, [("--f", {}), ("--majorant", {}), ("--domain", {})])
-    add("admissible", _cmd_admissible, [("--majorant", {}), ("--domain", {}),
-                                        ("--space", {}), ("--witnesses", {})])
-    add("herglotz", _cmd_herglotz, [("--q", {}), ("--delta", {"type": float})])
-    add("weaktype", _cmd_weaktype, [("--q", {}), ("--y0", {"type": float}),
-                                    ("--a-grid", {"dest": "a_grid"}),
-                                    ("--measure", {"choices": ["lebesgue", "poisson"]})])
-    add("clark", _cmd_clark, [("--theta", {}), ("--z", {})])
-    add("a60scan", _cmd_a60scan, [("--theta", {}), ("--y0", {"type": float}),
-                                  ("--c", {"type": float}),
-                                  ("--r-grid", {"dest": "r_grid"}), ("--f", {})])
-    p_ex = add("example", _cmd_example, [("id", {"nargs": "*"}),
-                                         ("--a", {"type": float}),
-                                         ("--alpha", {"type": float}),
-                                         ("--y0", {"type": float}),
-                                         ("--n", {"type": int})])
-    p_ex.add_argument("--json", dest="out", help="alias for --out")
-    add("verify", _cmd_verify, [("theorem", {"nargs": "?"}), ("--instance", {})])
-    add("defaults", _cmd_defaults, [])
     return ap
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        args.fn(args)
+        run, flags, out = COMMANDS[args.cmd]
+        cfg = _merged(args, [flag.lstrip("-") for flag in flags])
+        result = run(cfg)
+        if out is not None:
+            result, artifact = result
+            if args.out and artifact is not None:
+                _write(args.out, out, artifact)
+        payload = {"command": args.cmd, "config": _jsonable(cfg), "result": _jsonable(result),
+                   "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()}
+        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
     except SystemExit as exc:
         return int(exc.code or 0)
     except (ConfigError, json.JSONDecodeError, OSError) as exc:
@@ -453,7 +421,7 @@ def main(argv=None) -> int:
         sys.stdout.write(json.dumps(
             {"error": {"kind": "internal-error", "detail": f"{type(exc).__name__}: {exc}"}}) + "\n")
         return 1
-    return 0
+    return 0 if result.get("ok", True) else 1   # verify exits 1 unless every verdict is ok
 
 
 if __name__ == "__main__":

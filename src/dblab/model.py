@@ -119,7 +119,22 @@ class InnerFunction:
         raise ConfigError(f"bad inner-function spec: {d!r}")
 
 
-CAYLEY_VARIANTS = ("plus", "i-minus")
+# variant -> (name of the denominator, denominator and numerator of q as
+# maps of Theta, Theta as a map of q)
+_CAYLEY = {
+    "plus": ("1 - Theta", lambda th: Const(1.0) - th, lambda th: Const(1.0) + th,
+             lambda q: Quotient(q - Const(1.0), q + Const(1.0))),
+    "i-minus": ("1 + Theta", lambda th: Const(1.0) + th,
+                lambda th: Product([Const(1j), Const(1.0) - th]),
+                lambda q: Quotient(Const(1j) - q, Const(1j) + q)),
+}
+CAYLEY_VARIANTS = tuple(_CAYLEY)
+
+
+def _cayley(variant: str):
+    if variant not in _CAYLEY:
+        raise ConfigError(f"unknown Cayley variant {variant!r}; use one of {CAYLEY_VARIANTS}")
+    return _CAYLEY[variant]
 
 
 def _check_nondegenerate(expr: FunctionExpr, what: str):
@@ -134,23 +149,14 @@ def cayley_q_from_theta(theta: InnerFunction, variant: str) -> FunctionExpr:
     ``plus`` has nonnegative real part, ``i-minus`` nonnegative imaginary
     part on the upper half-plane; the variant tag is mandatory.
     """
-    if variant == "plus":
-        den = Const(1.0) - theta.expr
-        _check_nondegenerate(den, "1 - Theta")
-        return Quotient(Const(1.0) + theta.expr, den)
-    if variant == "i-minus":
-        den = Const(1.0) + theta.expr
-        _check_nondegenerate(den, "1 + Theta")
-        return Quotient(Product([Const(1j), Const(1.0) - theta.expr]), den)
-    raise ConfigError(f"unknown Cayley variant {variant!r}; use one of {CAYLEY_VARIANTS}")
+    what, den_of, num_of, _ = _cayley(variant)
+    den = den_of(theta.expr)
+    _check_nondegenerate(den, what)
+    return Quotient(num_of(theta.expr), den)
 
 
 def theta_from_q(q: FunctionExpr, variant: str) -> FunctionExpr:
-    if variant == "plus":
-        return Quotient(q - Const(1.0), q + Const(1.0))
-    if variant == "i-minus":
-        return Quotient(Const(1j) - q, Const(1j) + q)
-    raise ConfigError(f"unknown Cayley variant {variant!r}; use one of {CAYLEY_VARIANTS}")
+    return _cayley(variant)[3](q)
 
 
 # ---------------------------------------------------------------------------

@@ -61,20 +61,6 @@ class DbSpace:
     def e_sharp(self) -> FunctionExpr:
         return self.e.sharp()
 
-    @property
-    def a(self) -> FunctionExpr:
-        """Even part (E + E#)/2; real on the real axis."""
-        if "a" not in self._cache:
-            self._cache["a"] = Product([Const(0.5), self.e + self.e_sharp])
-        return self._cache["a"]
-
-    @property
-    def b(self) -> FunctionExpr:
-        """Odd part i(E - E#)/2; real on the real axis."""
-        if "b" not in self._cache:
-            self._cache["b"] = Product([Const(0.5j), self.e - self.e_sharp])
-        return self._cache["b"]
-
     def to_json(self) -> dict:
         zspec = None if self.zeros is None else self.zeros.to_spec()
         return {"E": expr_to_json(self.e), "zeros": zspec,

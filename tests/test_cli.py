@@ -3,7 +3,6 @@ import contextlib
 import io
 import json
 import math
-import os
 import shlex
 import subprocess
 import sys
@@ -16,19 +15,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dblab
-from dblab.cli import _jsonable, build_parser, main, parse_complex
+from dblab.cli import COMMANDS, _jsonable, build_parser, main, parse_complex
 from dblab.examples import a45_truncated_space, build_a20, pw_space
 from dblab.expressions import expr_from_json
 from dblab.model import InnerFunction, clark_kernel
 
 
-def run_cli(args, stdin=None, env=None):
-    e = dict(os.environ)
-    if env:
-        e.update(env)
+def run_cli(args, stdin=None):
+    """``python -m dblab.cli`` in a fresh process: (exit code, stdout, stderr)."""
     r = subprocess.run([sys.executable, "-m", "dblab.cli"] + args,
-                       capture_output=True, text=True, input=stdin, env=e)
+                       capture_output=True, text=True, input=stdin)
     return r.returncode, r.stdout, r.stderr
+
+
+@pytest.fixture
+def cli(capsys, monkeypatch):
+    """``main`` in this process, with ``run_cli``'s signature and return."""
+    def run(args, stdin=None):
+        if stdin is not None:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        rc = main(args)
+        out, err = capsys.readouterr()
+        return rc, out, err
+    return run
 
 
 @pytest.fixture(scope="module")
@@ -46,8 +55,8 @@ def test_parse_complex_forms():
     assert parse_complex("i") == 1j
 
 
-def test_eval_const():
-    rc, out, _ = run_cli(["eval", "--f", '{"kind":"const","value":[1,0]}',
+def test_eval_const(cli):
+    rc, out, _ = cli(["eval", "--f", '{"kind":"const","value":[1,0]}',
                           "--z", "5+0i"])
     doc = json.loads(out)
     assert rc == 0
@@ -55,31 +64,32 @@ def test_eval_const():
     assert doc["config"]["z"] == "5+0i"  # config echoed for provenance
 
 
-def test_nabla_closed_form(pw1_file):
-    rc, out, _ = run_cli(["nabla", "--space", pw1_file, "--z", "0+1i"])
+def test_nabla_closed_form(cli, pw1_file):
+    rc, out, _ = cli(["nabla", "--space", pw1_file, "--z", "0+1i"])
     assert rc == 0
     got = json.loads(out)["result"]["value"]
     assert abs(got - math.sqrt(math.sinh(2) / (2 * math.pi))) < 1e-12
 
 
-def test_phase_and_member(pw1_file):
-    rc, out, _ = run_cli(["phase", "--space", pw1_file, "--t", "0.3"])
+def test_phase_and_member(cli, pw1_file):
+    rc, out, _ = cli(["phase", "--space", pw1_file, "--t", "0.3"])
     assert rc == 0 and abs(json.loads(out)["result"]["value"] - 1.0) < 1e-9
     sinc = {"kind": "product", "children": [
         {"kind": "const", "value": [1.0 / math.pi, 0.0]}, {"kind": "sinc"}]}
-    rc, out, _ = run_cli(["member", "--space", pw1_file, "--f", json.dumps(sinc)])
+    rc, out, _ = cli(["member", "--space", pw1_file, "--f", json.dumps(sinc)])
     assert rc == 0 and json.loads(out)["result"]["verdict"] == "in"
 
 
-def test_config_on_stdin():
+def test_config_on_stdin(cli):
     cfg = json.dumps({"f": {"kind": "exp", "coeff": [0, -1]}, "z": "0+1i"})
-    rc, out, _ = run_cli(["eval", "--config", "-"], stdin=cfg)
+    rc, out, _ = cli(["eval", "--config", "-"], stdin=cfg)
     assert rc == 0
     val = json.loads(out)["result"]["value"]
     assert abs(complex(*val) - math.e) < 1e-12
 
 
 def test_exit_codes():
+    # through the entry point: the exit code of main is the process's
     rc, out, _ = run_cli(["eval", "--f", '{"kind":"nope"}', "--z", "0"])
     assert rc == 2 and json.loads(out)["error"]["kind"] == "config-error"
     rc, out, _ = run_cli(["eval", "--f",
@@ -88,52 +98,52 @@ def test_exit_codes():
     assert rc == 1 and json.loads(out)["error"]["kind"] == "pole-hit"
 
 
-def test_verify_subcommand_exit_status():
-    rc, out, _ = run_cli(["verify", "A12"])
+def test_verify_subcommand_exit_status(cli):
+    rc, out, _ = cli(["verify", "A12"])
     assert rc == 0 and json.loads(out)["result"]["ok"]
 
 
-def test_example_build_writes_artifact(tmp_path):
+def test_example_build_writes_artifact(cli, tmp_path):
     target = tmp_path / "pw.json"
-    rc, out, _ = run_cli(["example", "pw", "--a", "1", "--out", str(target)])
+    rc, out, _ = cli(["example", "pw", "--a", "1", "--out", str(target)])
     assert rc == 0
     doc = json.loads(target.read_text())
     assert doc["id"] == "pw" and len(doc["members"]) == 5
 
 
-def test_example_list():
-    rc, out, _ = run_cli(["example", "list"])
+def test_example_list(cli):
+    rc, out, _ = cli(["example", "list"])
     assert rc == 0
     assert "a38" in json.loads(out)["result"]["available"]
 
 
-def test_example_build_token_and_json_alias(tmp_path):
+def test_example_build_token_and_json_alias(cli, tmp_path):
     target = tmp_path / "pw.json"
-    rc, out, _ = run_cli(["example", "build", "pw", "--a", "2",
+    rc, out, _ = cli(["example", "build", "pw", "--a", "2",
                           "--json", str(target)])
     assert rc == 0
     assert json.loads(target.read_text())["params"]["a"] == 2.0
 
 
-def test_built_instance_feeds_space_commands(tmp_path):
+def test_built_instance_feeds_space_commands(cli, tmp_path):
     # an example-instance artifact is accepted wherever a space is expected
     target = tmp_path / "pw1.json"
-    rc, _, _ = run_cli(["example", "pw", "--a", "1", "--out", str(target)])
+    rc, _, _ = cli(["example", "pw", "--a", "1", "--out", str(target)])
     assert rc == 0
-    rc, out, _ = run_cli(["nabla", "--space", str(target), "--z", "0+1i"])
+    rc, out, _ = cli(["nabla", "--space", str(target), "--z", "0+1i"])
     assert rc == 0
     got = json.loads(out)["result"]["value"]
     assert abs(got - math.sqrt(math.sinh(2) / (2 * math.pi))) < 1e-12
 
 
-def test_malformed_space_is_a_config_error():
-    rc, out, _ = run_cli(["nabla", "--space", '{"nope": 1}', "--z", "0+1i"])
+def test_malformed_space_is_a_config_error(cli):
+    rc, out, _ = cli(["nabla", "--space", '{"nope": 1}', "--z", "0+1i"])
     assert rc == 2
     assert json.loads(out)["error"]["kind"] == "config-error"
 
 
-def test_malformed_complex_flag_is_a_config_error(pw1_file):
-    rc, out, _ = run_cli(["nabla", "--space", pw1_file, "--z", "bogus"])
+def test_malformed_complex_flag_is_a_config_error(cli, pw1_file):
+    rc, out, _ = cli(["nabla", "--space", pw1_file, "--z", "bogus"])
     assert rc == 2
     assert json.loads(out)["error"]["kind"] == "config-error"
 
@@ -169,14 +179,14 @@ def test_pole_hit_under_an_affine_node_names_the_point_passed(capsys, z):
     assert doc["error"]["detail"].startswith("z=(-1+1j) within")
 
 
-def test_majorize_csv(tmp_path, pw1_file):
+def test_majorize_csv(cli, tmp_path, pw1_file):
     target = tmp_path / "ratios.csv"
     cfg = {
         "f": {"kind": "cos"},
         "majorant": {"type": "nabla", "space": json.loads(open(pw1_file).read())},
         "domain": {"kind": "line", "y0": 1.0, "ratio": 1.01, "rmax": 1e4},
     }
-    rc, out, _ = run_cli(["majorize", "--config", "-", "--out", str(target)],
+    rc, out, _ = cli(["majorize", "--config", "-", "--out", str(target)],
                          stdin=json.dumps(cfg))
     assert rc == 0
     doc = json.loads(out)["result"]
@@ -186,27 +196,27 @@ def test_majorize_csv(tmp_path, pw1_file):
     assert len(rows) > 500
 
 
-def test_weaktype_flags(tmp_path):
+def test_weaktype_flags(cli, tmp_path):
     q = {"kind": "quotient", "num": {"kind": "const", "value": [0, 1]},
          "den": {"kind": "z"}}
-    rc, out, _ = run_cli(["weaktype", "--q", json.dumps(q), "--y0", "1",
+    rc, out, _ = cli(["weaktype", "--q", json.dumps(q), "--y0", "1",
                           "--a-grid", "0.5:1.0:0.25"])
     assert rc == 0
     res = json.loads(out)["result"]
     assert res["measure"][0] == pytest.approx(2 * math.sqrt(3), abs=1e-6)
 
 
-def test_meantype_subcommand():
-    rc, out, _ = run_cli(["meantype", "--f", '{"kind":"exp","coeff":[0,2]}'])
+def test_meantype_subcommand(cli):
+    rc, out, _ = cli(["meantype", "--f", '{"kind":"exp","coeff":[0,2]}'])
     assert rc == 0
     assert abs(json.loads(out)["result"]["value"] - (-2.0)) < 1e-6
 
 
-def test_herglotz_subcommand(tmp_path):
+def test_herglotz_subcommand(cli, tmp_path):
     target = tmp_path / "density.csv"
     q = {"kind": "quotient", "num": {"kind": "const", "value": [0, 1]},
          "den": {"kind": "z"}}
-    rc, out, _ = run_cli(["herglotz", "--q", json.dumps(q), "--out", str(target)])
+    rc, out, _ = cli(["herglotz", "--q", json.dumps(q), "--out", str(target)])
     assert rc == 0
     res = json.loads(out)["result"]
     assert res["p"] == 0.0
@@ -214,8 +224,8 @@ def test_herglotz_subcommand(tmp_path):
     assert target.read_text().splitlines()[0] == "t,density"
 
 
-def test_clark_subcommand():
-    rc, out, _ = run_cli(["clark", "--theta", '{"kind":"exp","a":1.0}',
+def test_clark_subcommand(cli):
+    rc, out, _ = cli(["clark", "--theta", '{"kind":"exp","a":1.0}',
                           "--z", "0.5+0.8i"])
     assert rc == 0
     res = json.loads(out)["result"]
@@ -224,10 +234,10 @@ def test_clark_subcommand():
     assert res["checks"]["contraction-margin"] > 0
 
 
-def test_clark_of_the_ratio_inner_function():
+def test_clark_of_the_ratio_inner_function(cli):
     space = build_a20().spaces["H"].to_json()
     theta = {"kind": "ratio", "space": space}
-    rc, out, _ = run_cli(["clark", "--theta", json.dumps(theta), "--z", "0.5+0.8i"])
+    rc, out, _ = cli(["clark", "--theta", json.dumps(theta), "--z", "0.5+0.8i"])
     assert rc == 0
     res = json.loads(out)["result"]
     th = InnerFunction.from_spec(theta)
@@ -240,15 +250,15 @@ def test_clark_of_the_ratio_inner_function():
     assert res["checks"]["contraction-margin"] > 0
 
 
-def test_clark_rejects_boundary_anchor():
-    rc, out, _ = run_cli(["clark", "--theta", '{"kind":"exp","a":1.0}',
+def test_clark_rejects_boundary_anchor(cli):
+    rc, out, _ = cli(["clark", "--theta", '{"kind":"exp","a":1.0}',
                           "--z", "0.5"])
     assert rc == 2
 
 
-def test_a60scan_subcommand(tmp_path):
+def test_a60scan_subcommand(cli, tmp_path):
     target = tmp_path / "scan.csv"
-    rc, out, _ = run_cli(["a60scan", "--theta", '{"kind":"exp","a":1.0}',
+    rc, out, _ = cli(["a60scan", "--theta", '{"kind":"exp","a":1.0}',
                           "--y0", "1", "--c", "10", "--r-grid", "[4,16,64]",
                           "--out", str(target)])
     assert rc == 0
@@ -257,7 +267,7 @@ def test_a60scan_subcommand(tmp_path):
     assert len(target.read_text().splitlines()) == 4
 
 
-def test_admissible_subcommand(pw1_file):
+def test_admissible_subcommand(cli, pw1_file):
     sinc = {"kind": "product", "children": [
         {"kind": "const", "value": [1.0 / math.pi, 0.0]}, {"kind": "sinc"}]}
     cfg = {
@@ -266,13 +276,13 @@ def test_admissible_subcommand(pw1_file):
         "domain": {"kind": "axis", "ratio": 1.02, "rmax": 1e4},
         "witnesses": [sinc],
     }
-    rc, out, _ = run_cli(["admissible", "--config", "-"], stdin=json.dumps(cfg))
+    rc, out, _ = cli(["admissible", "--config", "-"], stdin=json.dumps(cfg))
     assert rc == 0
     assert json.loads(out)["result"]["admissible"] is True
 
 
-def test_eval_derivative_order(pw1_file):
-    rc, out, _ = run_cli(["eval", "--f", '{"kind":"exp","coeff":[0,-1]}',
+def test_eval_derivative_order(cli, pw1_file):
+    rc, out, _ = cli(["eval", "--f", '{"kind":"exp","coeff":[0,-1]}',
                           "--z", "0", "--order", "1"])
     assert rc == 0
     val = json.loads(out)["result"]["value"]
@@ -280,10 +290,10 @@ def test_eval_derivative_order(pw1_file):
 
 
 @pytest.mark.parametrize("order", ["1", "2"])
-def test_eval_derivative_around_a_pole_is_radius_too_large(order):
+def test_eval_derivative_around_a_pole_is_radius_too_large(cli, order):
     # the circle about 5e-4 encloses the pole of 1/z at 0: exit 0 with
     # -4.6e-11 +- 9.2e-4 for -4e6 before the ring mean was checked
-    rc, out, _ = run_cli(["eval", "--f", '{"kind":"quotient","num":{"kind":"const",'
+    rc, out, _ = cli(["eval", "--f", '{"kind":"quotient","num":{"kind":"const",'
                           '"value":[1,0]},"den":{"kind":"z"}}', "--z", "0.0005",
                           "--order", order])
     assert rc == 1
@@ -344,6 +354,51 @@ def test_malformed_command_line_is_a_config_error(capsys, args):
     assert err == ""
 
 
+_E_MINUS_I = '{"E":{"kind":"exp","coeff":[0,-1]}'
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args, stdin", [
+    (["phase", "--config", "-"], '{"space":%s},"t":0.3,"route":"zero-sum"}' % _E_MINUS_I),
+    (["nabla", "--config", "-"], '{"space":%s},"z":"1i","bogus":1}' % _E_MINUS_I),
+    (["eval", "--f", '{"kind":"z"}', "--z", "1", "--out", "OUT"], None),
+    (["defaults", "--config", "-"], '{"bogus":1}'),
+], ids=["phase-route", "nabla-bogus", "eval-out", "defaults-bogus"])
+def test_an_input_that_no_command_reads_exits_2(cli, tmp_path, args, stdin):
+    # each exited 0 with the input dropped: no file, or a key echoed but never read
+    rc, out, err = cli([str(tmp_path / "x.csv") if a == "OUT" else a for a in args], stdin)
+    detail = json.loads(out)["error"]["detail"]
+    assert rc == 2 and json.loads(out)["error"]["kind"] == "config-error" and err == ""
+    assert list(tmp_path.iterdir()) == []
+    assert ("unknown config keys" if stdin else "unrecognized arguments") in detail
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_a_row_reads_its_flag_names_as_config_keys_and_rejects_every_other(
+        cli, tmp_path, monkeypatch, name):
+    _, flags, out = COMMANDS[name]
+    seen = []
+
+    def spy(cfg):
+        seen.append(dict(cfg))
+        return {} if out is None else ({}, None)
+
+    monkeypatch.setitem(COMMANDS, name, (spy, flags, out))
+    keys = {flag.lstrip("-"): f"value-{i}" for i, flag in enumerate(flags)}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(keys))
+    rc, text, _ = cli([name, "--config", str(path)])
+    assert rc == 0 and seen == [keys] and json.loads(text)["config"] == keys
+    declared = {flag.lstrip("-") for _, row_flags, _ in COMMANDS.values() for flag in row_flags}
+    for bad in sorted(declared - set(keys)) + ["no-such-key", "out", "config"]:
+        path.write_text(json.dumps({**keys, bad: 1}))
+        rc, text, err = cli([name, "--config", str(path)])
+        error = json.loads(text)["error"]
+        assert rc == 2 and error["kind"] == "config-error" and err == ""
+        assert repr(bad) in error["detail"] and f"{name} accepts" in error["detail"]
+    assert len(seen) == 1
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0 and "usage" in capsys.readouterr().out
 
@@ -362,6 +417,10 @@ def _readme_usage_commands():
 def test_readme_usage_block_has_its_commands():
     commands = _readme_usage_commands()
     assert len(commands) >= 10 and all(argv[0] == "dblab" for argv in commands)
+
+
+def test_readme_usage_block_covers_every_subcommand():
+    assert {argv[1] for argv in _readme_usage_commands()} == set(COMMANDS)
 
 
 @pytest.mark.parametrize("argv", _readme_usage_commands())
@@ -402,16 +461,18 @@ def test_overflowing_kernel_norm_is_a_computation_error(capsys):
     assert rc == 1 and doc["error"]["kind"] == "overflow"
 
 
-def test_overflowing_kernel_is_a_computation_error():
-    rc, out, err = run_cli(["kernel", "--space", '{"E":{"kind":"exp","coeff":[0,-1]}}',
+@pytest.mark.filterwarnings("error")
+def test_overflowing_kernel_is_a_computation_error(cli):
+    rc, out, err = cli(["kernel", "--space", '{"E":{"kind":"exp","coeff":[0,-1]}}',
                             "--w", "0+800i", "--z", "1+800i"])
     assert rc == 1 and json.loads(out)["error"]["kind"] == "overflow"
     assert err == ""
 
 
-def test_overflowing_majorization_sample_is_a_computation_error():
+@pytest.mark.filterwarnings("error")
+def test_overflowing_majorization_sample_is_a_computation_error(cli):
     # |cos| / |cos| is 1 on the ray, but cosh overflows past y ~ 710
-    rc, out, err = run_cli(["majorize", "--f", '{"kind":"cos"}',
+    rc, out, err = cli(["majorize", "--f", '{"kind":"cos"}',
                             "--majorant", '{"type":"expr","f":{"kind":"cos"}}',
                             "--domain", '{"kind":"ray","beta":0.5,"h":1,"rmax":1000}'])
     doc = json.loads(out)
@@ -419,6 +480,7 @@ def test_overflowing_majorization_sample_is_a_computation_error():
     assert "+725.36" in doc["error"]["detail"] and "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("args", [
     # probe and p-fit samples overflow, so the linear coefficient was NaN
     ["herglotz", "--q", '{"kind":"exp","coeff":[0,-800]}'],
@@ -434,8 +496,8 @@ def test_overflowing_majorization_sample_is_a_computation_error():
     ["clark", "--theta", '{"inner":{"kind":"product","children":[{"kind":"exp","coeff":[1000,0]},'
      '{"kind":"exp","coeff":[-1000,0]}]}}', "--z", "0.5+0.8i"],
 ])
-def test_non_finite_result_is_an_overflow_with_nothing_on_stderr(args):
-    rc, out, err = run_cli(args)
+def test_non_finite_result_is_an_overflow_with_nothing_on_stderr(cli, args):
+    rc, out, err = cli(args)
     assert rc == 1 and json.loads(out)["error"]["kind"] == "overflow"
     assert len(out.splitlines()) == 1 and err == ""
 
@@ -445,14 +507,15 @@ def _over_poly(coeffs):
                        "den": {"kind": "poly", "coeffs": coeffs}})
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("coeffs, z, rc, expect", [
     # the root -1e320 is past double range: it is dropped, and -1 is kept
     ([[1, 0], [1e-320, 0]], "1+1i", 0, [1.0, -1e-320]),
     ([[1, 0], [1, 0], [1e-320, 0]], "1+1i", 0, [0.4, -0.2]),
     ([[1, 0], [1, 0], [1e-320, 0]], "-1", 1, "pole-hit"),
 ])
-def test_a_subnormal_leading_coefficient_keeps_the_finite_roots(coeffs, z, rc, expect):
-    code, out, err = run_cli(["eval", "--f", _over_poly(coeffs), "--z", z])
+def test_a_subnormal_leading_coefficient_keeps_the_finite_roots(cli, coeffs, z, rc, expect):
+    code, out, err = cli(["eval", "--f", _over_poly(coeffs), "--z", z])
     doc = json.loads(out)
     assert code == rc and err == ""
     if rc:

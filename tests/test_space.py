@@ -68,7 +68,8 @@ def test_even_odd_parts_are_real_on_axis(pw1, rng):
     from dblab.examples import build_a20
     t = rng.uniform(-30, 30, 60) + 0j
     for sp in (pw1, build_a20().spaces["H"]):
-        av, bv = sp.a.values(t), sp.b.values(t)
+        e, es = sp.e.values(t), sp.e_sharp.values(t)
+        av, bv = (e + es) / 2, 0.5j * (e - es)   # A = (E + E#)/2, B = i(E - E#)/2
         scale = 1.0 + np.abs(av) + np.abs(bv)
         assert np.all(np.abs(av.imag) <= 1e-10 * scale)
         assert np.all(np.abs(bv.imag) <= 1e-10 * scale)
